@@ -9,6 +9,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional
@@ -52,13 +53,23 @@ def _default_seed() -> int:
         raise ValidationError(f"SOLVER_SEED must be an integer, got {raw!r}") from None
 
 
+def _parse_number(token: str, option: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{option} expects finite numbers, got {token.strip()!r}")
+    return value
+
+
 def _parse_delta_mode(text: str) -> tuple[str, float]:
     kind, _, value = text.partition(":")
     kind = kind.strip().lower()
     if kind in ("const", "c"):
-        return ("const", float(value))
+        return ("const", _parse_number(value, "--delta"))
     if kind in ("frac", "fraction", "f"):
-        return ("fraction", float(value))
+        return ("fraction", _parse_number(value, "--delta"))
     raise ValidationError(f"delta mode must look like const:0.5 or frac:0.1, got {text!r}")
 
 
@@ -68,7 +79,7 @@ def _parse_bounds_mode(text: str) -> Optional[tuple[float, float, float, float]]
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 4:
         raise ValidationError(f"bounds must be 'none' or four comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    return tuple(_parse_number(p, "--bounds") for p in parts)  # type: ignore[return-value]
 
 
 def _solver_params(args, seed: Optional[int] = None) -> SolverParams:
@@ -201,9 +212,9 @@ def _cmd_oracle(args) -> int:
     p_star, q_star = oracle.global_optimum(instance)
     z_star = profit_z(instance, p_star)
     text = (
-        f"q_value {storage._fmt(q_star)}\n"
-        f"profit {storage._fmt(z_star)}\n"
-        "p " + " ".join(storage._fmt(v) for v in p_star) + "\n"
+        f"q_value {storage.format_float(q_star)}\n"
+        f"profit {storage.format_float(z_star)}\n"
+        "p " + " ".join(storage.format_float(v) for v in p_star) + "\n"
     )
     storage.atomic_write_text(args.out, text)
     print(f"global optimum: profit {z_star:.6g}")
@@ -218,9 +229,9 @@ def _cmd_project(args) -> int:
     dist_sq = float(np.sum((p - q) ** 2))
     text = (
         f"in_H {int(ok)}\n"
-        f"dist_sq {storage._fmt(dist_sq)}\n"
+        f"dist_sq {storage.format_float(dist_sq)}\n"
         f"changed {int(np.count_nonzero(p != instance.p0))}\n"
-        "p " + " ".join(storage._fmt(v) for v in p) + "\n"
+        "p " + " ".join(storage.format_float(v) for v in p) + "\n"
     )
     storage.atomic_write_text(args.out, text)
     print(f"projected query: {int(np.count_nonzero(p != instance.p0))} changes, dist_sq {dist_sq:.6g}")
@@ -242,7 +253,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_sweep(args) -> int:
     instance = _load_instance(args.instance)
-    fractions = [float(t) for t in args.k_list.split(",") if t.strip()]
+    fractions = [_parse_number(t, "--k-list") for t in args.k_list.split(",") if t.strip()]
     if not fractions:
         raise ValidationError("--k-list must contain at least one fraction")
     params = _solver_params(args)

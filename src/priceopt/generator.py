@@ -21,6 +21,20 @@ Recipe per instance (draws happen in this order):
    of S = D + D^T is strictly diagonally dominant, which guarantees S is
    positive definite.  Turning the fix off reproduces the raw recipe, which
    does not guarantee definiteness.
+
+The off-diagonal draws of step 1 are defined by a row-by-row loop: row i
+draws its columns with ``integers(0, n - 1)`` (shifted past the diagonal),
+its values with ``uniform`` and, with mixed signs, its flips with
+``random``, and draws the whole row again while a column repeats or a value
+is zero (``_draw_offdiag_row``).  ``_draw_offdiag_rows`` produces the same
+entries, and leaves the generator in the same state, without that loop: it
+takes the raw 64-bit words for a block of rows at once and decodes them the
+way NumPy does (Lemire's bounded integers on the buffered 32-bit halves for
+the columns, ``(w >> 11) * 2**-53`` for values and flips).  A row that NumPy
+would draw again, because a bounded-integer draw is rejected, a column
+repeats or a value is zero, is the fallback row: the generator is rewound to
+its start and the row is drawn by ``_draw_offdiag_row``, then the blocks go
+on after it.  Such rows are rare (about ten per n = 100,000 instance).
 """
 
 from __future__ import annotations
@@ -37,6 +51,12 @@ from .instance import Instance
 __all__ = ["GenConfig", "generate", "generate_profitable", "benchmark_suite"]
 
 _DOMINANCE_MARGIN = 1e-3
+
+# rows per block of the off-diagonal replay: the size doubles after a block
+# with no redrawn row and drops back to the minimum after one
+_MIN_BLOCK_ROWS = 64
+_MAX_BLOCK_ROWS = 4096
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53, NumPy's next_double scale
 
 
 @dataclass(frozen=True)
@@ -75,6 +95,9 @@ class GenConfig:
                 raise ContractError("bounds_mode ranges must be ordered")
         if self.offdiag_max_count < 0 or self.offdiag_rel_mag < 0:
             raise ContractError("off-diagonal settings must be nonnegative")
+        if self.offdiag_max_count > 0 and not (self.offdiag_rel_mag > 0 and self.diag_range[0] > 0):
+            # a zero cap makes every off-diagonal value zero, which is drawn again forever
+            raise ContractError("off-diagonal entries need offdiag_rel_mag > 0 and diag_range[0] > 0")
 
     @property
     def k(self) -> int:
@@ -94,6 +117,96 @@ def _draw_offdiag_row(rng: np.random.Generator, i: int, n: int, m: int, cap: flo
             return cols, vals
 
 
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` over the (start, length) pairs."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _draw_offdiag_rows(rng: np.random.Generator, m: np.ndarray, caps: np.ndarray, mixed: bool):
+    """Off-diagonal entries of every row, as the loop over ``_draw_offdiag_row`` draws them.
+
+    ``m`` is each row's entry count and ``caps`` its value cap.  Returns lists
+    of row, column and value arrays in row order, and leaves ``rng`` in the
+    loop's state (see the module docstring).  Row i takes ``m[i]`` column
+    draws from the buffered 32-bit stream, then ``m[i]`` value words and,
+    with mixed signs, ``m[i]`` flip words.
+    """
+    n = m.size
+    bitgen = rng.bit_generator
+    span = n - 1  # columns other than the diagonal
+    threshold = (2**32 - span) % span  # Lemire: reject a draw whose low half is below this
+    halves_per_entry = 1 if span > 1 else 0  # integers(0, 1) draws nothing
+    words_per_entry = 2 if mixed else 1
+    out_r, out_c, out_v = [], [], []
+    start, size = 0, _MIN_BLOCK_ROWS
+    while start < n:
+        stop = min(n, start + size)
+        mb = m[start:stop]
+        kb = mb * halves_per_entry
+        snapshot = bitgen.state
+        has0, u0 = snapshot["has_uint32"], snapshot["uinteger"]
+        halves_before = np.cumsum(kb) - kb
+        buffered = (has0 + halves_before) & 1  # a 32-bit half is pending at row start
+        col_words = (kb - buffered + 1) // 2
+        words = col_words + words_per_entry * mb
+        words_before = np.cumsum(words) - words
+        raw = bitgen.random_raw(int(words_before[-1] + words[-1]))
+
+        col_raw = raw[_segments(words_before, col_words)]
+        halves = np.empty(has0 + 2 * col_raw.size, dtype=np.uint64)
+        halves[:has0] = u0
+        halves[has0::2] = col_raw & 0xFFFFFFFF
+        halves[has0 + 1 :: 2] = col_raw >> 32
+        rows = np.repeat(np.arange(start, stop), mb)
+        if halves_per_entry:
+            scaled = halves[: rows.size] * np.uint64(span)
+            rejected = (scaled & 0xFFFFFFFF) < threshold
+            cols = (scaled >> 32).astype(np.int64)
+        else:
+            rejected = np.zeros(rows.size, dtype=bool)
+            cols = np.zeros(rows.size, dtype=np.int64)
+        cols += cols >= rows
+
+        value_at = _segments(words_before + col_words, mb)
+        unit = (raw[value_at] >> 11).astype(np.float64) * _DOUBLE_UNIT
+        mag = np.repeat(caps[start:stop], mb) * unit
+        if mixed:
+            vals = np.where(raw[value_at + np.repeat(mb, mb)] < 2**63, mag, -mag)
+        else:
+            vals = -mag
+
+        bad = rows[rejected | (mag == 0.0)]
+        keys = np.sort(rows * n + cols)
+        repeated = keys[1:][keys[1:] == keys[:-1]] // n
+        first_bad = int(min(bad.min(initial=stop), repeated.min(initial=stop)))
+        j = first_bad - start
+        kept = int(mb[:j].sum())
+        out_r.append(rows[:kept])
+        out_c.append(cols[:kept])
+        out_v.append(vals[:kept])
+
+        if first_bad < stop:  # rewind to the start of that row
+            bitgen.state = snapshot
+            bitgen.advance(int(words_before[j]))
+        # random_raw and advance skip the 32-bit buffer; restore what the
+        # column draws of the kept rows leave in it
+        drawn = int(col_words[:j].sum())
+        state = bitgen.state
+        state["has_uint32"] = int(has0 + kb[:j].sum()) & 1
+        state["uinteger"] = int(halves[has0 + 2 * drawn - 1]) if drawn else u0
+        bitgen.state = state
+        if first_bad == stop:
+            start, size = stop, min(2 * size, _MAX_BLOCK_ROWS)
+            continue
+        c, v = _draw_offdiag_row(rng, first_bad, n, int(m[first_bad]), caps[first_bad], mixed)
+        out_r.append(np.full(c.size, first_bad))
+        out_c.append(c)
+        out_v.append(v)
+        start, size = first_bad + 1, _MIN_BLOCK_ROWS
+    return out_r, out_c, out_v
+
+
 def _build_matrix(rng: np.random.Generator, cfg: GenConfig) -> sparse.csr_array:
     n = cfg.n
     diag = rng.uniform(cfg.diag_range[0], cfg.diag_range[1], size=n)
@@ -102,14 +215,12 @@ def _build_matrix(rng: np.random.Generator, cfg: GenConfig) -> sparse.csr_array:
     vals = [diag]
     if n > 1 and cfg.offdiag_max_count > 0:
         counts = rng.integers(0, cfg.offdiag_max_count + 1, size=n)
-        for i in range(n):
-            m = min(int(counts[i]), n - 1)
-            if m == 0:
-                continue
-            c, v = _draw_offdiag_row(rng, i, n, m, cfg.offdiag_rel_mag * diag[i], cfg.allow_mixed_signs)
-            rows.append(np.full(m, i))
-            cols.append(c)
-            vals.append(v)
+        r, c, v = _draw_offdiag_rows(
+            rng, np.minimum(counts, n - 1), cfg.offdiag_rel_mag * diag, cfg.allow_mixed_signs
+        )
+        rows += r
+        cols += c
+        vals += v
     coo = sparse.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )

@@ -39,6 +39,17 @@ class TestGen:
         code = run(["gen", "--n", "20", "--delta", "wat:1", "--out", str(tmp_path / "x.txt")])
         assert code == 2
 
+    def test_non_numeric_delta_is_data_error(self, tmp_path):
+        code = run(["gen", "--n", "20", "--delta", "const:abc", "--out", str(tmp_path / "x.txt")])
+        assert code == 2
+        assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("bounds", ["1,2,3,x", "1,inf,5,10"])
+    def test_bad_bounds_is_data_error(self, tmp_path, bounds):
+        code = run(["gen", "--n", "20", "--bounds", bounds, "--out", str(tmp_path / "x.txt")])
+        assert code == 2
+        assert not (tmp_path / "x.txt").exists()
+
 
 class TestSolve:
     def test_report_has_five_start_rows(self, tmp_path):
@@ -136,6 +147,13 @@ class TestSweepCmd:
         lines = out.read_text().splitlines()[1:]
         profits = [float(line.split(",")[6]) for line in lines]
         assert profits == sorted(profits)
+
+    @pytest.mark.parametrize("k_list", ["0.5,abc", "nan", "0.5,inf"])
+    def test_bad_k_list_is_data_error(self, tmp_path, k_list):
+        inst = gen(tmp_path, n=10)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--instance", str(inst), "--k-list", k_list, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestUsage:

@@ -1,7 +1,43 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from priceopt import ContractError, GenConfig, generate, generate_profitable, benchmark_suite, validate
+from priceopt.generator import _build_matrix
+
+
+def _reference_row(rng, i, n, m, cap, mixed):
+    """The recipe's definition of one off-diagonal row: redraw until valid."""
+    while True:
+        cols = rng.integers(0, n - 1, size=m)
+        cols = np.where(cols >= i, cols + 1, cols)
+        vals = -rng.uniform(0.0, cap, size=m)
+        if mixed:
+            flip = rng.random(m) < 0.5
+            vals = np.where(flip, -vals, vals)
+        if np.unique(cols).size == m and np.all(vals != 0.0):
+            return cols, vals
+
+
+def _reference_build_matrix(rng, cfg):
+    """The row-by-row matrix draw that the block replay must reproduce."""
+    n = cfg.n
+    diag = rng.uniform(cfg.diag_range[0], cfg.diag_range[1], size=n)
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
+    if n > 1 and cfg.offdiag_max_count > 0:
+        counts = rng.integers(0, cfg.offdiag_max_count + 1, size=n)
+        for i in range(n):
+            m = min(int(counts[i]), n - 1)
+            if m == 0:
+                continue
+            c, v = _reference_row(rng, i, n, m, cfg.offdiag_rel_mag * diag[i], cfg.allow_mixed_signs)
+            rows.append(np.full(m, i))
+            cols.append(c)
+            vals.append(v)
+    coo = sparse.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return sparse.csr_array(coo)
 
 
 class TestDeterminism:
@@ -34,6 +70,61 @@ class TestDeterminism:
             atol=1e-8,
         )
         assert inst.D.nnz == 27
+
+
+class TestBlockReplay:
+    @pytest.mark.parametrize("n", [2, 3, 7, 200, 1000, 20000])
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("max_count", [1, 5, 12])
+    def test_bit_identical_to_row_loop(self, n, mixed, max_count):
+        for seed in range(4) if n <= 1000 else (n + max_count,):
+            cfg = GenConfig(n=n, seed=seed, allow_mixed_signs=mixed, offdiag_max_count=max_count)
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want, got = _reference_build_matrix(ref_rng, cfg), _build_matrix(rng, cfg)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.indices.dtype == want.indices.dtype
+            assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+            # the generator is left where the row loop leaves it, 32-bit buffer included
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert rng.integers(0, 2**32, size=3).tolist() == ref_rng.integers(0, 2**32, size=3).tolist()
+            assert rng.random() == ref_rng.random()
+
+    def test_redrawn_rows_are_covered(self, monkeypatch):
+        # Rows that NumPy draws again go through the fallback row.  At this n,
+        # 2**32 mod (n - 1) makes Lemire rejections likely enough that this
+        # seed has both kinds: a repeated column and a rejected column draw.
+        import copy
+
+        import priceopt.generator as gen_mod
+
+        reasons = []
+        row = gen_mod._draw_offdiag_row
+
+        def classified(rng, i, n, m, *args):
+            first_try = np.random.Generator(copy.deepcopy(rng.bit_generator))
+            cols = first_try.integers(0, n - 1, size=m)  # with NumPy's own rejections
+            reasons.append("repeat" if np.unique(cols).size < m else "rejected")
+            return row(rng, i, n, m, *args)
+
+        monkeypatch.setattr(gen_mod, "_draw_offdiag_row", classified)
+        cfg = GenConfig(n=26421, seed=0, offdiag_max_count=12)
+        want = _reference_build_matrix(np.random.default_rng(0), cfg)
+        got = _build_matrix(np.random.default_rng(0), cfg)
+        assert {"repeat", "rejected"} <= set(reasons)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+    def test_zero_cap_rejected_instead_of_hanging(self):
+        with pytest.raises(ContractError, match="offdiag_rel_mag"):
+            GenConfig(n=10, offdiag_rel_mag=0.0)
+        with pytest.raises(ContractError, match="diag_range"):
+            GenConfig(n=10, diag_range=(0.0, 0.0))
+        with pytest.raises(ContractError):
+            GenConfig(n=10, diag_range=(-1.0, 2.0))
+        # without off-diagonal entries there is nothing to redraw
+        inst = generate(GenConfig(n=10, offdiag_max_count=0, offdiag_rel_mag=0.0))
+        assert inst.D.nnz == 10
 
 
 class TestRecipe:

@@ -1,11 +1,15 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from priceopt import (
     ContractError,
     GenConfig,
+    Instance,
     ParseError,
     SolverParams,
     adjusted_gap,
@@ -46,6 +50,141 @@ class TestInstanceRoundTrip:
         path = tmp_path / "inst.txt"
         write_instance(inst, str(path))
         assert read_instance(str(path)).same_data(inst)
+
+
+class TestWriterPins:
+    """sha256 of write_instance output; a change here means the file format moved."""
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                GenConfig(n=2000, seed=0),
+                "c2dc7307a96282157564aa552867bdfc64d436b9364c3b49378c657630fdece3",
+            ),
+            (
+                GenConfig(
+                    n=300, seed=7, allow_mixed_signs=True,
+                    bounds_mode=(1, 5, 5, 10), delta_mode=("fraction", 0.1),
+                ),
+                "3ed545fce100e6a3a5e56bf9f016049251fca9fcd9e2c63663ef84b12e0ab3fc",
+            ),
+        ],
+    )
+    def test_bytes_pinned(self, tmp_path, config, digest):
+        path = tmp_path / "inst.txt"
+        write_instance(generate(config), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+_awkward = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100),
+    st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 0.1, 1e-17, 2.0**52 + 1, np.nextafter(1.0, 2.0)]),
+)
+_nonzero = _awkward.filter(lambda x: x != 0.0)
+
+
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(1, 6))
+    vec = st.lists(_awkward, min_size=n, max_size=n)
+    p0 = np.array(draw(vec))
+    delta = np.array(draw(st.lists(_nonzero.map(abs), min_size=n, max_size=n)))
+    bounds = None
+    if draw(st.booleans()):
+        slack = st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)
+        bounds = (p0 - delta - np.array(draw(slack)), p0 + delta + np.array(draw(slack)))
+    D = np.diag(draw(st.lists(_nonzero, min_size=n, max_size=n)))
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _nonzero))):
+        if i != j:
+            D[i, j] = v
+    return Instance(
+        n=n, k=draw(st.integers(1, n)), a=draw(vec), D=D, c=draw(vec),
+        p0=p0, delta=delta, bounds=bounds,
+    )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(inst=_instances())
+    def test_write_read_is_lossless(self, tmp_path, inst):
+        path = tmp_path / "inst.txt"
+        write_instance(inst, str(path))
+        back = read_instance(str(path))
+        assert back.same_data(inst)
+        # bit-exact, so -0.0 stays -0.0
+        for name in ("a", "c", "p0", "delta"):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(inst, name)))
+        if inst.bounds is not None:
+            assert np.array_equal(_bits(back.lower), _bits(inst.lower))
+            assert np.array_equal(_bits(back.upper), _bits(inst.upper))
+        assert np.array_equal(_bits(back.D.data), _bits(inst.D.data))
+
+
+class TestStrictIntegers:
+    _BODY = "a 1 1\nc 1 1\np0 2 2\ndelta 1 1\n"
+
+    def _write(self, tmp_path, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        return str(p)
+
+    def test_fractional_n_rejected(self, tmp_path):
+        path = self._write(tmp_path, "n 2.7\nk 1\n" + self._BODY + "D 2\n0 0 1.0\n1 1 1.0\n")
+        with pytest.raises(ParseError, match="line 1"):
+            read_instance(path)
+
+    def test_fractional_column_rejected(self, tmp_path):
+        path = self._write(tmp_path, "n 2\nk 1\n" + self._BODY + "D 3\n0 0 1.0\n1 1.5 1.0\n1 1 1.0\n")
+        with pytest.raises(ParseError, match="line 9") as err:
+            read_instance(path)
+        assert err.value.field == "D"
+
+    def test_nan_k_is_parse_error(self, tmp_path):
+        path = self._write(tmp_path, "n 2\nk nan\n" + self._BODY + "D 2\n0 0 1.0\n1 1 1.0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_instance(path)
+
+    def test_exponent_count_rejected(self, tmp_path):
+        path = self._write(tmp_path, "n 2\nk 1\n" + self._BODY + "D 2e0\n0 0 1.0\n1 1 1.0\n")
+        with pytest.raises(ParseError, match="line 7"):
+            read_instance(path)
+
+    def test_repeated_field_rejected(self, tmp_path):
+        path = self._write(tmp_path, "n 2\nk 1\nk 2\n" + self._BODY + "D 2\n0 0 1.0\n1 1 1.0\n")
+        with pytest.raises(ParseError, match="line 3") as err:
+            read_instance(path)
+        assert err.value.field == "k"
+
+    def test_signed_and_padded_integers_accepted(self, tmp_path):
+        path = self._write(tmp_path, "n +2\nk 01\n" + self._BODY + "D 2\n+0 0 1.0\n1 01 1.0\n")
+        inst = read_instance(path)
+        assert inst.n == 2 and inst.k == 1 and inst.D.nnz == 2
+
+    def test_blank_line_inside_entries_rejected(self, tmp_path):
+        path = self._write(tmp_path, "n 2\nk 1\n" + self._BODY + "D 2\n0 0 1.0\n\n1 1 1.0\n")
+        with pytest.raises(ParseError, match="line 9"):
+            read_instance(path)
+
+    def test_huge_index_rejected(self, tmp_path):
+        path = self._write(tmp_path, "n 2\nk 1\n" + self._BODY + "D 2\n0 0 1.0\n1 99999999999999999999 1.0\n")
+        with pytest.raises(ParseError, match="line 9"):
+            read_instance(path)
+
+    def test_entry_check_names_line(self, tmp_path):
+        path = self._write(tmp_path, "n 2\nk 1\n" + self._BODY + "D 3\n0 0 1.0\n1 1 1.0\n1 2 1.0\n")
+        with pytest.raises(ParseError, match="outside 0..1.*line 10"):
+            read_instance(path)
+
+    def test_float_spellings_follow_python(self, tmp_path):
+        # values the bulk parser refuses fall back to float(), not to an error
+        path = self._write(tmp_path, "n 2\nk 1\na 1_0 1\nc 1 1\np0 2 2\ndelta 1 1\nD 2\n0 0 1_0\n1 1 1.0\n")
+        inst = read_instance(path)
+        assert inst.a[0] == 10.0 and inst.D[0, 0] == 10.0
 
 
 class TestReaderErrors:
