@@ -256,6 +256,9 @@ def _cmd_sweep(args) -> int:
     fractions = [_parse_number(t, "--k-list") for t in args.k_list.split(",") if t.strip()]
     if not fractions:
         raise ValidationError("--k-list must contain at least one fraction")
+    for frac in fractions:
+        if not 0.0 < frac <= 1.0:
+            raise ValidationError(f"--k-list fractions must be in (0, 1], got {frac:g}")
     params = _solver_params(args)
     reports: list[SolveReport] = []
     warm: Optional[np.ndarray] = None

@@ -8,9 +8,9 @@ is equivalent to minimizing the convex quadratic
 
     Q(p) = 1/2 p^T S p - f^T p,      S = D + D^T,  f = a + D^T c,
 
-with ``Z(p) = -Q(p) - c^T a``.  All linear algebra here works through the
-sparse ``D`` only; the dense ``S`` is never formed (a transient *sparse*
-symmetrization is used where entry-wise access to S is unavoidable).
+with ``Z(p) = -Q(p) - c^T a``.  ``S`` is built once per instance as a cached
+sparse CSR matrix (``Instance.S``) and every product with it goes through
+that one matrix; the dense ``S`` is never formed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import cg
 
 from .errors import NumericError, StructuralError, ValidationError
 
@@ -133,14 +133,23 @@ class Instance:
     # -- derived quantities (computed once, D is immutable) ------------------
 
     @cached_property
+    def S(self) -> sparse.csr_array:
+        """S = D + D^T in canonical CSR form (sparse, never dense)."""
+        S = sparse.csr_array(self.D + self.D.T)
+        for buf in (S.data, S.indices, S.indptr):
+            buf.setflags(write=False)
+        return S
+
+    @cached_property
     def DT(self) -> sparse.csr_array:
-        """Transpose of D in CSR form, for fast S @ p = D p + D^T p."""
+        """Transpose of D in CSR form; unused by priceopt, but the benchmark's
+        tracer (``perfbench/tracing.py``) reads it to model the matvec's work."""
         return sparse.csr_array(self.D.T)
 
     @cached_property
     def f(self) -> np.ndarray:
         """Linear coefficient f = a + D^T c of the minimization objective."""
-        v = self.a + self.DT @ self.c
+        v = self.a + self.D.T @ self.c
         v.setflags(write=False)
         return v
 
@@ -153,12 +162,8 @@ class Instance:
         return None if self.bounds is None else self.bounds[1]
 
     def s_matvec(self, p: np.ndarray) -> np.ndarray:
-        """S @ p computed as D p + D^T p without forming S."""
-        return self.D @ p + self.DT @ p
-
-    def sparse_s(self) -> sparse.csr_array:
-        """Transient sparse S = D + D^T (entry-wise access only; never dense)."""
-        return sparse.csr_array(self.D + self.DT)
+        """S @ p, one product with the cached sparse S."""
+        return self.S @ p
 
     def same_data(self, other: "Instance") -> bool:
         """Exact structural equality, including sparse storage order."""
@@ -234,7 +239,7 @@ def validate(instance: Instance) -> ValidationReport:
     msgs: list[str] = []
     n = instance.n
 
-    S = instance.sparse_s().tocoo()
+    S = instance.S.tocoo()
     off = S.row != S.col
     a1_sign = bool(np.all(S.data[off] <= 0.0)) if np.any(off) else True
     if not a1_sign:
@@ -296,7 +301,7 @@ def _check_length(instance: Instance, p: np.ndarray) -> np.ndarray:
 
 
 def objective_q(instance: Instance, p: np.ndarray) -> float:
-    """Q(p) = 1/2 p^T S p - f^T p, via sparse products with D only."""
+    """Q(p) = 1/2 p^T S p - f^T p, via one product with the sparse S."""
     p = _check_length(instance, p)
     with np.errstate(over="ignore", invalid="ignore"):
         sp = instance.s_matvec(p)
@@ -307,7 +312,7 @@ def objective_q(instance: Instance, p: np.ndarray) -> float:
 
 
 def gradient_q(instance: Instance, p: np.ndarray) -> np.ndarray:
-    """grad Q(p) = S p - f, two sparse passes (D p and D^T p)."""
+    """grad Q(p) = S p - f, via one product with the sparse S."""
     p = _check_length(instance, p)
     g = instance.s_matvec(p) - instance.f
     if not np.all(np.isfinite(g)):
@@ -336,21 +341,15 @@ def profit_z(instance: Instance, p: np.ndarray) -> float:
     return val
 
 
-def _s_operator(instance: Instance) -> LinearOperator:
-    n = instance.n
-    return LinearOperator((n, n), matvec=instance.s_matvec, dtype=np.float64)
-
-
 def _solve_spd(instance: Instance, b: np.ndarray, maxiter: int | None = None) -> np.ndarray:
     """Solve S x = b by preconditioned CG to relative residual <= 1e-10."""
     n = instance.n
-    inv_diag = 1.0 / (2.0 * instance.D.diagonal())
-    precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v, dtype=np.float64)
+    precond = sparse.diags_array(1.0 / instance.S.diagonal())
     if maxiter is None:
         maxiter = max(200, min(4 * n, 20_000))
     # breakdown on non-SPD systems surfaces as our NumericError, not a warning
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, info = cg(_s_operator(instance), b, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
+        x, info = cg(instance.S, b, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
     if info != 0 or not np.all(np.isfinite(x)):
         raise NumericError(
             "SPD solve did not converge within the iteration cap; S is likely not positive definite"
@@ -443,8 +442,7 @@ def spectral_bounds(
     if mode not in ("gershgorin", "power"):
         raise ValueError(f"mode must be 'gershgorin' or 'power', got {mode!r}")
 
-    S = instance.sparse_s()
-    row_sums = np.abs(S).sum(axis=1)
+    row_sums = np.abs(instance.S).sum(axis=1)
     gersh = float(np.max(row_sums))
 
     used_fallback = False

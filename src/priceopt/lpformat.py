@@ -109,19 +109,15 @@ def export_mip_lp(instance: Instance, path: str, big_m: Optional[float] = None) 
         if t is not None:
             lin_terms.append(t)
             first = False
-    S = sparse.coo_array(instance.sparse_s())
-    quad: dict[tuple[int, int], float] = {}
-    for r, c, v in zip(S.row, S.col, S.data):
-        key = (min(r, c), max(r, c))
-        quad[key] = quad.get(key, 0.0) + v
-    # quad[key] now holds s_ii for the diagonal and 2 s_ij for i < j; the
-    # bracket is [ -sum s_ij p_i p_j ] / 2 with merged monomials.
+    # The bracket is [ -sum s_ij p_i p_j ] / 2 with merged monomials: s_ii on
+    # the diagonal and 2 s_ij for i < j, read from the upper triangle of the
+    # (exactly) symmetric S in row-major order.
+    upper = sparse.triu(instance.S, format="coo")
     quad_terms = []
     qfirst = True
-    for (r, c) in sorted(quad):
-        v = quad[(r, c)]
+    for r, c, v in zip(upper.row, upper.col, upper.data):
         mono = f"p_{r + 1} ^ 2" if r == c else f"p_{r + 1} * p_{c + 1}"
-        t = _signed(-v, mono, qfirst)
+        t = _signed(-v if r == c else -2.0 * v, mono, qfirst)
         if t is not None:
             quad_terms.append(t)
             qfirst = False

@@ -52,7 +52,7 @@ def _count_partitions_unchecked(n: int, k: int) -> int:
 
 
 def _dense_s(instance: Instance) -> np.ndarray:
-    return instance.sparse_s().toarray()
+    return instance.S.toarray()
 
 
 def _pattern_values(instance: Instance, i: int, raised: bool) -> list[tuple[float, int]]:
@@ -169,11 +169,9 @@ def solve_restricted(instance: Instance, partition: Partition) -> tuple[np.ndarr
     """Exact minimizer of the objective over the piece F(alpha, beta, gamma)."""
     if instance.n > MAX_ORACLE_N:
         raise CapacityError(f"solve_restricted supports n <= {MAX_ORACLE_N}, got n={instance.n}")
-    changed = [(i, True) for i in partition.beta] + [(i, False) for i in partition.gamma]
-    changed.sort()
-    idx = [i for i, _ in changed]
-    raised = [r for _, r in changed]
-    return _solve_restricted_dense(instance, _dense_s(instance), idx, raised)
+    changed = np.flatnonzero(partition.status)
+    raised = partition.status[changed] == 1
+    return _solve_restricted_dense(instance, _dense_s(instance), list(changed), list(raised))
 
 
 def global_optimum(instance: Instance) -> tuple[np.ndarray, float]:

@@ -14,6 +14,10 @@ per-coordinate projection plus a top-k selection on the gain scores
 where d is the squared 1-D distance.  Delta_i is the reduction in squared
 distance bought by spending one of the k change slots on coordinate i; it is
 zero exactly when q_i lies within delta_i/2 of the baseline.
+
+The 1-D projection is computed once, in ``_project`` (the clamps of q into
+the raised and the lowered interval, and the half-threshold choice between
+them and p0); ``score``, ``project_1d`` and the certificates all use it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,26 @@ __all__ = [
 DEFAULT_CERT_TOL = 1e-8
 
 
+def _project(p0, delta, bounds, q):
+    """1-D projection of q onto P_i, elementwise on scalars or arrays.
+
+    Returns ``(proj, c_up, c_dn, window)``: the clamps of q into
+    [p0 + delta, u] and [l, p0 - delta] (unbounded without bounds), the
+    closed half-threshold window |q - p0| <= delta / 2, and proj, which is
+    p0 in the window and the clamp on q's side of p0 outside it.
+    """
+    if bounds is None:
+        c_up = np.maximum(q, p0 + delta)
+        c_dn = np.minimum(q, p0 - delta)
+    else:
+        l, u = bounds
+        c_up = np.clip(q, p0 + delta, u)
+        c_dn = np.clip(q, l, p0 - delta)
+    window = (q >= p0 - 0.5 * delta) & (q <= p0 + 0.5 * delta)
+    proj = np.where(window, p0, np.where(q > p0, c_up, c_dn))
+    return proj, c_up, c_dn, window
+
+
 def project_1d(
     p0_i: float,
     delta_i: float,
@@ -60,31 +84,12 @@ def project_1d(
         if l_i > p0_i - delta_i or u_i < p0_i + delta_i:
             raise ContractError("bounds must satisfy l <= p0 - delta and u >= p0 + delta")
 
-    lo, hi = p0_i - delta_i, p0_i + delta_i
-    half_lo, half_hi = p0_i - 0.5 * delta_i, p0_i + 0.5 * delta_i
-
-    if bounds_i is None:
-        if q_i == p0_i or q_i >= hi or q_i <= lo:
-            return q_i, None
-    else:
-        l_i, u_i = bounds_i
-        if q_i == p0_i or (hi <= q_i <= u_i) or (l_i <= q_i <= lo):
-            return q_i, None
-        if q_i > u_i:
-            return u_i, None
-        if q_i < l_i:
-            return l_i, None
-
-    if q_i == half_hi:
-        return p0_i, hi
-    if q_i == half_lo:
-        return p0_i, lo
-    if half_lo < q_i < half_hi:
-        return p0_i, None
-    if half_hi < q_i < hi:
-        return hi, None
-    # lo < q_i < half_lo
-    return lo, None
+    proj, c_up, c_dn, _ = _project(p0_i, delta_i, bounds_i, q_i)
+    if q_i == p0_i + 0.5 * delta_i:
+        return float(proj), float(c_up)
+    if q_i == p0_i - 0.5 * delta_i:
+        return float(proj), float(c_dn)
+    return float(proj), None
 
 
 def distance_sq_1d(
@@ -126,38 +131,12 @@ def score(instance: Instance, q: np.ndarray) -> ProjectionScores:
     if q.shape != (instance.n,):
         raise StructuralError(f"query must have length {instance.n}, got shape {q.shape}")
 
-    p0, delta = instance.p0, instance.delta
-    lo, hi = p0 - delta, p0 + delta
-    half_lo, half_hi = p0 - 0.5 * delta, p0 + 0.5 * delta
-
-    if instance.bounds is None:
-        feasible = (q == p0) | (q >= hi) | (q <= lo)
-        below_l = np.zeros_like(feasible)
-        above_u = np.zeros_like(feasible)
-    else:
-        l, u = instance.bounds
-        feasible = (q == p0) | ((q >= hi) & (q <= u)) | ((q <= lo) & (q >= l))
-        below_l = ~feasible & (q < l)
-        above_u = ~feasible & (q > u)
-
-    window = ~feasible & ~below_l & ~above_u & (q >= half_lo) & (q <= half_hi)
-    upper_band = ~feasible & ~below_l & ~above_u & (q > half_hi)
-    lower_band = ~feasible & ~below_l & ~above_u & (q < half_lo)
-
-    proj = np.where(window, p0, q)
-    proj = np.where(upper_band, hi, proj)
-    proj = np.where(lower_band, lo, proj)
-    if instance.bounds is not None:
-        proj = np.where(below_l, instance.lower, proj)
-        proj = np.where(above_u, instance.upper, proj)
-
-    dist_sq = (proj - q) ** 2
-    dist_sq = np.where(feasible, 0.0, dist_sq)
-
-    base_sq = (p0 - q) ** 2
-    delta_score = np.where(window, 0.0, base_sq - dist_sq)
-
-    tie_flags = (q == half_hi) | (q == half_lo)
+    p0, half = instance.p0, 0.5 * instance.delta
+    proj, _, _, window = _project(p0, instance.delta, instance.bounds, q)
+    # exactly zero where q is already in P_i, an infinite q included
+    dist_sq = np.where(proj == q, 0.0, (proj - q) ** 2)
+    delta_score = np.where(window, 0.0, (p0 - q) ** 2 - dist_sq)
+    tie_flags = (q == p0 + half) | (q == p0 - half)
 
     return ProjectionScores(q=q, proj=proj, dist_sq=dist_sq, delta_score=delta_score, tie_flags=tie_flags)
 
@@ -215,25 +194,20 @@ def is_feasible(instance: Instance, p: np.ndarray, tol: float = 0.0) -> bool:
     return True
 
 
-def _member_candidates(instance: Instance, q: np.ndarray):
-    """Candidate 1-D projection values and their distances for every coordinate.
+def _member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
+    """Per coordinate, the distance from p_i to the nearest admissible 1-D minimizer.
 
-    Candidates per coordinate: the clamp of q into the raised interval, the
-    clamp into the lowered interval, and the baseline itself.  The nearest of
-    the three is the exact 1-D projection.
+    Candidates are the two clamps of q_i and p0_i; one is admissible when its
+    distance to q_i is within tol of the least, so both values of a tie count.
     """
-    p0, delta = instance.p0, instance.delta
-    if instance.bounds is None:
-        c_up = np.maximum(q, p0 + delta)
-        c_dn = np.minimum(q, p0 - delta)
-    else:
-        l, u = instance.bounds
-        c_up = np.clip(q, p0 + delta, u)
-        c_dn = np.clip(q, l, p0 - delta)
-    d_up = np.abs(c_up - q)
-    d_dn = np.abs(c_dn - q)
-    d_base = np.abs(p0 - q)
-    return c_up, c_dn, d_up, d_dn, d_base
+    _, c_up, c_dn, _ = _project(instance.p0, instance.delta, instance.bounds, q)
+    candidates = (c_up, c_dn, instance.p0)
+    d_cand = [np.abs(c - q) for c in candidates]
+    d_best = np.minimum(np.minimum(d_cand[0], d_cand[1]), d_cand[2])
+    dist = np.full(instance.n, np.inf)
+    for c, d in zip(candidates, d_cand):
+        dist = np.where(d <= d_best + tol, np.minimum(dist, np.abs(p - c)), dist)
+    return dist
 
 
 def certify_in_H(
@@ -262,22 +236,12 @@ def certify_in_H(
         return False
 
     sc = score(instance, q)
-    if n_changed:
-        c_up, c_dn, d_up, d_dn, d_base = _member_candidates(instance, q)
-        d_best = np.minimum(np.minimum(d_up, d_dn), d_base)
-        dist_to_member = np.full(instance.n, np.inf)
-        for cand, d_cand in ((c_up, d_up), (c_dn, d_dn), (instance.p0, d_base)):
-            admissible = d_cand <= d_best + tol
-            dist_to_member = np.where(
-                admissible, np.minimum(dist_to_member, np.abs(p - cand)), dist_to_member
-            )
-        if np.any(dist_to_member[sigma] > tol):
-            return False
+    if n_changed and np.any(_member_distance(instance, q, p, tol)[sigma] > tol):
+        return False
 
     outside = ~sigma
+    max_out = float(sc.delta_score[outside].max()) if np.any(outside) else 0.0
     if n_changed == instance.k:
         min_in = float(sc.delta_score[sigma].min()) if n_changed else 0.0
-        max_out = float(sc.delta_score[outside].max()) if np.any(outside) else 0.0
         return min_in >= max_out - tol
-    max_out = float(sc.delta_score[outside].max()) if np.any(outside) else 0.0
     return max_out <= tol

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ from .instance import (
     spectral_bounds,
     value_and_gradient,
 )
-from .projection import _member_candidates, is_feasible, project_feasible, score
+from .projection import _member_distance, is_feasible, project_feasible, score
 
 __all__ = [
     "SolverParams",
@@ -89,69 +90,65 @@ class SolverParams:
             raise ContractError("max_iters and stab_window must be positive")
 
 
-@dataclass(frozen=True, eq=False)
 class Partition:
-    """Index triple (alpha, beta, gamma): unchanged / raised / lowered."""
+    """Coordinates split into unchanged (alpha), raised (beta), lowered (gamma).
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
+    Held as one int8 status vector: 0 unchanged, 1 raised, 2 lowered.  The
+    constructor checks that its three index sets are disjoint and cover 0..n-1.
+    """
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, np.sort(arr))
-        n = self.alpha.size + self.beta.size + self.gamma.size
-        union = np.concatenate([self.alpha, self.beta, self.gamma])
-        if np.unique(union).size != n or (n and (union.min() < 0 or union.max() >= n)):
+    def __init__(self, alpha, beta, gamma):
+        sets = [np.asarray(s, dtype=np.int64) for s in (alpha, beta, gamma)]
+        union = np.concatenate(sets)
+        n = union.size
+        if n and (union.min() < 0 or union.max() >= n or np.bincount(union).max() > 1):
             raise StructuralError("alpha, beta, gamma must be disjoint and cover 0..n-1")
-
-    @property
-    def n_changed(self) -> int:
-        return int(self.beta.size + self.gamma.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return (
-            np.array_equal(self.alpha, other.alpha)
-            and np.array_equal(self.beta, other.beta)
-            and np.array_equal(self.gamma, other.gamma)
-        )
-
-    def status_codes(self, n: int) -> np.ndarray:
-        """Per-coordinate codes: 0 unchanged, 1 raised, 2 lowered."""
-        codes = np.zeros(n, dtype=np.int8)
-        codes[self.beta] = 1
-        codes[self.gamma] = 2
-        return codes
+        status = np.zeros(n, dtype=np.int8)
+        status[sets[1]] = 1
+        status[sets[2]] = 2
+        self.status = status
 
     @classmethod
     def from_status(cls, status: np.ndarray) -> "Partition":
-        return cls(
-            alpha=np.flatnonzero(status == 0),
-            beta=np.flatnonzero(status == 1),
-            gamma=np.flatnonzero(status == 2),
-        )
+        """Wrap a status vector as ``_classify`` builds it, without re-checking."""
+        part = cls.__new__(cls)
+        part.status = status
+        return part
 
     @classmethod
     def from_prices(cls, instance: Instance, p: np.ndarray) -> "Partition":
         """Classify a feasible price vector; rejects in-between coordinates."""
         p = np.asarray(p, dtype=np.float64)
-        up = p >= instance.p0 + instance.delta
-        down = p <= instance.p0 - instance.delta
-        base = p == instance.p0
-        if not np.all(up | down | base):
-            bad = int(np.flatnonzero(~(up | down | base))[0])
+        status = _classify(instance, p)
+        between = np.flatnonzero((status == 0) & (p != instance.p0))
+        if between.size:
+            bad = int(between[0])
             raise ContractError(f"price {p[bad]} at index {bad} is in no branch of its allowed set")
-        part = cls(
-            alpha=np.flatnonzero(base & ~up & ~down),
-            beta=np.flatnonzero(up),
-            gamma=np.flatnonzero(down),
-        )
+        part = cls.from_status(status)
         if part.n_changed > instance.k:
             raise ContractError(f"partition changes {part.n_changed} coordinates, budget is {instance.k}")
         return part
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        return np.flatnonzero(self.status == 0)
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return np.flatnonzero(self.status == 1)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return np.flatnonzero(self.status == 2)
+
+    @property
+    def n_changed(self) -> int:
+        return int(np.count_nonzero(self.status))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return np.array_equal(self.status, other.status)
 
 
 @dataclass
@@ -214,12 +211,11 @@ def _bounds_descriptor(instance: Instance) -> str:
 
 def _partition_box(instance: Instance, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate interval [lo, hi] of the piece F(alpha, beta, gamma)."""
-    lo = instance.p0.copy()
-    hi = instance.p0.copy()
-    lo[partition.beta] = instance.p0[partition.beta] + instance.delta[partition.beta]
-    hi[partition.beta] = np.inf if instance.bounds is None else instance.upper[partition.beta]
-    hi[partition.gamma] = instance.p0[partition.gamma] - instance.delta[partition.gamma]
-    lo[partition.gamma] = -np.inf if instance.bounds is None else instance.lower[partition.gamma]
+    p0, delta = instance.p0, instance.delta
+    raised, lowered = partition.status == 1, partition.status == 2
+    l, u = (-np.inf, np.inf) if instance.bounds is None else instance.bounds
+    lo = np.where(raised, p0 + delta, np.where(lowered, l, p0))
+    hi = np.where(raised, u, np.where(lowered, p0 - delta, p0))
     return lo, hi
 
 
@@ -317,17 +313,11 @@ def certify_stationary(
     n, k = instance.n, instance.k
     q = p - gradient_q(instance, p) / L
 
-    c_up, c_dn, d_up, d_dn, d_base = _member_candidates(instance, q)
-    d_best = np.minimum(np.minimum(d_up, d_dn), d_base)
-    delta_score = d_base**2 - d_best**2
-
-    in_cost = np.full(n, np.inf)
-    for cand, d_cand in ((c_up, d_up), (c_dn, d_dn), (instance.p0, d_base)):
-        admissible = d_cand <= d_best + tol
-        in_cost = np.where(admissible, np.minimum(in_cost, np.abs(p - cand)), in_cost)
+    delta_score = score(instance, q).delta_score
+    in_cost = _member_distance(instance, q, p, tol)
     out_cost = np.abs(p - instance.p0)
 
-    tol_delta = 4.0 * tol * (1.0 + float(np.max(d_base)) + float(np.max(instance.delta)))
+    tol_delta = 4.0 * tol * (1.0 + float(np.max(np.abs(instance.p0 - q))) + float(np.max(instance.delta)))
 
     if k >= n:
         cost = np.minimum(in_cost, np.where(delta_score <= tol_delta, out_cost, np.inf))

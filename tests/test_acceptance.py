@@ -192,7 +192,7 @@ def test_c05_performance_bounds_verified():
                  p0=[0.0, 0.0], delta=[0.5, 0.5])
     )
     for inst in instances:
-        S = inst.sparse_s().toarray()
+        S = inst.S.toarray()
         lam_n = float(np.linalg.eigvalsh(S)[0])
         if lam_n <= 0:
             continue

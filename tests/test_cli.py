@@ -148,7 +148,7 @@ class TestSweepCmd:
         profits = [float(line.split(",")[6]) for line in lines]
         assert profits == sorted(profits)
 
-    @pytest.mark.parametrize("k_list", ["0.5,abc", "nan", "0.5,inf"])
+    @pytest.mark.parametrize("k_list", ["0.5,abc", "nan", "0.5,inf", "-0.5", "0", "0.5,5"])
     def test_bad_k_list_is_data_error(self, tmp_path, k_list):
         inst = gen(tmp_path, n=10)
         out = tmp_path / "sweep.csv"

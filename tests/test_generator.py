@@ -183,7 +183,7 @@ class TestRecipe:
 
 class TestDominanceFix:
     def _row_margins(self, inst):
-        S = inst.sparse_s().tocoo()
+        S = inst.S.tocoo()
         off = S.row != S.col
         sums = np.zeros(inst.n)
         np.add.at(sums, S.row[off], np.abs(S.data[off]))
@@ -205,7 +205,7 @@ class TestDominanceFix:
         # independent evidence: dominance check plus a dense factorization of
         # a 2000-row principal submatrix
         assert np.all(self._row_margins(inst) > 0.0)
-        sub = inst.sparse_s().tocsr()[:2000, :2000].toarray()
+        sub = inst.S.tocsr()[:2000, :2000].toarray()
         np.linalg.cholesky(sub)
 
 

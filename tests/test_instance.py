@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from priceopt import (
+    GenConfig,
     Instance,
     NumericError,
     StructuralError,
     ValidationError,
+    generate,
     gradient_q,
     objective_q,
     profit_z,
@@ -92,6 +95,21 @@ class TestValidate:
         )
         r1, r2 = validate(inst), validate(inst)
         assert r1 == r2
+
+
+class TestCachedS:
+    @pytest.mark.parametrize("n, seed", [(1, 0), (7, 1), (200, 2), (3000, 3)])
+    def test_s_is_d_plus_dt(self, n, seed):
+        inst = generate(GenConfig(n=n, seed=seed))
+        want = sparse.csr_array(inst.D + sparse.csr_array(inst.D.T))
+        S = inst.S
+        assert S is inst.S
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(S, attr), getattr(want, attr))
+        p = np.random.default_rng(seed).normal(0.0, 3.0, n)
+        assert np.array_equal(inst.s_matvec(p), S @ p)
+        dt = sparse.csr_array(inst.D.T)
+        assert inst.f.tobytes() == (inst.a + dt @ inst.c).tobytes()
 
 
 class TestObjective:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priceopt import (
     GenConfig,
+    PriceOptError,
     eval_lp_objective,
     export_mip_lp,
     generate,
@@ -192,3 +195,30 @@ class TestParserSections:
             "Minimize\n obj: x\nSubject To\n c: x >= 0\nBounds\n x = 2\nEnd\n"
         )
         assert model.bounds["x"] == (2.0, 2.0)
+
+
+# Keywords, operators, numbers (including out-of-range ones) and separators of
+# the LP syntax, mixed with short arbitrary text.
+_LP_TOKENS = [
+    "Maximize", "Minimize", "max", "obj:", "c1:", "Subject", "To", "such", "that", "st",
+    "s.t.", "Bounds", "Binary", "General", "End", "p_1", "x", "y", "+", "-", "*", "^", "2",
+    "[", "]", "/", "<=", ">=", "=<", "=>", "<", ">", "=", "1.5", "1e400", "-1e400", "1e-400",
+    "nan", "inf", "-inf", "infinity", "0", "free", ":", "\\", ".", "1e", "-.5", "2.",
+]
+_lp_texts = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_LP_TOKENS), st.text(max_size=2)),
+        st.sampled_from([" ", "\n", "", "\t"]),
+    ),
+    max_size=40,
+).map(lambda parts: "".join(token + sep for token, sep in parts))
+
+
+class TestParserFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(text=_lp_texts)
+    def test_parses_or_raises_priceopt_error(self, text):
+        try:
+            parse_lp_text(text)
+        except PriceOptError:
+            pass

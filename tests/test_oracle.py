@@ -64,7 +64,7 @@ class TestSolveRestricted:
         part = Partition(alpha=[], beta=[0], gamma=[1])
         _, q_oracle = solve_restricted(inst, part)
 
-        S = inst.sparse_s().toarray()
+        S = inst.S.toarray()
         f = np.asarray(inst.f)
         xs = np.arange(0.5, 5.0 + 1e-9, 1e-3)
         ys = np.arange(-5.0, -0.5 + 1e-9, 1e-3)

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from priceopt import (
     ContractError,
+    GenConfig,
     brute_projection,
     certify_in_H,
     distance_sq_1d,
+    generate,
     is_feasible,
     project_1d,
     project_feasible,
@@ -121,6 +123,78 @@ class TestScore:
         sc = score(inst, q)
         assert sc.tie_flags[0] and not sc.tie_flags[1]
         assert sc.delta_score[0] == 0.0
+
+
+def _score_reference(instance, q):
+    """The branch-by-branch score kept as the reference for the clamp kernel."""
+    p0, delta = instance.p0, instance.delta
+    lo, hi = p0 - delta, p0 + delta
+    half_lo, half_hi = p0 - 0.5 * delta, p0 + 0.5 * delta
+
+    if instance.bounds is None:
+        feasible = (q == p0) | (q >= hi) | (q <= lo)
+        below_l = np.zeros_like(feasible)
+        above_u = np.zeros_like(feasible)
+    else:
+        l, u = instance.bounds
+        feasible = (q == p0) | ((q >= hi) & (q <= u)) | ((q <= lo) & (q >= l))
+        below_l = ~feasible & (q < l)
+        above_u = ~feasible & (q > u)
+
+    window = ~feasible & ~below_l & ~above_u & (q >= half_lo) & (q <= half_hi)
+    upper_band = ~feasible & ~below_l & ~above_u & (q > half_hi)
+    lower_band = ~feasible & ~below_l & ~above_u & (q < half_lo)
+
+    proj = np.where(window, p0, q)
+    proj = np.where(upper_band, hi, proj)
+    proj = np.where(lower_band, lo, proj)
+    if instance.bounds is not None:
+        proj = np.where(below_l, instance.lower, proj)
+        proj = np.where(above_u, instance.upper, proj)
+
+    dist_sq = (proj - q) ** 2
+    dist_sq = np.where(feasible, 0.0, dist_sq)
+    base_sq = (p0 - q) ** 2
+    delta_score = np.where(window, 0.0, base_sq - dist_sq)
+    tie_flags = (q == half_hi) | (q == half_lo)
+    return proj, dist_sq, delta_score, tie_flags
+
+
+def _query_mix(rng, inst):
+    """Queries at p0, p0 +- delta, the half-threshold ties, l and u, beyond, at random.
+
+    The last three rows also carry +-inf and nan, which the CLI's ``project``
+    accepts in a query file.
+    """
+    p0, delta, n = inst.p0, inst.delta, inst.n
+    l, u = (p0 - 3 * delta, p0 + 3 * delta) if inst.bounds is None else inst.bounds
+    points = [
+        p0, p0 + delta, p0 - delta, p0 + 0.5 * delta, p0 - 0.5 * delta,
+        l, u, l - delta, u + delta, p0 + rng.normal(0.0, 2.0, n) * delta,
+    ]
+    queries = [np.choose(row, points) for row in rng.integers(0, len(points), size=(7, n))]
+    for q in queries[4:]:
+        q[rng.integers(0, n, size=3)] = rng.choice([np.inf, -np.inf, np.nan], size=3)
+    return queries
+
+
+class TestScoreMatchesReference:
+    def test_bit_identical(self, rng):
+        for trial in range(200):
+            n = int(rng.integers(2, 40))
+            bounded = trial % 2 == 0
+            mode = ("const", float(rng.uniform(0.2, 1.2))) if trial % 4 < 2 else ("fraction", 0.1)
+            cfg = GenConfig(
+                n=n, delta_mode=mode, seed=trial,
+                bounds_mode=(1.0, 5.0, 8.0, 14.0) if bounded else None,
+            )
+            inst = generate(cfg)
+            for q in _query_mix(rng, inst):
+                with np.errstate(invalid="ignore"):
+                    sc = score(inst, q)
+                    ref = _score_reference(inst, q)
+                for got, want in zip((sc.proj, sc.dist_sq, sc.delta_score, sc.tie_flags), ref):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestProjectFeasible:

@@ -71,6 +71,19 @@ class TestPartition:
 
         with pytest.raises(StructuralError):
             Partition(alpha=[0, 1], beta=[1], gamma=[])
+        with pytest.raises(StructuralError):
+            Partition(alpha=[0], beta=[2], gamma=[])
+
+    def test_from_status_matches_constructor(self, rng):
+        for n in (1, 2, 9, 100):
+            status = rng.integers(0, 3, size=n).astype(np.int8)
+            part = Partition.from_status(status)
+            indices = [np.flatnonzero(status == code) for code in range(3)]
+            built = Partition(alpha=indices[0], beta=indices[1], gamma=indices[2])
+            assert part == built
+            for got, want in zip((part.alpha, part.beta, part.gamma), indices):
+                assert np.array_equal(got, want)
+            assert part.n_changed == built.n_changed == indices[1].size + indices[2].size
 
 
 class TestGpaSolve:
@@ -301,7 +314,7 @@ class TestPerformanceBound:
             report = gpa_solve(inst, inst.p0, SolverParams())
             if not report.stationary:
                 continue
-            S = inst.sparse_s().toarray()
+            S = inst.S.toarray()
             lam_n = float(np.linalg.eigvalsh(S)[0])
             bound_i, bound_ii = performance_bound(inst, report, lam_n)
             _, q_star = global_optimum(inst)

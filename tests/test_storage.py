@@ -11,6 +11,7 @@ from priceopt import (
     GenConfig,
     Instance,
     ParseError,
+    PriceOptError,
     SolverParams,
     adjusted_gap,
     generate,
@@ -355,3 +356,35 @@ class TestValueInvariants:
         )
         with pytest.raises(ValidationError, match="l"):
             read_instance(str(path))
+
+
+# Whole field lines, single tokens and separators of the instance format, so
+# that generated files reach every stage of the reader, not just the first.
+_FIELD_LINES = [
+    "n 2", "n 1", "k 1", "k 2", "a 1 2", "a 1", "c 1 1", "c 1", "p0 5 5", "p0 5",
+    "delta 1 1", "delta 1", "l 0 0", "u 9 9", "D 2", "D 1", "D 0", "D -1", "D 3",
+    "0 0 1.0", "1 1 2", "0 1 -0.5", "1 0 -0.5", "0 0 0", "2 2 1", "0 0 nan", "0 0",
+]
+_FIELD_TOKENS = [
+    "n", "k", "a", "c", "p0", "delta", "l", "u", "D", "#", "0", "1", "-1", "1.5", "-0.0",
+    "nan", "inf", "1e999", "+3", "0x1", "1_0", "9" * 25, "2.5e3", "x",
+]
+_instance_texts = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_FIELD_LINES), st.sampled_from(_FIELD_TOKENS), st.text(max_size=3)),
+        st.sampled_from([" ", "\n", "", "\t", "\r\n"]),
+    ),
+    max_size=40,
+).map(lambda parts: "".join(token + sep for token, sep in parts))
+
+
+class TestReaderFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_instance_texts)
+    def test_parses_or_raises_priceopt_error(self, tmp_path, text):
+        path = tmp_path / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            read_instance(str(path))
+        except PriceOptError:
+            pass
