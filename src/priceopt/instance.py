@@ -15,7 +15,7 @@ that one matrix; the dense ``S`` is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -57,6 +57,13 @@ def _as_vector(name: str, x, n: int) -> np.ndarray:
     return v
 
 
+def _check_k(n: int, k) -> int:
+    k = int(k)
+    if not 1 <= k <= n:
+        raise StructuralError(f"k must satisfy 1 <= k <= n={n}, got {k}")
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One price optimization problem.
@@ -87,13 +94,10 @@ class Instance:
 
     def __post_init__(self):
         n = int(self.n)
-        k = int(self.k)
         if n < 1:
             raise StructuralError(f"n must be positive, got {n}")
-        if not 1 <= k <= n:
-            raise StructuralError(f"k must satisfy 1 <= k <= n={n}, got {k}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _check_k(n, self.k))
 
         D = sparse.csr_array(self.D, dtype=np.float64).copy()
         if D.shape != (n, n):
@@ -189,8 +193,15 @@ class Instance:
 
 
 def with_k(instance: Instance, k: int) -> Instance:
-    """Copy of the instance with a different change budget."""
-    return replace(instance, k=k)
+    """Copy of the instance with a different change budget.
+
+    Nothing else depends on k, so the copy shares the validated data and the
+    cached S and f of the original (built here if they were not yet), and
+    only k is checked.
+    """
+    copy = object.__new__(Instance)
+    copy.__dict__.update(instance.__dict__, S=instance.S, f=instance.f, k=_check_k(instance.n, k))
+    return copy
 
 
 @dataclass(frozen=True)

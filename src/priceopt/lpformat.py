@@ -33,7 +33,7 @@ from scipy import sparse
 
 from .errors import ParseError
 from .instance import Instance
-from .storage import atomic_write_text
+from .storage import _not_utf8, atomic_write_text
 
 __all__ = [
     "export_mip_lp",
@@ -544,8 +544,12 @@ def _parse_bounds(cur: _Cursor, model: LpModel) -> None:
 
 
 def parse_lp(path: str) -> LpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_lp_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc) from None
+    return parse_lp_text(text)
 
 
 def validate_lp_file(path: str) -> LpModel:

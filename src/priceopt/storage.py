@@ -206,10 +206,18 @@ def _check_entries(entries: np.ndarray, n: int, first_line_no: int) -> None:
     raise ParseError(f"duplicate entry at {at}", line=line_no, field="D")
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for a file that does not decode as UTF-8."""
+    return ParseError(f"file is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} {exc.reason}")
+
+
 def read_instance(path: str) -> Instance:
     """Parse an instance file; raises ParseError with line/field context."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc) from None
 
     fields: dict = {}
     d_line = 0  # line number of the first D entry
@@ -277,12 +285,15 @@ def read_instance(path: str) -> Instance:
 
 def read_vector(path: str, n: int | None = None) -> np.ndarray:
     """Whitespace-separated floats (comments allowed); optional length check."""
-    with open(path, "r", encoding="utf-8") as fh:
-        parts = [
-            _parse_floats(line.split(), line_no, "vector")
-            for line_no, line in enumerate(fh, start=1)
-            if not line.lstrip().startswith("#")
-        ]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parts = [
+                _parse_floats(line.split(), line_no, "vector")
+                for line_no, line in enumerate(fh, start=1)
+                if not line.lstrip().startswith("#")
+            ]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc) from None
     vec = np.concatenate(parts) if parts else np.empty(0)
     if n is not None and vec.size != n:
         raise ParseError(f"expected {n} values, got {vec.size}", field="vector")

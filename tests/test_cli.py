@@ -71,6 +71,11 @@ class TestSolve:
         assert run(["solve", "--instance", str(tmp_path / "nope.txt"),
                     "--report", str(tmp_path / "r.csv")]) == 2
 
+    def test_non_utf8_instance_is_data_error(self, tmp_path):
+        inst = tmp_path / "bad.txt"
+        inst.write_bytes(b"n 1\nk 1\na \xff\n")
+        assert run(["solve", "--instance", str(inst), "--report", str(tmp_path / "r.csv")]) == 2
+
     def test_bounds_report_flag(self, tmp_path):
         inst = gen(tmp_path, n=20)
         report = tmp_path / "rep.csv"

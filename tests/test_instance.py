@@ -15,6 +15,7 @@ from priceopt import (
     spectral_bounds,
     unconstrained_minimizer,
     validate,
+    with_k,
 )
 from conftest import two_product_instance, random_instance
 
@@ -110,6 +111,29 @@ class TestCachedS:
         assert np.array_equal(inst.s_matvec(p), S @ p)
         dt = sparse.csr_array(inst.D.T)
         assert inst.f.tobytes() == (inst.a + dt @ inst.c).tobytes()
+
+
+class TestWithK:
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_copy_shares_data_and_keeps_values(self, bounded):
+        bounds = (1.0, 5.0, 8.0, 14.0) if bounded else None
+        inst = generate(GenConfig(n=300, bounds_mode=bounds, seed=4))
+        copy = with_k(inst, 7)
+        assert copy.k == 7 and inst.k == GenConfig(n=300).k
+        assert copy.S is inst.S and copy.f is inst.f and copy.D is inst.D
+        assert copy.same_data(with_k(inst, 7)) and not copy.same_data(inst)
+        rebuilt = Instance(n=inst.n, k=7, a=inst.a, D=inst.D, c=inst.c, p0=inst.p0,
+                           delta=inst.delta, bounds=inst.bounds)
+        assert copy.same_data(rebuilt)
+        p = np.random.default_rng(4).normal(inst.p0, 2.0)
+        assert objective_q(copy, p) == objective_q(rebuilt, p) == objective_q(inst, p)
+        assert np.array_equal(gradient_q(copy, p), gradient_q(rebuilt, p))
+        assert profit_z(copy, p) == profit_z(rebuilt, p)
+
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_k_out_of_range_rejected(self, k):
+        with pytest.raises(StructuralError, match="k must satisfy"):
+            with_k(generate(GenConfig(n=3, seed=0)), k)
 
 
 class TestObjective:

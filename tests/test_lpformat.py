@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from priceopt import (
     GenConfig,
+    ParseError,
     PriceOptError,
     eval_lp_objective,
     export_mip_lp,
@@ -126,6 +127,13 @@ class TestParser:
         assert model.sense == "max"
         assert model.linear["p_1"] == pytest.approx(6.0)
         assert model.quadratic[("p_1", "p_1")] == pytest.approx(-2.0)
+
+    def test_non_utf8_byte_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.lp"
+        export_mip_lp(two_product_instance(), str(path))
+        path.write_bytes(path.read_bytes().replace(b"p_1", b"p_\xff", 1))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            validate_lp_file(str(path))
 
     def test_rejects_garbage(self):
         with pytest.raises(LpFormatError):

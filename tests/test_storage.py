@@ -194,6 +194,12 @@ class TestReaderErrors:
         p.write_text(text)
         return str(p)
 
+    def test_non_utf8_byte_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"n 1\nk 1\na \xff\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read_instance(str(path))
+
     def test_missing_delta_names_field(self, tmp_path):
         path = self._write(
             tmp_path,
@@ -263,6 +269,12 @@ class TestVectors:
         write_vector(np.ones(3), str(path))
         with pytest.raises(ParseError):
             read_vector(str(path), 5)
+
+    def test_non_utf8_byte_is_parse_error(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"1 2\n\xfe 3\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read_vector(str(path))
 
 
 class TestWriteReport:
@@ -384,6 +396,21 @@ class TestReaderFuzz:
     def test_parses_or_raises_priceopt_error(self, tmp_path, text):
         path = tmp_path / "fuzz.txt"
         path.write_text(text, encoding="utf-8")
+        try:
+            read_instance(str(path))
+        except PriceOptError:
+            pass
+
+    # Bytes, not text: undecodable bytes, stray control bytes and broken
+    # multi-byte sequences between well-formed field lines.
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.lists(
+        st.one_of(st.sampled_from(_FIELD_LINES).map(lambda s: s.encode() + b"\n"), st.binary(max_size=4)),
+        max_size=20,
+    ).map(b"".join))
+    def test_bytes_parse_or_raise_priceopt_error(self, tmp_path, data):
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes(data)
         try:
             read_instance(str(path))
         except PriceOptError:
