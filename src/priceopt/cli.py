@@ -135,9 +135,9 @@ def build_parser() -> _Parser:
     pr.add_argument("--out", required=True)
 
     c = sub.add_parser("compare", help="adjusted objective gap between two solutions")
-    c.add_argument("--base-profit", type=float, required=True)
-    c.add_argument("--a", type=float, required=True, help="reference solver profit")
-    c.add_argument("--b", type=float, required=True, help="candidate solver profit")
+    c.add_argument("--base-profit", required=True)
+    c.add_argument("--a", required=True, help="reference solver profit")
+    c.add_argument("--b", required=True, help="candidate solver profit")
 
     e = sub.add_parser("export-mip", help="write the MIP model in LP file syntax")
     e.add_argument("--instance", required=True)
@@ -239,7 +239,11 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    gap = storage.adjusted_gap(args.base_profit, args.a, args.b)
+    gap = storage.adjusted_gap(
+        _parse_number(args.base_profit, "--base-profit"),
+        _parse_number(args.a, "--a"),
+        _parse_number(args.b, "--b"),
+    )
     print(f"{gap:.6g}")
     return 0
 

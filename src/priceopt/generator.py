@@ -98,6 +98,8 @@ class GenConfig:
         if self.offdiag_max_count > 0 and not (self.offdiag_rel_mag > 0 and self.diag_range[0] > 0):
             # a zero cap makes every off-diagonal value zero, which is drawn again forever
             raise ContractError("off-diagonal entries need offdiag_rel_mag > 0 and diag_range[0] > 0")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def k(self) -> int:

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .instance import Instance
 from .storage import _not_utf8, atomic_write_text
 
@@ -55,7 +55,7 @@ class LpFormatError(ParseError):
 
 
 def default_big_m(instance: Instance) -> float:
-    return 10.0 * float(np.max(instance.p0 + instance.delta))
+    return 10.0 * float(np.max(np.abs(instance.p0) + instance.delta))
 
 
 def _coef(x: float) -> str:
@@ -84,7 +84,8 @@ def export_mip_lp(instance: Instance, path: str, big_m: Optional[float] = None) 
 
     Numbers carry 12 significant digits.  Variables are 1-based ``p_i``,
     ``zP_i``, ``zL_i``, ``zR_i``; prices are declared free (the constraint
-    rows bound them).
+    rows bound them).  big_m must be finite and at least
+    ``max_i(|p0_i| + delta_i)``, or a raised or lowered branch is empty.
     """
     n, k = instance.n, instance.k
     p0, delta = instance.p0, instance.delta
@@ -92,6 +93,11 @@ def export_mip_lp(instance: Instance, path: str, big_m: Optional[float] = None) 
     bounded = instance.bounds is not None
     if big_m is None:
         big_m = default_big_m(instance)
+    reach = float(np.max(np.abs(p0) + delta))
+    if not (np.isfinite(big_m) and big_m >= reach):
+        raise ValidationError(
+            f"big-M must be finite and at least max(|p0| + delta) = {reach:g}, got {big_m:g}"
+        )
 
     const = float(instance.c @ instance.a)
     out: list[str] = [

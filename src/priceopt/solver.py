@@ -18,7 +18,11 @@ Armijo search keeps it in the box and descending.
 A point is first-order stationary when it is a fixed point of the map above;
 ``certify_stationary`` measures the distance to the projection set while
 honoring its set-valued ties, so legitimate two-valued projections do not
-fail certification.
+fail certification.  Every condition on that distance is monotone in the
+radius, so the residual is closed form: the largest of the per-condition
+minimal radii, two of them order statistics (the L-stationarity view of
+Beck & Eldar, SIAM J. Optim. 23(3), 2013).  Each run certifies its final
+point once.
 """
 
 from __future__ import annotations
@@ -99,6 +103,8 @@ class SolverParams:
             raise ContractError("long_step_factor must exceed 1")
         if self.max_iters < 1 or self.stab_window < 1:
             raise ContractError("max_iters and stab_window must be positive")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
 
 
 class Partition:
@@ -328,6 +334,11 @@ def refine_on_partition(
         p = p_next
 
 
+def _tie_margin(instance: Instance, q: np.ndarray, tol: float) -> float:
+    """Margin within which two gain scores at q count as tied, for tolerance tol."""
+    return 4.0 * tol * (1.0 + float(np.max(np.abs(q - instance.p0))) + float(np.max(instance.delta)))
+
+
 def certify_stationary(
     instance: Instance,
     p: np.ndarray,
@@ -342,6 +353,13 @@ def certify_stationary(
     accepted when within tol of optimal, and coordinates whose gain scores
     are tied within a tol-scaled margin may swap in and out of the selected
     support.  Returns (residual <= tol, residual).
+
+    The residual is closed form.  With in_cost the distance from p_i to an
+    admissible 1-D minimizer and out_cost = |p_i - p0_i|, the gain scores
+    split the coordinates into must-in, never-in and a pool of ties (or, when
+    the k-th largest score is within the margin of zero, must-in and a free
+    pool that may leave the budget slack).  Each condition on the radius is
+    monotone in it, so the residual is the largest per-condition minimum.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (instance.n,):
@@ -356,7 +374,7 @@ def certify_stationary(
     in_cost = _member_distance(instance, q, p, tol)
     out_cost = np.abs(p - instance.p0)
 
-    tol_delta = 4.0 * tol * (1.0 + float(np.max(np.abs(instance.p0 - q))) + float(np.max(instance.delta)))
+    tol_delta = _tie_margin(instance, q, tol)
 
     if k >= n:
         cost = np.minimum(in_cost, np.where(delta_score <= tol_delta, out_cost, np.inf))
@@ -364,48 +382,29 @@ def certify_stationary(
         return residual <= tol, residual
 
     theta = float(np.partition(delta_score, n - k)[n - k])
-
-    if theta > tol_delta:
+    fill_slots = theta > tol_delta
+    if fill_slots:
         must_in = delta_score > theta + tol_delta
         never_in = delta_score < theta - tol_delta
-        tied = ~must_in & ~never_in
-        slots = k - int(np.count_nonzero(must_in))
-
-        def feasible(r: float) -> bool:
-            if np.any(in_cost[must_in] > r) or np.any(out_cost[never_in] > r):
-                return False
-            t_in, t_out = in_cost[tied], out_cost[tied]
-            if np.any(np.minimum(t_in, t_out) > r):
-                return False
-            forced_in = int(np.count_nonzero(t_out > r))
-            can_be_in = int(np.count_nonzero(t_in <= r))
-            return forced_in <= slots <= can_be_in
-
     else:
         must_in = delta_score > tol_delta
-        free = ~must_in
-        slots = k - int(np.count_nonzero(must_in))
+        never_in = np.zeros(n, dtype=bool)
+    pool = ~must_in & ~never_in
+    slots = k - int(np.count_nonzero(must_in))
+    pool_in, pool_out = in_cost[pool], out_cost[pool]
 
-        def feasible(r: float) -> bool:
-            if np.any(in_cost[must_in] > r):
-                return False
-            f_in, f_out = in_cost[free], out_cost[free]
-            if np.any(np.minimum(f_in, f_out) > r):
-                return False
-            return int(np.count_nonzero(f_out > r)) <= slots
-
-    candidates = np.unique(np.concatenate([[0.0], in_cost[np.isfinite(in_cost)], out_cost]))
-    lo_i, hi_i = 0, candidates.size - 1
-    if feasible(float(candidates[lo_i])):
-        residual = float(candidates[lo_i])
-    else:
-        while hi_i - lo_i > 1:
-            mid = (lo_i + hi_i) // 2
-            if feasible(float(candidates[mid])):
-                hi_i = mid
-            else:
-                lo_i = mid
-        residual = float(candidates[hi_i])
+    # must-in coordinates within r of a minimizer, never-in ones within r of
+    # p0, pool ones within r of either
+    minima = [in_cost[must_in], out_cost[never_in], np.minimum(pool_in, pool_out)]
+    # at most `slots` pool coordinates move in, the rest stay within r of p0:
+    # r is at least the (slots+1)-th largest pool out_cost
+    m = pool_out.size
+    if m > slots:
+        minima.append(np.partition(pool_out, m - slots - 1)[m - slots - 1])
+    if fill_slots:
+        # exactly k changes: `slots` pool coordinates within r of a minimizer
+        minima.append(np.partition(pool_in, slots - 1)[slots - 1])
+    residual = max(float(np.max(r, initial=0.0)) for r in minima)
     return residual <= tol, residual
 
 
@@ -452,6 +451,7 @@ def gpa_solve(
     refine_attempts = 0
     refined = False
     converged = False
+    certificate: Optional[tuple[bool, float]] = None
     iterations = 0
 
     while iterations < params.max_iters:
@@ -468,39 +468,35 @@ def gpa_solve(
         streak = streak + 1 if np.array_equal(status_next, status) else 1
         p, q_val, grad, status = p_next, q_next, grad_next, status_next
 
-        if params.refine and step_sq <= delta_min_sq_half and streak >= stab_window:
-            partition = Partition.from_status(status)
-            result = refine_on_partition(instance, partition, p, L=L)
+        stabilized = params.refine and step_sq <= delta_min_sq_half and streak >= stab_window
+        if not (stabilized or decrease <= eps_abs):
+            continue
+        if params.refine:
+            # solve the restricted QP on the current piece; keep it unless worse
+            result = refine_on_partition(instance, Partition.from_status(status), p, L=L)
             q_ref = objective_q(instance, result.p)
             if q_ref <= q_val:
                 p, q_val = result.p, q_ref
-                grad = gradient_q(instance, p)
                 trace.append(q_val)
             refined = True
-            ok, _ = certify_stationary(instance, p, L, STATIONARITY_TOL)
-            if ok or refine_attempts >= 2 or not result.converged:
-                converged = ok or result.converged
-                break
-            # Premature stabilization: resume with a stricter window.
-            refine_attempts += 1
-            stab_window *= 2
-            status = _classify(instance, p)
-            streak = 1
-            continue
-
-        if decrease <= eps_abs:
-            if params.refine:
-                # final polish: solve the restricted QP on the current piece
-                result = refine_on_partition(instance, Partition.from_status(status), p, L=L)
-                q_ref = objective_q(instance, result.p)
-                if q_ref <= q_val:
-                    p, q_val = result.p, q_ref
-                    trace.append(q_val)
-                refined = True
+        if not stabilized:
             converged = True
             break
+        certificate = certify_stationary(instance, p, L, STATIONARITY_TOL)
+        if certificate[0] or refine_attempts >= 2 or not result.converged:
+            converged = certificate[0] or result.converged
+            break
+        # Premature stabilization: resume with a stricter window.
+        certificate = None
+        grad = gradient_q(instance, p)
+        refine_attempts += 1
+        stab_window *= 2
+        status = _classify(instance, p)
+        streak = 1
 
-    ok, residual = certify_stationary(instance, p, L, STATIONARITY_TOL)
+    if certificate is None:
+        certificate = certify_stationary(instance, p, L, STATIONARITY_TOL)
+    ok, residual = certificate
     partition = Partition.from_status(_classify(instance, p))
     kappa = int(np.count_nonzero(p != instance.p0))
     base_profit = profit_z(instance, instance.p0)
@@ -627,8 +623,7 @@ def performance_bound(
     if tol is None:
         # a point certified at STATIONARITY_TOL can carry a residual tail of
         # this order; anything larger means the point is not stationary
-        scale = 1.0 + float(np.max(np.abs(q - instance.p0))) + float(np.max(instance.delta))
-        tol = 4.0 * STATIONARITY_TOL * scale
+        tol = _tie_margin(instance, q, STATIONARITY_TOL)
     if kappa < instance.k:
         if tail > tol:
             raise ContractError(

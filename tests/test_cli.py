@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priceopt import GenConfig
 from priceopt.cli import run
@@ -132,6 +134,14 @@ class TestCompareCmd:
     def test_zero_baseline(self):
         assert run(["compare", "--base-profit", "0", "--a", "1", "--b", "2"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--base-profit", "--a", "--b"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_is_data_error(self, capsys, flag, token):
+        argv = {"--base-profit": "100", "--a": "1", "--b": "2"}
+        argv[flag] = token
+        assert run(["compare", *[f"{name}={value}" for name, value in argv.items()]]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestExportCmd:
     def test_export(self, tmp_path):
@@ -141,6 +151,20 @@ class TestExportCmd:
         from priceopt import validate_lp_file
 
         validate_lp_file(str(out))
+
+    def test_big_m_at_reach_accepted(self, tmp_path):
+        inst_path = tmp_path / "inst.txt"
+        write_instance(two_product_instance(), str(inst_path))  # max |p0| + delta = 0.5
+        out = tmp_path / "m.lp"
+        assert run(["export-mip", "--instance", str(inst_path), "--big-m", "0.5", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("big_m", ["nan", "inf", "-5", "0", "0.49"])
+    def test_bad_big_m_is_data_error(self, tmp_path, big_m):
+        inst_path = tmp_path / "inst.txt"
+        write_instance(two_product_instance(), str(inst_path))
+        out = tmp_path / "m.lp"
+        assert run(["export-mip", "--instance", str(inst_path), "--big-m", big_m, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestSweepCmd:
@@ -251,3 +275,133 @@ class TestSeedEnvValidation:
         monkeypatch.setenv("SOLVER_SEED", "not-a-number")
         code = run(["gen", "--n", "5", "--out", str(tmp_path / "x.txt")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "sweep", "suite", "SOLVER_SEED"])
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, command):
+        inst = gen(tmp_path, n=10)
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--n", "5", "--seed", "-1", "--out", str(out)],
+            "solve": ["solve", "--instance", str(inst), "--seed", "-1", "--report", str(out)],
+            "sweep": ["sweep", "--instance", str(inst), "--seed", "-1", "--out", str(out)],
+            "suite": ["suite", "--out-dir", str(out), "--seed", "-3"],
+            "SOLVER_SEED": ["gen", "--n", "5", "--out", str(out)],
+        }[command]
+        monkeypatch.setenv("SOLVER_SEED", "-1" if command == "SOLVER_SEED" else "0")
+        assert run(argv) == 2
+        assert not out.exists()
+
+
+# Option name -> value tokens, the first one valid (None for a flag).
+# "{name}" tokens are replaced by fixture paths.  The sizes are kept small:
+# gen --n <= 50, oracle only sees the n = 6 file, and suite always carries a
+# negative --seed, so it is rejected before generating anything.
+_INSTANCES = ["{small}", "{bounded}", "{garbage}", "{missing}"]
+_OUTS = ["{out}", "{out_dir}", "{no_dir}"]
+_SEEDS = ["0", "-1", "7", "x", "18446744073709551616"]
+_SOLVER = {
+    "--l-mode": ["power", "gershgorin", "exact"],
+    "--eps": ["1e-3", "1e-9", "0", "-1", "nan", "inf", "x"],
+    "--absolute-eps": None,
+    "--max-iters": ["5", "1", "0", "-1", "x"],
+    "--refine": None,
+    "--no-refine": None,
+    "--seed": _SEEDS,
+}
+_NUMBERS = ["100", "0", "-5", "2.5", "1e308", "nan", "inf", "x"]
+_CLI_OPTIONS = {
+    "gen": {
+        "--n": ["6", "1", "50", "0", "-2", "x", "1e3"],
+        "--k-frac": ["0.5", "1", "0", "1.5", "nan", "-0.1", "x"],
+        "--delta": ["frac:0.1", "const:1.0", "const:-1", "const:nan", "frac:inf", "wat:1", "const:1e308"],
+        "--bounds": ["1,5,5,10", "none", "1,2,3", "1,inf,5,10", "5,1,10,5", "x"],
+        "--seed": _SEEDS,
+        "--mixed-signs": None,
+        "--no-dominance-fix": None,
+        "--literal-sign": None,
+        "--out": _OUTS,
+    },
+    "solve": {
+        "--instance": _INSTANCES,
+        "--starts": ["2", "5", "0", "6", "x"],
+        "--parallel-starts": ["2", "1", "0", "-1", "x"],
+        "--bounds-report": None,
+        "--report": _OUTS,
+        **_SOLVER,
+    },
+    "sweep": {
+        "--instance": _INSTANCES,
+        "--k-list": ["0.5", "0.1,1.0", "0", "nan", "0.5,abc", ""],
+        "--out": _OUTS,
+        **_SOLVER,
+    },
+    "project": {"--instance": _INSTANCES, "--q": ["{q}", "{garbage}", "{missing}"], "--out": _OUTS},
+    "oracle": {"--instance": ["{small}", "{garbage}", "{missing}"], "--out": _OUTS},
+    "compare": {"--base-profit": _NUMBERS, "--a": _NUMBERS, "--b": _NUMBERS},
+    "export-mip": {
+        "--instance": _INSTANCES,
+        "--big-m": ["100", "0.5", "0", "-5", "nan", "inf", "x", "1e308"],
+        "--out": _OUTS,
+    },
+    "suite": {"--scale": ["desk", "full", "bogus"], "--out-dir": _OUTS, "--eps": _SOLVER["--eps"]},
+}
+# required options, and --k-list, whose default sweeps six budgets
+_MOSTLY_SET = {"--n", "--out", "--instance", "--report", "--q", "--base-profit", "--a", "--b", "--out-dir",
+               "--k-list"}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    from priceopt import generate
+
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    files = {
+        "small": root / "small.txt",
+        "bounded": root / "bounded.txt",
+        "garbage": root / "garbage.txt",
+        "missing": root / "missing.txt",
+        "q": root / "q.txt",
+        "out_dir": root / "out",
+        "out": root / "out" / "result",
+        "no_dir": root / "no_dir" / "result",
+    }
+    write_instance(generate(GenConfig(n=6, k_fraction=0.5, seed=1)), str(files["small"]))
+    write_instance(generate(GenConfig(n=12, bounds_mode=(1, 5, 8, 14), seed=2)), str(files["bounded"]))
+    files["garbage"].write_text("n 3\nk one\n")
+    write_vector(np.linspace(-2.0, 12.0, 6), str(files["q"]))
+    files["out_dir"].mkdir()
+    return {name: str(path) for name, path in files.items()}
+
+
+def _one_in(n):
+    """True with probability 1/n."""
+    return st.sampled_from([True] + [False] * (n - 1))
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_argv_ends_in_documented_exit_code(self, cli_files, data):
+        from unittest import mock
+
+        command = data.draw(st.sampled_from(sorted(_CLI_OPTIONS)), label="command")
+        argv = [command]
+        for name, tokens in _CLI_OPTIONS[command].items():
+            if data.draw(_one_in(8)) if name in _MOSTLY_SET else not data.draw(_one_in(3)):
+                continue
+            argv.append(name)
+            if tokens is not None:
+                token = data.draw(st.sampled_from(tokens)) if data.draw(_one_in(3)) else tokens[0]
+                argv.append(token.format(**cli_files))
+        if command == "suite":
+            argv += ["--seed", data.draw(st.sampled_from(["-1", "-3"]))]
+        if data.draw(_one_in(8)):
+            stray = data.draw(st.sampled_from(["--frobnicate", "extra", "--n"]))
+            argv.insert(data.draw(st.integers(1, len(argv))), stray)
+        env_seed = data.draw(st.sampled_from([None, None, "3", "x", "-1", "-1"]), label="SOLVER_SEED")
+        with mock.patch.dict(os.environ):
+            os.environ.pop("SOLVER_SEED", None)
+            if env_seed is not None:
+                os.environ["SOLVER_SEED"] = env_seed
+            code = run(argv)
+        assert code in range(5)

@@ -179,6 +179,8 @@ class TestRecipe:
             GenConfig(n=5, delta_mode=("const", -1.0))
         with pytest.raises(ContractError):
             GenConfig(n=5, f_range=(10.0, 1.0))
+        with pytest.raises(ContractError):
+            GenConfig(n=5, seed=-1)
 
 
 class TestDominanceFix:

@@ -22,6 +22,7 @@ from priceopt import (
     unconstrained_minimizer,
     with_k,
 )
+from priceopt.solver import STATIONARITY_TOL
 from conftest import two_product_instance, random_instance
 
 
@@ -37,6 +38,7 @@ class TestSolverParams:
             {"L_mode": "exact"},
             {"max_iters": 0},
             {"stab_window": 0},
+            {"seed": -1},
         ],
     )
     def test_invalid(self, kwargs):
@@ -167,6 +169,21 @@ class TestGpaSolve:
             gpa_solve(inst, inst.p0, SolverParams(refine=False, max_iters=2000), on_iterate=check)
             assert not state["violated"]
 
+    def test_final_point_certified_once(self, rng, monkeypatch):
+        import priceopt.solver as solver
+
+        calls = []
+        certify = solver.certify_stationary
+        monkeypatch.setattr(solver, "certify_stationary", lambda *a: calls.append(a) or certify(*a))
+        inst = random_instance(rng, 12, 12, k=3)
+        # stab_window=1 and a decrease threshold no step meets: the run can
+        # only end in the stabilization branch (or at max_iters)
+        params = SolverParams(eps=1e-300, absolute_eps=True, stab_window=1)
+        report = gpa_solve(inst, inst.p0, params)
+        assert report.refined and report.converged and report.iterations < params.max_iters
+        assert len(calls) == 1
+        assert (report.stationary, report.stationarity_residual) == certify(*calls[0])
+
     def test_max_iters_flags_non_converged(self):
         inst = two_product_instance()
         report = gpa_solve(inst, np.array([0.0, 0.5]), SolverParams(max_iters=1, refine=False), L=3.0)
@@ -207,6 +224,122 @@ class TestCertifyStationary:
         assert np.allclose(report.final_p, [3.0, 0.5], atol=1e-9)
         ok, _ = certify_stationary(inst, report.final_p, report.L, 1e-8)
         assert ok
+
+
+def _search_certify(instance, p, L, tol=STATIONARITY_TOL):
+    """Reference certificate: bisection over the candidate radii.
+
+    Tests each candidate radius (0, every finite in_cost and every out_cost)
+    against the admissibility conditions written out one by one, and returns
+    (flag, residual, branch) with branch one of "k>=n", "ties", "slack".
+    """
+    from priceopt.projection import _member_distance, score
+
+    n, k = instance.n, instance.k
+    q = p - gradient_q(instance, p) / L
+    delta_score = score(instance, q).delta_score
+    in_cost = _member_distance(instance, q, p, tol)
+    out_cost = np.abs(p - instance.p0)
+    tol_delta = 4.0 * tol * (1.0 + float(np.max(np.abs(instance.p0 - q))) + float(np.max(instance.delta)))
+
+    if k >= n:
+        cost = np.minimum(in_cost, np.where(delta_score <= tol_delta, out_cost, np.inf))
+        residual = float(np.max(cost)) if n else 0.0
+        return residual <= tol, residual, "k>=n"
+
+    theta = float(np.partition(delta_score, n - k)[n - k])
+    if theta > tol_delta:
+        branch = "ties"
+        must_in = delta_score > theta + tol_delta
+        never_in = delta_score < theta - tol_delta
+        tied = ~must_in & ~never_in
+        slots = k - int(np.count_nonzero(must_in))
+
+        def feasible(r):
+            if np.any(in_cost[must_in] > r) or np.any(out_cost[never_in] > r):
+                return False
+            t_in, t_out = in_cost[tied], out_cost[tied]
+            if np.any(np.minimum(t_in, t_out) > r):
+                return False
+            forced_in = int(np.count_nonzero(t_out > r))
+            can_be_in = int(np.count_nonzero(t_in <= r))
+            return forced_in <= slots <= can_be_in
+
+    else:
+        branch = "slack"
+        must_in = delta_score > tol_delta
+        free = ~must_in
+        slots = k - int(np.count_nonzero(must_in))
+
+        def feasible(r):
+            if np.any(in_cost[must_in] > r):
+                return False
+            f_in, f_out = in_cost[free], out_cost[free]
+            if np.any(np.minimum(f_in, f_out) > r):
+                return False
+            return int(np.count_nonzero(f_out > r)) <= slots
+
+    candidates = np.unique(np.concatenate([[0.0], in_cost[np.isfinite(in_cost)], out_cost]))
+    lo_i, hi_i = 0, candidates.size - 1
+    if feasible(float(candidates[lo_i])):
+        residual = float(candidates[lo_i])
+    else:
+        while hi_i - lo_i > 1:
+            mid = (lo_i + hi_i) // 2
+            if feasible(float(candidates[mid])):
+                hi_i = mid
+            else:
+                lo_i = mid
+        residual = float(candidates[hi_i])
+    return residual <= tol, residual, branch
+
+
+class TestCertifyAgainstSearch:
+    """The closed-form certificate against the candidate search, bit for bit."""
+
+    @staticmethod
+    def _points(inst, params):
+        """p0, the five starts, early iterates, max_iters cuts and converged points."""
+        from priceopt.solver import build_starts
+
+        L = spectral_bounds(inst).L
+        points = [inst.p0.copy()]
+        for start in build_starts(inst, params, L):
+            points.append(start)
+            seen = []
+            gpa_solve(inst, start, SolverParams(refine=False), L=L,
+                      on_iterate=lambda t, p, p_next, *_: seen.append(p_next) if t in (1, 3, 10) else None)
+            points.extend(seen)
+            for cut in (1, 3, 5):
+                points.append(gpa_solve(inst, start, SolverParams(max_iters=cut), L=L).final_p)
+            points.append(gpa_solve(inst, start, params, L=L).final_p)
+        return L, points
+
+    @pytest.mark.parametrize("family", range(12))
+    def test_matches_search(self, family):
+        # n and bounds vary by family; within one, k/n = 1 reaches the k >= n
+        # branch and k/n = 0.5 with delta = 8 leaves fewer than k positive
+        # gains at p0 and its neighbours, the slack branch
+        n = (5, 20, 200)[family % 3]
+        branches = set()
+        for i, (k_frac, delta) in enumerate(((0.05, 1.0), (0.2, 4.0), (0.5, 8.0), (1.0, 2.0))):
+            ill = (4 * family + i) % 3 == 2
+            inst = generate(GenConfig(
+                n=n,
+                k_fraction=k_frac,
+                delta_mode=("const", delta),
+                bounds_mode=(1.0, 5.0, 8.0, 14.0) if family % 2 else None,
+                diag_range=(0.01, 10.0) if ill else (1.0, 10.0),
+                offdiag_rel_mag=0.9 if ill else 0.2,
+                seed=1000 + 4 * family + i,
+            ))
+            L, points = self._points(inst, SolverParams(seed=family))
+            for p in points:
+                ok, residual = certify_stationary(inst, p, L)
+                want_ok, want_residual, branch = _search_certify(inst, p, L)
+                assert (ok, residual) == (want_ok, want_residual), (k_frac, branch)
+                branches.add(branch)
+        assert branches == {"k>=n", "ties", "slack"}
 
 
 class TestMultiStart:
