@@ -39,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import os
 import re
 import tempfile
@@ -47,7 +48,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, NumericError, ParseError
 from .instance import Instance
 from .solver import SolveReport
 
@@ -353,8 +354,12 @@ def adjusted_gap(z_base: float, z_gurobi: float, z_gpa: float) -> float:
     """Percentage gap 100 (z_gpa - z_gurobi) / |z_base| between two solutions.
 
     Positive means the candidate beat the reference solver; antisymmetric in
-    the last two arguments.  Undefined at z_base = 0.
+    the last two arguments.  Undefined at z_base = 0; a gap that overflows
+    (say 1e308 against -1e308) is a NumericError.
     """
     if z_base == 0.0:
         raise ContractError("adjusted gap is undefined when the baseline profit is zero")
-    return 100.0 * (z_gpa - z_gurobi) / abs(z_base)
+    gap = 100.0 * (z_gpa - z_gurobi) / abs(z_base)
+    if not math.isfinite(gap):
+        raise NumericError(f"adjusted gap is not finite ({gap})")
+    return gap

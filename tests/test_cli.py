@@ -134,6 +134,10 @@ class TestCompareCmd:
     def test_zero_baseline(self):
         assert run(["compare", "--base-profit", "0", "--a", "1", "--b", "2"]) == 2
 
+    def test_overflowing_gap_is_numeric_error(self, capsys):
+        assert run(["compare", "--base-profit", "1", "--a=-1e308", "--b", "1e308"]) == 4
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("flag", ["--base-profit", "--a", "--b"])
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "x"])
     def test_non_finite_is_data_error(self, capsys, flag, token):

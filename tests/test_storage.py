@@ -10,6 +10,7 @@ from priceopt import (
     ContractError,
     GenConfig,
     Instance,
+    NumericError,
     ParseError,
     PriceOptError,
     SolverParams,
@@ -337,6 +338,11 @@ class TestAdjustedGap:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ContractError):
             adjusted_gap(0.0, 1.0, 2.0)
+
+    def test_overflowing_gap_rejected(self):
+        # finite profits whose difference overflows to inf
+        with pytest.raises(NumericError, match="not finite"):
+            adjusted_gap(1.0, -1e308, 1e308)
 
 
 class TestAtomicity:
