@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from .errors import NumericError, StructuralError, ValidationError
 
@@ -354,6 +353,10 @@ def profit_z(instance: Instance, p: np.ndarray) -> float:
 
 def _solve_spd(instance: Instance, b: np.ndarray, maxiter: int | None = None) -> np.ndarray:
     """Solve S x = b by preconditioned CG to relative residual <= 1e-10."""
+    # imported on first use: no command on the solve path needs
+    # scipy.sparse.linalg, and loading it costs every start-up ~80 ms
+    from scipy.sparse.linalg import cg
+
     n = instance.n
     precond = sparse.diags_array(1.0 / instance.S.diagonal())
     if maxiter is None:

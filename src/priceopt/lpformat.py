@@ -552,9 +552,8 @@ def parse_lp(path: str) -> LpModel:
 def validate_lp_file(path: str) -> LpModel:
     """Parse and sanity-check an LP file; returns the model on success."""
     model = parse_lp(path)
-    for name in model.variables():
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", name):
-            raise LpFormatError(f"illegal variable name {name!r}")
+    # Names need no check: every variable the parser records matches _NAME
+    # (group v, a "* name" tail, a _KEYWORD word, or "inf" after a range's "<=").
     # Coefficients such as 1e400 parse as inf; bounds alone may be infinite.
     objective = model.objective_name
     if not (all(map(math.isfinite, model.linear.values())) and all(map(math.isfinite, model.quadratic.values()))):

@@ -34,10 +34,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-# Unused here: the benchmark's tracer (perfbench/tracing.py) wraps
-# ``solver.minimize`` by name, so the binding stays until the tracer drops it.
-from scipy.optimize import minimize  # noqa: F401
-
 from .errors import ContractError, NumericError, StructuralError
 from .instance import (
     Instance,
@@ -74,6 +70,19 @@ _CG_FORCING = 1e-3
 # Projected Armijo search: sufficient-decrease factor and halvings tried.
 _ARMIJO_C = 1e-4
 _ARMIJO_TRIALS = 30
+
+
+def minimize(*args, **kwargs):
+    """Lazy ``scipy.optimize.minimize``; nothing in priceopt calls it.
+
+    The benchmark's tracer (perfbench/tracing.py) still wraps
+    ``solver.minimize`` by name, so the binding stays, but importing
+    ``scipy.optimize`` here would add about 0.25 s to every command's
+    start-up.  Delete this shim together with that hook (ROADMAP item 1).
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -561,12 +570,15 @@ def multi_start(
     """Run the solver from up to five canonical starts and keep the best.
 
     Starts run sequentially by default (single-thread comparability);
-    ``parallel`` > 1 opts into a thread pool over the independent runs.
+    ``parallel`` > 1 opts into a thread pool over the independent runs, and
+    ``parallel`` < 1 is a ContractError.
     Returns ``(best, all)`` with best = lowest final objective value, ties
     resolved toward the lower start id.
     """
     if not 1 <= n_starts <= 5:
         raise ContractError("n_starts must be between 1 and 5")
+    if parallel < 1:
+        raise ContractError("parallel must be at least 1")
     L = spectral_bounds(instance, mode=params.L_mode).L
     starts = build_starts(instance, params, L)[:n_starts]
 

@@ -273,6 +273,13 @@ class TestParallelStartsFlag:
                     "--parallel-starts", "4", "--report", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_below_one_is_data_error(self, tmp_path, value):
+        inst = gen(tmp_path, n=10)
+        out = tmp_path / "r.csv"
+        assert run(["solve", "--instance", str(inst), f"--parallel-starts={value}", "--report", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestSeedEnvValidation:
     def test_garbage_seed_rejected(self, tmp_path, monkeypatch):

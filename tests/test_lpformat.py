@@ -434,6 +434,29 @@ class TestNonFiniteCoefficients:
         assert model.bounds == {"x": (None, float("inf")), "y": (0.0, float("inf"))}
 
 
+class TestVariableNames:
+    """validate_lp_file does not check variable names: every name a parse
+    records, in any section, is a whole match of the LP name pattern."""
+
+    _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+
+    def _check(self, text):
+        try:
+            model = parse_lp_text(text)
+        except LpFormatError:
+            return
+        assert all(self._NAME.fullmatch(name) for name in model.variables())
+
+    @pytest.mark.parametrize("text", _HAND_WRITTEN, ids=[f"case{i}" for i in range(len(_HAND_WRITTEN))])
+    def test_hand_written(self, text):
+        self._check(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_lp_texts)
+    def test_fuzzed(self, text):
+        self._check(text)
+
+
 # --------------------------------------------------------------------------
 # Reference parser: the token-by-token parser that lpformat used before it
 # read whole terms in bulk, kept here (with end-of-input errors naming the
