@@ -17,15 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import generator, lpformat, oracle, storage
-from .errors import (
-    CapacityError,
-    ContractError,
-    NumericError,
-    ParseError,
-    PriceOptError,
-    StructuralError,
-    ValidationError,
-)
+from .errors import CapacityError, NumericError, PriceOptError, ValidationError
 from .instance import Instance, profit_z, spectral_bounds, with_k
 from .projection import certify_in_H, project_feasible
 from .solver import SolveReport, SolverParams, gpa_solve, multi_start, performance_bound
@@ -332,9 +324,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    except (ParseError, ValidationError, StructuralError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
     except PriceOptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT

@@ -10,7 +10,9 @@ is equivalent to minimizing the convex quadratic
 
 with ``Z(p) = -Q(p) - c^T a``.  ``S`` is built once per instance as a cached
 sparse CSR matrix (``Instance.S``) and every product with it goes through
-that one matrix; the dense ``S`` is never formed.
+that one matrix; the dense ``S`` is never formed.  ``spectral_bounds`` gives
+the step constant ``L > lambda_1(S)`` from Gershgorin's bound or a Lanczos
+estimate of ``lambda_1``, and Lanczos also estimates ``lambda_n(S)``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ __all__ = [
 _DENSE_PD_LIMIT = 2000
 
 _CG_RTOL = 1e-10
+
+# Lanczos estimates of the extreme eigenvalues of S: ARPACK's relative
+# accuracy target and the seed of its fixed start vector
+_LANCZOS_TOL = 1e-10
+_LANCZOS_SEED = 0
 
 
 def _as_vector(name: str, x, n: int) -> np.ndarray:
@@ -351,90 +358,47 @@ def profit_z(instance: Instance, p: np.ndarray) -> float:
     return val
 
 
-def _solve_spd(instance: Instance, b: np.ndarray, maxiter: int | None = None) -> np.ndarray:
-    """Solve S x = b by preconditioned CG to relative residual <= 1e-10."""
+def unconstrained_minimizer(instance: Instance) -> tuple[np.ndarray, float]:
+    """Unconstrained minimizer p_hat solving S p = f, and its objective value.
+
+    Uses Jacobi-preconditioned conjugate gradients to relative residual
+    <= 1e-10.  Raises NumericError when the solve does not converge, which
+    signals that S is likely not positive definite.
+    """
     # imported on first use: no command on the solve path needs
     # scipy.sparse.linalg, and loading it costs every start-up ~80 ms
     from scipy.sparse.linalg import cg
 
     n = instance.n
     precond = sparse.diags_array(1.0 / instance.S.diagonal())
-    if maxiter is None:
-        maxiter = max(200, min(4 * n, 20_000))
+    maxiter = max(200, min(4 * n, 20_000))
     # breakdown on non-SPD systems surfaces as our NumericError, not a warning
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, info = cg(instance.S, b, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
-    if info != 0 or not np.all(np.isfinite(x)):
+        p_hat, info = cg(instance.S, instance.f, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
+    if info != 0 or not np.all(np.isfinite(p_hat)):
         raise NumericError(
             "SPD solve did not converge within the iteration cap; S is likely not positive definite"
         )
-    return x
-
-
-def unconstrained_minimizer(instance: Instance) -> tuple[np.ndarray, float]:
-    """Unconstrained minimizer p_hat solving S p = f, and its objective value.
-
-    Uses preconditioned conjugate gradients to relative residual <= 1e-10.
-    Raises NumericError when the solve does not converge, which signals that
-    S is likely not positive definite.
-    """
-    p_hat = _solve_spd(instance, np.asarray(instance.f))
     return p_hat, objective_q(instance, p_hat)
 
 
-def _power_iteration(instance: Instance, tol: float = 1e-8, maxiter: int = 10_000) -> tuple[float, bool]:
-    """Dominant eigenvalue of S by power iteration.
+def _extreme_eigenvalue(instance: Instance, which: str) -> Optional[float]:
+    """Largest (``which="LA"``) or smallest (``"SA"``) eigenvalue of S by
+    Lanczos (ARPACK), or None when it does not converge.
 
-    Converged only when the Rayleigh quotient has settled (relative change
-    <= tol) *and* the eigenpair residual ||S v - lam v|| is small; Rayleigh
-    stagnation alone can certify a non-eigenvalue (e.g. on symmetric-spectrum
-    matrices the quotient is constant from any start).
+    The start vector is a fixed Gaussian draw, so reruns agree bit for bit
+    (a structured start such as all-ones can be an eigenvector of S).
     """
-    rng = np.random.default_rng(0xC0FFEE)
-    v = rng.standard_normal(instance.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(maxiter):
-        w = instance.s_matvec(v)
-        lam_new = float(v @ w)
-        wn = np.linalg.norm(w)
-        if wn == 0.0:
-            return 0.0, False
-        settled = abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
-        if settled:
-            # the Rayleigh value settles quadratically, so a loose residual
-            # gate suffices to reject stagnation at a non-eigenvector
-            residual = float(np.linalg.norm(w - lam_new * v))
-            if residual <= 1e-3 * max(1.0, abs(lam_new)):
-                return lam_new, True
-        v = w / wn
-        lam = lam_new
-    return lam, False
+    if instance.n == 1:  # ARPACK needs n > 1, and S is its own eigenvalue
+        return float(instance.S.diagonal()[0])
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-
-def _inverse_power_iteration(instance: Instance, tol: float = 1e-8, maxiter: int = 200) -> Optional[float]:
-    rng = np.random.default_rng(0xBEEF)
-    v = rng.standard_normal(instance.n)
-    v /= np.linalg.norm(v)
-    lam = None
-    for _ in range(maxiter):
-        try:
-            w = _solve_spd(instance, v)
-        except NumericError:
-            return None
-        wn = np.linalg.norm(w)
-        if wn == 0.0 or not np.isfinite(wn):
-            return None
-        v = w / wn
-        sv = instance.s_matvec(v)
-        lam_new = float(v @ sv)
-        if lam is not None and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            if lam_new <= 0.0:
-                return None
-            if float(np.linalg.norm(sv - lam_new * v)) <= 1e-3 * max(1.0, lam_new):
-                return lam_new
-        lam = lam_new
-    return None
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(instance.n)
+    try:
+        lam = eigsh(instance.S, k=1, which=which, v0=v0, tol=_LANCZOS_TOL, return_eigenvectors=False)
+    except ArpackNoConvergence:
+        return None
+    return float(lam[0])
 
 
 def spectral_bounds(
@@ -445,13 +409,12 @@ def spectral_bounds(
     """Step constant L > lambda_1(S) plus eigenvalue estimates.
 
     gershgorin   L = 1.001 * max_i sum_j |s_ij|  (guaranteed upper bound)
-    power        L = 1.01 * lambda_1 estimate from power iteration
-                 (relative change <= 1e-8, at most 10000 iterations); on
-                 stagnation falls back to the gershgorin bound and flags it
+    power        L = 1.01 * lambda_1 estimate from Lanczos (ARPACK, relative
+                 tolerance 1e-10); when it does not converge or is not
+                 positive, falls back to the gershgorin bound and flags it
 
-    lambda_n is estimated by inverse power iteration through the SPD solver
-    only when requested, and reported only if the estimate converged to a
-    positive value.
+    lambda_n is estimated by Lanczos only when requested, and reported only
+    if the estimate converged to a positive value.
     """
     if mode not in ("gershgorin", "power"):
         raise ValueError(f"mode must be 'gershgorin' or 'power', got {mode!r}")
@@ -464,13 +427,11 @@ def spectral_bounds(
         L = 1.001 * gersh
         lambda1_est = gersh
     else:
-        lam, converged = _power_iteration(instance)
-        lambda1_est = lam
-        if converged and lam > 0.0:
-            L = 1.01 * lam
-        else:
-            L = 1.001 * gersh
-            used_fallback = True
+        lam = _extreme_eigenvalue(instance, "LA")
+        lambda1_est = gersh if lam is None else lam
+        used_fallback = lam is None or lam <= 0.0
+        L = 1.001 * gersh if used_fallback else 1.01 * lam
 
-    lambdan_est = _inverse_power_iteration(instance) if want_lambda_min else None
+    lam_n = _extreme_eigenvalue(instance, "SA") if want_lambda_min else None
+    lambdan_est = lam_n if lam_n is not None and lam_n > 0.0 else None
     return SpectralBounds(L=L, lambda1_est=lambda1_est, lambdan_est=lambdan_est, used_fallback=used_fallback)

@@ -87,6 +87,19 @@ class TestSolve:
         bound_cells = [line.split(",")[11] for line in rows]
         assert any(cell not in ("", "0") for cell in bound_cells)
 
+    def test_bounds_report_finds_lambda_n(self, tmp_path, capsys):
+        # the README's library instance: lambda_n = 1.829 lies within 1.3 %
+        # of lambda_{n-1}, so a slowly converging estimate misses it
+        inst = gen(tmp_path, n=5000, seed=7)
+        report = tmp_path / "rep.csv"
+        assert run(["solve", "--instance", str(inst), "--bounds-report",
+                    "--report", str(report)]) == 0
+        assert "suboptimality bounds attached" in capsys.readouterr().out
+        header, *rows = report.read_text().splitlines()
+        col = header.split(",").index("bound_ii")
+        cells = [row.split(",")[col] for row in rows if row.split(",")[col]]
+        assert len(cells) == 1 and float(cells[0]) > 0.0
+
 
 class TestOracleCmd:
     def test_small_instance(self, tmp_path):

@@ -1,9 +1,10 @@
 """Start-up cost: importing priceopt loads only what its commands run.
 
 ``scipy.optimize`` (about 0.25 s) is never needed, and ``scipy.sparse.linalg``
-(about 0.08 s) only by the CG solve behind ``unconstrained_minimizer``, the
-large-n ``validate`` and ``spectral_bounds(want_lambda_min=True)``.  Each
-check runs in a fresh interpreter, since this process may have loaded either.
+(about 0.08 s) only by the CG solve behind ``unconstrained_minimizer`` and the
+large-n ``validate``, and by the Lanczos estimates of ``spectral_bounds``
+(``mode="power"`` or ``want_lambda_min=True``).  Each check runs in a fresh
+interpreter, since this process may have loaded either.
 """
 
 import json
@@ -41,6 +42,14 @@ def test_cg_solver_loads_on_first_use(tmp_path):
         "unconstrained_minimizer(generate(GenConfig(n=20, seed=0)))"
     )
     assert _loaded_after(code, tmp_path) == ["scipy.sparse.linalg"]
+
+
+def test_gershgorin_step_constant_loads_no_linalg(tmp_path):
+    code = (
+        "from priceopt import GenConfig, generate, spectral_bounds\n"
+        "spectral_bounds(generate(GenConfig(n=20, seed=0)))"
+    )
+    assert _loaded_after(code, tmp_path) == []
 
 
 def test_minimize_shim_forwards_to_scipy():

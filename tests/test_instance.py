@@ -225,14 +225,16 @@ class TestSpectralBounds:
         assert sb.lambdan_est == pytest.approx(2.0, rel=1e-6)
 
     def test_two_by_two(self):
+        # S = [[2, -1], [-1, 2]]: all-ones is the eigenvector of lambda_n = 1,
+        # so a start there would see only the wrong end for lambda_1 = 3
         inst = dense_instance(
             D=[[1.0, -0.5], [-0.5, 1.0]], a=[1, 1], c=[1, 1], p0=[5, 5], delta=[1, 1]
         )
         sb = spectral_bounds(inst, mode="gershgorin", want_lambda_min=True)
         assert sb.L == pytest.approx(3.003)
-        assert sb.lambdan_est == pytest.approx(1.0, rel=1e-6)
+        assert sb.lambdan_est == pytest.approx(1.0, rel=1e-12)
         sp = spectral_bounds(inst, mode="power")
-        assert sp.lambda1_est == pytest.approx(3.0, rel=1e-6)
+        assert sp.lambda1_est == pytest.approx(3.0, rel=1e-12)
 
     def test_gershgorin_dominates_power(self, rng):
         # random 6x6 dense symmetric PD matrices
@@ -254,10 +256,65 @@ class TestSpectralBounds:
 
 class TestPowerIterationFallback:
     def test_oscillating_spectrum_falls_back(self):
-        # S = diag(1, -1): power iteration cannot settle, so the step
-        # constant falls back to the guaranteed bound and says so
+        # S = diag(1, -1) stalls power iteration but not Lanczos, which
+        # finds lambda_1 = 1; the estimate is usable, so no fallback
         inst = Instance(n=2, k=1, a=[1.0, 1.0], D=[[0.5, 0.0], [0.0, -0.5]],
+                        c=[1, 1], p0=[5, 5], delta=[1, 1])
+        sb = spectral_bounds(inst, mode="power")
+        assert not sb.used_fallback
+        assert sb.lambda1_est == pytest.approx(1.0, rel=1e-12)
+        assert sb.L == pytest.approx(1.01)
+        # S = diag(-1, -1) has no positive eigenvalue, so no L = 1.01 lambda_1
+        # is a step constant: fall back to the guaranteed bound and say so
+        inst = Instance(n=2, k=1, a=[1.0, 1.0], D=[[-0.5, 0.0], [0.0, -0.5]],
                         c=[1, 1], p0=[5, 5], delta=[1, 1])
         sb = spectral_bounds(inst, mode="power")
         assert sb.used_fallback
         assert sb.L == pytest.approx(1.001)
+
+    def test_no_convergence_falls_back(self, monkeypatch):
+        import scipy.sparse.linalg as linalg
+
+        def no_convergence(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((2, 0)))
+
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        inst = dense_instance(
+            D=[[1.0, -0.5], [-0.5, 1.0]], a=[1, 1], c=[1, 1], p0=[5, 5], delta=[1, 1]
+        )
+        sb = spectral_bounds(inst, mode="power", want_lambda_min=True)
+        assert sb.used_fallback
+        assert sb.L == pytest.approx(3.003)
+        assert isinstance(sb.lambda1_est, float)
+        assert sb.lambdan_est is None
+
+
+class TestLanczosEstimates:
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_dense_eigenvalues(self, n, seed):
+        inst = generate(GenConfig(n=n, seed=seed))
+        eig = np.linalg.eigvalsh(inst.S.toarray())
+        sb = spectral_bounds(inst, mode="power", want_lambda_min=True)
+        assert not sb.used_fallback
+        assert sb.lambda1_est == pytest.approx(eig[-1], rel=1e-9)
+        assert sb.lambdan_est == pytest.approx(eig[0], rel=1e-9)
+        assert sb.L == 1.01 * sb.lambda1_est
+
+    def test_single_product(self):
+        # ARPACK refuses n = 1; S = [[4]] is its own eigenvalue
+        sb = spectral_bounds(scalar_instance(), mode="power", want_lambda_min=True)
+        assert sb.lambda1_est == 4.0
+        assert sb.lambdan_est == 4.0
+        assert not sb.used_fallback
+
+    def test_indefinite_s_reports_no_lambda_n(self):
+        inst = Instance(n=2, k=1, a=[1.0, 1.0], D=[[0.5, 0.0], [0.0, -0.5]],
+                        c=[1, 1], p0=[5, 5], delta=[1, 1])
+        assert spectral_bounds(inst, want_lambda_min=True).lambdan_est is None
+
+    def test_reruns_agree(self):
+        inst = generate(GenConfig(n=500, seed=3))
+        first = spectral_bounds(inst, mode="power", want_lambda_min=True)
+        again = spectral_bounds(inst, mode="power", want_lambda_min=True)
+        assert first == again
