@@ -151,6 +151,11 @@ class Instance:
         return S
 
     @cached_property
+    def _eigenvalues(self) -> dict:
+        """Lanczos results by ARPACK ``which``, filled by ``_extreme_eigenvalue``."""
+        return {}
+
+    @cached_property
     def DT(self) -> sparse.csr_array:
         """Transpose of D in CSR form; unused by priceopt, but the benchmark's
         tracer (``perfbench/tracing.py``) reads it to model the matvec's work."""
@@ -202,11 +207,12 @@ def with_k(instance: Instance, k: int) -> Instance:
     """Copy of the instance with a different change budget.
 
     Nothing else depends on k, so the copy shares the validated data and the
-    cached S and f of the original (built here if they were not yet), and
-    only k is checked.
+    cached S, f and eigenvalue estimates of the original (built here if they
+    were not yet), and only k is checked.
     """
     copy = object.__new__(Instance)
-    copy.__dict__.update(instance.__dict__, S=instance.S, f=instance.f, k=_check_k(instance.n, k))
+    shared = {"S": instance.S, "f": instance.f, "_eigenvalues": instance._eigenvalues}
+    copy.__dict__.update(instance.__dict__, **shared, k=_check_k(instance.n, k))
     return copy
 
 
@@ -387,18 +393,25 @@ def _extreme_eigenvalue(instance: Instance, which: str) -> Optional[float]:
     Lanczos (ARPACK), or None when it does not converge.
 
     The start vector is a fixed Gaussian draw, so reruns agree bit for bit
-    (a structured start such as all-ones can be an eigenvector of S).
+    (a structured start such as all-ones can be an eigenvector of S).  Each
+    result is computed once per S and kept with it.
     """
+    cache = instance._eigenvalues
+    if which in cache:
+        return cache[which]
     if instance.n == 1:  # ARPACK needs n > 1, and S is its own eigenvalue
-        return float(instance.S.diagonal()[0])
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        lam = float(instance.S.diagonal()[0])
+    else:
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(instance.n)
-    try:
-        lam = eigsh(instance.S, k=1, which=which, v0=v0, tol=_LANCZOS_TOL, return_eigenvectors=False)
-    except ArpackNoConvergence:
-        return None
-    return float(lam[0])
+        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(instance.n)
+        try:
+            lam = eigsh(instance.S, k=1, which=which, v0=v0, tol=_LANCZOS_TOL, return_eigenvectors=False)
+            lam = float(lam[0])
+        except ArpackNoConvergence:
+            lam = None
+    cache[which] = lam
+    return lam
 
 
 def spectral_bounds(

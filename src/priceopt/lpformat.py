@@ -44,7 +44,7 @@ from scipy import sparse
 
 from .errors import ParseError, ValidationError
 from .instance import Instance
-from .storage import _not_utf8, atomic_write_text
+from .storage import _read_text, atomic_write_text
 
 __all__ = [
     "export_mip_lp",
@@ -541,12 +541,7 @@ def _error(text: str, body: str, items: list, message: str, index, at=None) -> L
 
 
 def parse_lp(path: str) -> LpModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc) from None
-    return parse_lp_text(text)
+    return parse_lp_text(_read_text(path))
 
 
 def validate_lp_file(path: str) -> LpModel:

@@ -18,6 +18,9 @@ zero exactly when q_i lies within delta_i/2 of the baseline.
 The 1-D projection is computed once, in ``_project`` (the clamps of q into
 the raised and the lowered interval, and the half-threshold choice between
 them and p0); ``score``, ``project_1d`` and the certificates all use it.
+Membership in H(q) is decided once, too: ``_membership_residual`` is the
+closed-form distance from p to H(q), which ``certify_in_H`` and
+``solver.certify_stationary`` (at q = p - grad Q(p) / L) both use.
 """
 
 from __future__ import annotations
@@ -210,38 +213,67 @@ def _member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: floa
     return dist
 
 
+def _tie_margin(instance: Instance, q: np.ndarray, tol: float) -> float:
+    """Margin within which two gain scores at q count as tied, for tolerance tol."""
+    return 4.0 * tol * (1.0 + float(np.max(np.abs(q - instance.p0))) + float(np.max(instance.delta)))
+
+
+def _membership_residual(instance: Instance, q: np.ndarray, p: np.ndarray, tol: float) -> float:
+    """Smallest infinity-norm distance from p to a member of H(q), ties admitted.
+
+    Either value of a two-valued 1-D projection counts, and scores tied
+    within ``_tie_margin`` may swap in and out of the support.  The scores
+    split the coordinates into must-in, never-in and a pool of ties (or, when
+    the k-th largest is within the margin of zero, must-in and a free pool).
+    Each condition on the radius is monotone in it, so the residual is the
+    largest per-condition minimum, two of them order statistics.
+    """
+    n, k = instance.n, instance.k
+    delta_score = score(instance, q).delta_score
+    in_cost = _member_distance(instance, q, p, tol)
+    out_cost = np.abs(p - instance.p0)
+    tol_delta = _tie_margin(instance, q, tol)
+
+    if k >= n:
+        cost = np.minimum(in_cost, np.where(delta_score <= tol_delta, out_cost, np.inf))
+        return float(np.max(cost))
+
+    theta = float(np.partition(delta_score, n - k)[n - k])
+    fill_slots = theta > tol_delta
+    if fill_slots:
+        must_in = delta_score > theta + tol_delta
+        never_in = delta_score < theta - tol_delta
+    else:
+        must_in = delta_score > tol_delta
+        never_in = np.zeros(n, dtype=bool)
+    pool = ~must_in & ~never_in
+    slots = k - int(np.count_nonzero(must_in))
+    pool_in, pool_out = in_cost[pool], out_cost[pool]
+
+    # must-in coordinates within r of a minimizer, never-in ones within r of
+    # p0, pool ones within r of either
+    minima = [in_cost[must_in], out_cost[never_in], np.minimum(pool_in, pool_out)]
+    # at most `slots` pool coordinates move in, the rest stay within r of p0:
+    # r is at least the (slots+1)-th largest pool out_cost
+    m = pool_out.size
+    if m > slots:
+        minima.append(np.partition(pool_out, m - slots - 1)[m - slots - 1])
+    if fill_slots:
+        # exactly k changes: `slots` pool coordinates within r of a minimizer
+        minima.append(np.partition(pool_in, slots - 1)[slots - 1])
+    return max(float(np.max(r, initial=0.0)) for r in minima)
+
+
 def certify_in_H(
     instance: Instance,
     q: np.ndarray,
     p: np.ndarray,
     tol: float = DEFAULT_CERT_TOL,
 ) -> bool:
-    """Whether p is (within tol) an optimal projection of q.
-
-    Checks the exact optimality conditions on the changed set
-    sigma = {i : p_i != p0_i}: at most k changes, every changed coordinate
-    within tol of a 1-D minimizer of its coordinate problem, and either the
-    gain-dominance condition (|sigma| = k: every selected score at least
-    every unselected score, within tol) or the zero-gain condition
-    (|sigma| < k: every unselected score at most tol).
-    """
+    """Whether p is within tol, in the infinity norm, of a member of H(q),
+    ties admitted (``_membership_residual``)."""
     q = np.asarray(q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if q.shape != (instance.n,) or p.shape != (instance.n,):
         raise StructuralError("q and p must both have length n")
-
-    sigma = p != instance.p0
-    n_changed = int(np.count_nonzero(sigma))
-    if n_changed > instance.k:
-        return False
-
-    sc = score(instance, q)
-    if n_changed and np.any(_member_distance(instance, q, p, tol)[sigma] > tol):
-        return False
-
-    outside = ~sigma
-    max_out = float(sc.delta_score[outside].max()) if np.any(outside) else 0.0
-    if n_changed == instance.k:
-        min_in = float(sc.delta_score[sigma].min()) if n_changed else 0.0
-        return min_in >= max_out - tol
-    return max_out <= tol
+    return _membership_residual(instance, q, p, tol) <= tol

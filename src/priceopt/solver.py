@@ -15,14 +15,13 @@ solve (``refine_on_partition``) is projected Newton-CG on the piece's box:
 conjugate gradients on the free coordinates give the step, and a projected
 Armijo search keeps it in the box and descending.
 
-A point is first-order stationary when it is a fixed point of the map above;
-``certify_stationary`` measures the distance to the projection set while
-honoring its set-valued ties, so legitimate two-valued projections do not
-fail certification.  Every condition on that distance is monotone in the
-radius, so the residual is closed form: the largest of the per-condition
-minimal radii, two of them order statistics (the L-stationarity view of
-Beck & Eldar, SIAM J. Optim. 23(3), 2013).  Each run certifies its final
-point once.
+A point is first-order stationary when it is a fixed point of the map above
+(the L-stationarity of Beck & Eldar, SIAM J. Optim. 23(3), 2013):
+``certify_stationary`` measures the distance from p to the projection set
+of ``p - grad Q(p) / L`` with the closed-form residual that lives in
+``projection.py`` and also decides ``certify_in_H``, so legitimate
+two-valued projections and tied scores do not fail certification.  Each run
+certifies its final point once.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .instance import (
     spectral_bounds,
     value_and_gradient,
 )
-from .projection import _member_distance, is_feasible, project_feasible, score
+from .projection import _membership_residual, _tie_margin, is_feasible, project_feasible, score
 
 __all__ = [
     "SolverParams",
@@ -343,11 +342,6 @@ def refine_on_partition(
         p = p_next
 
 
-def _tie_margin(instance: Instance, q: np.ndarray, tol: float) -> float:
-    """Margin within which two gain scores at q count as tied, for tolerance tol."""
-    return 4.0 * tol * (1.0 + float(np.max(np.abs(q - instance.p0))) + float(np.max(instance.delta)))
-
-
 def certify_stationary(
     instance: Instance,
     p: np.ndarray,
@@ -357,63 +351,16 @@ def certify_stationary(
     """Fixed-point residual of p under the projected-gradient map.
 
     Computes q = p - grad Q(p) / L and the smallest infinity-norm distance
-    from p to a member of the projection set of q, minimized over admissible
-    tie-break choices: both values of a two-valued coordinate projection are
-    accepted when within tol of optimal, and coordinates whose gain scores
-    are tied within a tol-scaled margin may swap in and out of the selected
-    support.  Returns (residual <= tol, residual).
-
-    The residual is closed form.  With in_cost the distance from p_i to an
-    admissible 1-D minimizer and out_cost = |p_i - p0_i|, the gain scores
-    split the coordinates into must-in, never-in and a pool of ties (or, when
-    the k-th largest score is within the margin of zero, must-in and a free
-    pool that may leave the budget slack).  Each condition on the radius is
-    monotone in it, so the residual is the largest per-condition minimum.
+    from p to a member of the projection set H(q), honoring its set-valued
+    ties (``projection._membership_residual``, the same closed form that
+    ``certify_in_H`` decides).  Returns (residual <= tol, residual).
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (instance.n,):
         raise StructuralError(f"p must have length {instance.n}")
     if not L > 0:
         raise ContractError("L must be positive")
-
-    n, k = instance.n, instance.k
-    q = p - gradient_q(instance, p) / L
-
-    delta_score = score(instance, q).delta_score
-    in_cost = _member_distance(instance, q, p, tol)
-    out_cost = np.abs(p - instance.p0)
-
-    tol_delta = _tie_margin(instance, q, tol)
-
-    if k >= n:
-        cost = np.minimum(in_cost, np.where(delta_score <= tol_delta, out_cost, np.inf))
-        residual = float(np.max(cost)) if n else 0.0
-        return residual <= tol, residual
-
-    theta = float(np.partition(delta_score, n - k)[n - k])
-    fill_slots = theta > tol_delta
-    if fill_slots:
-        must_in = delta_score > theta + tol_delta
-        never_in = delta_score < theta - tol_delta
-    else:
-        must_in = delta_score > tol_delta
-        never_in = np.zeros(n, dtype=bool)
-    pool = ~must_in & ~never_in
-    slots = k - int(np.count_nonzero(must_in))
-    pool_in, pool_out = in_cost[pool], out_cost[pool]
-
-    # must-in coordinates within r of a minimizer, never-in ones within r of
-    # p0, pool ones within r of either
-    minima = [in_cost[must_in], out_cost[never_in], np.minimum(pool_in, pool_out)]
-    # at most `slots` pool coordinates move in, the rest stay within r of p0:
-    # r is at least the (slots+1)-th largest pool out_cost
-    m = pool_out.size
-    if m > slots:
-        minima.append(np.partition(pool_out, m - slots - 1)[m - slots - 1])
-    if fill_slots:
-        # exactly k changes: `slots` pool coordinates within r of a minimizer
-        minima.append(np.partition(pool_in, slots - 1)[slots - 1])
-    residual = max(float(np.max(r, initial=0.0)) for r in minima)
+    residual = _membership_residual(instance, p - gradient_q(instance, p) / L, p, tol)
     return residual <= tol, residual
 
 

@@ -207,18 +207,18 @@ def _check_entries(entries: np.ndarray, n: int, first_line_no: int) -> None:
     raise ParseError(f"duplicate entry at {at}", line=line_no, field="D")
 
 
-def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
-    """The ParseError for a file that does not decode as UTF-8."""
-    return ParseError(f"file is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} {exc.reason}")
+def _read_text(path: str) -> str:
+    """The whole file as text (universal newlines); ParseError unless it is UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} {exc.reason}") from None
 
 
 def read_instance(path: str) -> Instance:
     """Parse an instance file; raises ParseError with line/field context."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc) from None
+    raw = _read_text(path).splitlines()
 
     fields: dict = {}
     d_line = 0  # line number of the first D entry
@@ -285,16 +285,17 @@ def read_instance(path: str) -> Instance:
 
 
 def read_vector(path: str, n: int | None = None) -> np.ndarray:
-    """Whitespace-separated floats (comments allowed); optional length check."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parts = [
-                _parse_floats(line.split(), line_no, "vector")
-                for line_no, line in enumerate(fh, start=1)
-                if not line.lstrip().startswith("#")
-            ]
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc) from None
+    """Whitespace-separated finite floats (comments allowed); optional length check."""
+    parts = []
+    # lines end at "\n" only, as file iteration splits them (not splitlines)
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+        if line.lstrip().startswith("#"):
+            continue
+        values = _parse_floats(line.split(), line_no, "vector")
+        if not np.all(np.isfinite(values)):
+            bad = line.split()[int(np.flatnonzero(~np.isfinite(values))[0])]
+            raise ParseError(f"not a finite number: {bad!r}", line=line_no, field="vector")
+        parts.append(values)
     vec = np.concatenate(parts) if parts else np.empty(0)
     if n is not None and vec.size != n:
         raise ParseError(f"expected {n} values, got {vec.size}", field="vector")

@@ -39,3 +39,10 @@ def test_tracer_records_solver_spans(tmp_path):
     for name in ("solver.gpa_solve", "instance.Instance.s_matvec", "solver.Partition.from_status"):
         assert name in names
     assert tracer.count["matvec.flops"] > 0
+    # the certificate's residual lives in projection.py; its gain scores
+    # still show up as a child span of the certificate
+    assert "solver.certify_stationary" in names
+    assert any(
+        name == "projection.score" and parent >= 0 and tracer.spans[parent][0] == "solver.certify_stationary"
+        for name, _, _, parent, *_ in tracer.spans
+    )

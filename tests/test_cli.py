@@ -138,6 +138,16 @@ class TestProjectCmd:
         assert run(["project", "--instance", str(inst_path), "--q", str(qfile),
                     "--out", str(tmp_path / "p.txt")]) == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_query_is_data_error(self, tmp_path, capsys, token):
+        inst = gen(tmp_path, n=4, seed=1)
+        qfile = tmp_path / "q.txt"
+        qfile.write_text(f"{token} 1 2 3\n")
+        out = tmp_path / "p.txt"
+        assert run(["project", "--instance", str(inst), "--q", str(qfile), "--out", str(out)]) == 2
+        assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompareCmd:
     def test_prints_gap(self, tmp_path, capsys):
@@ -193,6 +203,24 @@ class TestSweepCmd:
         lines = out.read_text().splitlines()[1:]
         profits = [float(line.split(",")[6]) for line in lines]
         assert profits == sorted(profits)
+
+    def test_power_mode_estimates_lambda_1_once(self, tmp_path, monkeypatch):
+        # the sweep-illcond benchmark instance: six budgets and five warm
+        # starts share one S, so one Lanczos run serves all eleven solves
+        import scipy.sparse.linalg as linalg
+
+        from priceopt import generate
+
+        calls = []
+        eigsh = linalg.eigsh
+        monkeypatch.setattr(linalg, "eigsh", lambda *a, **kw: calls.append(kw["which"]) or eigsh(*a, **kw))
+        inst = tmp_path / "illcond.txt"
+        write_instance(generate(GenConfig(seed=101, n=5000, diag_range=(0.01, 10.0), offdiag_rel_mag=0.9)),
+                       str(inst))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--instance", str(inst), "--l-mode", "power", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 7
+        assert calls == ["LA"]
 
     @pytest.mark.parametrize("k_list", ["0.5,abc", "nan", "0.5,inf", "-0.5", "0", "0.5,5"])
     def test_bad_k_list_is_data_error(self, tmp_path, k_list):
@@ -359,7 +387,7 @@ _CLI_OPTIONS = {
         "--out": _OUTS,
         **_SOLVER,
     },
-    "project": {"--instance": _INSTANCES, "--q": ["{q}", "{garbage}", "{missing}"], "--out": _OUTS},
+    "project": {"--instance": _INSTANCES, "--q": ["{q}", "{q_inf}", "{garbage}", "{missing}"], "--out": _OUTS},
     "oracle": {"--instance": ["{small}", "{garbage}", "{missing}"], "--out": _OUTS},
     "compare": {"--base-profit": _NUMBERS, "--a": _NUMBERS, "--b": _NUMBERS},
     "export-mip": {
@@ -385,6 +413,7 @@ def cli_files(tmp_path_factory):
         "garbage": root / "garbage.txt",
         "missing": root / "missing.txt",
         "q": root / "q.txt",
+        "q_inf": root / "q_inf.txt",
         "out_dir": root / "out",
         "out": root / "out" / "result",
         "no_dir": root / "no_dir" / "result",
@@ -393,6 +422,7 @@ def cli_files(tmp_path_factory):
     write_instance(generate(GenConfig(n=12, bounds_mode=(1, 5, 8, 14), seed=2)), str(files["bounded"]))
     files["garbage"].write_text("n 3\nk one\n")
     write_vector(np.linspace(-2.0, 12.0, 6), str(files["q"]))
+    files["q_inf"].write_text("inf 1 2 3 4 5\n")
     files["out_dir"].mkdir()
     return {name: str(path) for name, path in files.items()}
 

@@ -314,7 +314,20 @@ class TestLanczosEstimates:
         assert spectral_bounds(inst, want_lambda_min=True).lambdan_est is None
 
     def test_reruns_agree(self):
-        inst = generate(GenConfig(n=500, seed=3))
-        first = spectral_bounds(inst, mode="power", want_lambda_min=True)
-        again = spectral_bounds(inst, mode="power", want_lambda_min=True)
+        # two separately built instances, so the second run cannot read the
+        # first one's cached estimates
+        first = spectral_bounds(generate(GenConfig(n=500, seed=3)), mode="power", want_lambda_min=True)
+        again = spectral_bounds(generate(GenConfig(n=500, seed=3)), mode="power", want_lambda_min=True)
         assert first == again
+
+    def test_estimates_shared_with_budget_copies(self, monkeypatch):
+        import scipy.sparse.linalg as linalg
+
+        calls = []
+        eigsh = linalg.eigsh
+        monkeypatch.setattr(linalg, "eigsh", lambda *a, **kw: calls.append(kw["which"]) or eigsh(*a, **kw))
+        inst = generate(GenConfig(n=300, seed=4))
+        first = spectral_bounds(inst, mode="power", want_lambda_min=True)
+        for k in (1, 30, 300):
+            assert spectral_bounds(with_k(inst, k), mode="power", want_lambda_min=True) == first
+        assert calls == ["LA", "SA"]

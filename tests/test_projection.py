@@ -14,7 +14,9 @@ from priceopt import (
     project_1d,
     project_feasible,
     score,
+    with_k,
 )
+from priceopt.solver import _random_feasible_start
 from conftest import two_product_instance, random_instance
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -277,6 +279,98 @@ class TestCertifyInH:
     def test_too_many_changes_rejected(self):
         inst = two_product_instance()  # k = 1
         assert not certify_in_H(inst, np.array([2.0, 2.0]), np.array([2.0, 2.0]))
+
+
+def _reference_certify_in_H(instance, q, p, tol=1e-8):
+    """The exact changed-set test that certify_in_H ran before it shared the
+    closed-form residual with certify_stationary, kept as the reference.
+
+    sigma = {i : p_i != p0_i}: at most k changes, every changed coordinate
+    within tol of a 1-D minimizer, and either gain dominance (|sigma| = k:
+    every selected score at least every unselected one, within tol) or zero
+    gain (|sigma| < k: every unselected score at most tol).
+    """
+    from priceopt.projection import _member_distance
+
+    sigma = p != instance.p0
+    n_changed = int(np.count_nonzero(sigma))
+    if n_changed > instance.k:
+        return False
+    sc = score(instance, q)
+    if n_changed and np.any(_member_distance(instance, q, p, tol)[sigma] > tol):
+        return False
+    outside = ~sigma
+    max_out = float(sc.delta_score[outside].max()) if np.any(outside) else 0.0
+    if n_changed == instance.k:
+        min_in = float(sc.delta_score[sigma].min()) if n_changed else 0.0
+        return min_in >= max_out - tol
+    return max_out <= tol
+
+
+def _certify_cases(rng, inst, tol):
+    """(q, p) pairs the differential test compares: projections, a changed
+    coordinate moved by 10 tol or reset to p0, a near-tied pair swapped,
+    random feasible points, and exact half-threshold queries."""
+    p0, delta = inst.p0, inst.delta
+    q = p0 + rng.normal(0.0, 2.0, inst.n) * delta
+    out = project_feasible(inst, q)
+    yield q, out
+    changed, unchanged = np.flatnonzero(out != p0), np.flatnonzero(out == p0)
+    if changed.size:
+        i = rng.choice(changed)
+        moved = out.copy()
+        moved[i] += rng.choice([-10.0, 10.0]) * tol
+        yield q, moved
+        yield q, np.where(np.arange(inst.n) == i, p0, out)
+    if changed.size and unchanged.size:
+        # j gets i's offset from p0 less a hair (thresholds are equal), so
+        # their scores tie within tol where the bounds allow; p swaps them
+        j = rng.choice(unchanged)
+        q_near = q.copy()
+        q_near[j] = p0[j] + (q[i] - p0[i]) * (1.0 - 1e-12)
+        p_near = project_feasible(inst, q_near)
+        yield q_near, p_near
+        swapped = p_near.copy()
+        swapped[[i, j]] = p0[i], score(inst, q_near).proj[j]
+        yield q_near, swapped
+    # the solver's random start, with a budget of at most k changes
+    feasible = _random_feasible_start(with_k(inst, int(rng.integers(1, inst.k + 1))), rng)
+    yield feasible, feasible
+    yield q, feasible
+    # exact half-threshold queries; p takes either tie value on any of them
+    half = rng.random(inst.n) < 0.5
+    q_tie = np.where(half, p0 + rng.choice([-0.5, 0.5], inst.n) * delta, q)
+    p_tie = project_feasible(inst, q_tie)
+    yield q_tie, p_tie
+    flip = half & (rng.random(inst.n) < 0.5)
+    other = np.where(p_tie == p0, np.where(q_tie > p0, p0 + delta, p0 - delta), p0)
+    yield q_tie, np.where(flip, other, p_tie)
+
+
+class TestCertifyMatchesReference:
+    def test_agrees_on_random_cases(self, rng):
+        tol = 1e-8
+        verdicts = set()
+        for trial in range(600):
+            inst = random_instance(rng, n_hi=30, bounded=trial % 2 == 0)
+            for q, p in _certify_cases(rng, inst, tol):
+                want = _reference_certify_in_H(inst, q, p, tol)
+                assert certify_in_H(inst, q, p, tol) == want
+                verdicts.add(want)
+        assert verdicts == {False, True}
+
+    def test_sub_tol_noise_on_unchanged_coordinate(self):
+        # the one intended difference: p is within tol of a member of H(q),
+        # but the exact changed-set test counts the noisy coordinate as a
+        # change beyond the budget
+        inst = two_product_instance()  # k = 1
+        q = np.array([2.0, 0.1])
+        p = project_feasible(inst, q)
+        assert p.tolist() == [2.0, 0.0]
+        noisy = p + np.array([0.0, 0.5e-8])
+        assert not _reference_certify_in_H(inst, q, noisy, 1e-8)
+        assert certify_in_H(inst, q, noisy, 1e-8)
+        assert not certify_in_H(inst, q, p + np.array([0.0, 2e-8]), 1e-8)
 
 
 class TestBoundedTies:

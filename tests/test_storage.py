@@ -277,6 +277,14 @@ class TestVectors:
         with pytest.raises(ParseError, match="not UTF-8"):
             read_vector(str(path))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, token):
+        path = tmp_path / "v.txt"
+        path.write_text(f"# query\n1 2\n3 {token}\n")
+        with pytest.raises(ParseError, match="not a finite number") as info:
+            read_vector(str(path), 4)
+        assert info.value.line == 3
+
 
 class TestWriteReport:
     def _reports(self, count):
