@@ -151,6 +151,17 @@ class Instance:
         return S
 
     @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Branch edges of every P_i, read-only: ``(p0 + delta, p0 - delta,
+        p0 - delta/2, p0 + delta/2)``, the raised and lowered thresholds and
+        the two ends of the half-threshold window."""
+        half = 0.5 * self.delta
+        edges = (self.p0 + self.delta, self.p0 - self.delta, self.p0 - half, self.p0 + half)
+        for edge in edges:
+            edge.setflags(write=False)
+        return edges
+
+    @cached_property
     def _eigenvalues(self) -> dict:
         """Lanczos results by ARPACK ``which``, filled by ``_extreme_eigenvalue``."""
         return {}
@@ -207,11 +218,16 @@ def with_k(instance: Instance, k: int) -> Instance:
     """Copy of the instance with a different change budget.
 
     Nothing else depends on k, so the copy shares the validated data and the
-    cached S, f and eigenvalue estimates of the original (built here if they
-    were not yet), and only k is checked.
+    cached S, f, branch edges and eigenvalue estimates of the original (built
+    here if they were not yet), and only k is checked.
     """
     copy = object.__new__(Instance)
-    shared = {"S": instance.S, "f": instance.f, "_eigenvalues": instance._eigenvalues}
+    shared = {
+        "S": instance.S,
+        "f": instance.f,
+        "_edges": instance._edges,
+        "_eigenvalues": instance._eigenvalues,
+    }
     copy.__dict__.update(instance.__dict__, **shared, k=_check_k(instance.n, k))
     return copy
 

@@ -15,12 +15,30 @@ where d is the squared 1-D distance.  Delta_i is the reduction in squared
 distance bought by spending one of the k change slots on coordinate i; it is
 zero exactly when q_i lies within delta_i/2 of the baseline.
 
+The gain scores are computed once, in ``_gains``, from the branch edges the
+instance caches (``up = p0 + delta``, ``dn = p0 - delta`` and the window ends
+``p0 -+ delta/2``).  With ``a`` the distance from q_i to the nearer moved
+branch, ``min(max(up - q, 0), max(q - dn, 0))`` (with bounds, the clamped
+distances ``|min(max(up - q, 0), u - q)|`` and ``|min(max(q - dn, 0), q - l)|``),
+and ``outside`` the indicator of |q_i - p0_i| > delta_i / 2,
+
+    Delta_i = ((p0_i - q_i) * outside)^2 - (a * outside)^2.
+
+Outside the window the nearer branch is the one on q's side of p0, so this
+is the same floating-point arithmetic as the branch-by-branch score, bit for
+bit; inside it both terms are zero.  It is written with products instead of
+``np.where`` because a select on a mask that changes every call costs
+several times an elementwise ``maximum``, and the projection runs on every
+gradient step.  ``project_feasible`` takes the top k of the gains and runs
+the 1-D projection on those k coordinates only.
+
 The 1-D projection is computed once, in ``_project`` (the clamps of q into
-the raised and the lowered interval, and the half-threshold choice between
-them and p0); ``score``, ``project_1d`` and the certificates all use it.
-Membership in H(q) is decided once, too: ``_membership_residual`` is the
-closed-form distance from p to H(q), which ``certify_in_H`` and
-``solver.certify_stationary`` (at q = p - grad Q(p) / L) both use.
+the raised and the lowered interval, ``_clamps``, and the half-threshold
+choice between them and p0); ``score``, ``project_1d`` and the certificates
+all use it.  Membership in H(q) is decided once, too:
+``_membership_residual`` is the closed-form distance from p to H(q), which
+``certify_in_H`` and ``solver.certify_stationary`` (at q = p - grad Q(p) / L)
+both use.
 """
 
 from __future__ import annotations
@@ -46,24 +64,26 @@ __all__ = [
 DEFAULT_CERT_TOL = 1e-8
 
 
+def _clamps(up, dn, bounds, q):
+    """The clamps of q into [up, u] and [l, dn] (unbounded without bounds)."""
+    if bounds is None:
+        return np.maximum(q, up), np.minimum(q, dn)
+    l, u = bounds
+    return np.clip(q, up, u), np.clip(q, l, dn)
+
+
 def _project(p0, delta, bounds, q):
     """1-D projection of q onto P_i, elementwise on scalars or arrays.
 
-    Returns ``(proj, c_up, c_dn, window)``: the clamps of q into
-    [p0 + delta, u] and [l, p0 - delta] (unbounded without bounds), the
-    closed half-threshold window |q - p0| <= delta / 2, and proj, which is
-    p0 in the window and the clamp on q's side of p0 outside it.
+    Returns ``(proj, c_up, c_dn)``: the clamps of q into [p0 + delta, u]
+    and [l, p0 - delta] (``_clamps``), and proj, which is p0 in the closed
+    half-threshold window |q - p0| <= delta / 2 and the clamp on q's side of
+    p0 outside it.
     """
-    if bounds is None:
-        c_up = np.maximum(q, p0 + delta)
-        c_dn = np.minimum(q, p0 - delta)
-    else:
-        l, u = bounds
-        c_up = np.clip(q, p0 + delta, u)
-        c_dn = np.clip(q, l, p0 - delta)
+    c_up, c_dn = _clamps(p0 + delta, p0 - delta, bounds, q)
     window = (q >= p0 - 0.5 * delta) & (q <= p0 + 0.5 * delta)
     proj = np.where(window, p0, np.where(q > p0, c_up, c_dn))
-    return proj, c_up, c_dn, window
+    return proj, c_up, c_dn
 
 
 def project_1d(
@@ -87,7 +107,7 @@ def project_1d(
         if l_i > p0_i - delta_i or u_i < p0_i + delta_i:
             raise ContractError("bounds must satisfy l <= p0 - delta and u >= p0 + delta")
 
-    proj, c_up, c_dn, _ = _project(p0_i, delta_i, bounds_i, q_i)
+    proj, c_up, c_dn = _project(p0_i, delta_i, bounds_i, q_i)
     if q_i == p0_i + 0.5 * delta_i:
         return float(proj), float(c_up)
     if q_i == p0_i - 0.5 * delta_i:
@@ -123,43 +143,83 @@ class ProjectionScores:
     tie_flags: np.ndarray
 
 
-def score(instance: Instance, q: np.ndarray) -> ProjectionScores:
-    """Vectorized per-coordinate projections, distances and gain scores.
-
-    The score is computed from the same branch that selected the projection,
-    so Delta_i is exactly zero on the closed half-threshold window
-    |q_i - p0_i| <= delta_i / 2 and nonnegative everywhere.
-    """
+def _check_query(instance: Instance, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (instance.n,):
         raise StructuralError(f"query must have length {instance.n}, got shape {q.shape}")
+    return q
 
+
+def _gains(instance: Instance, q: np.ndarray) -> np.ndarray:
+    """Gain scores Delta_i at q, with no data-dependent select.
+
+    ``a`` is the distance from q_i to the nearer of its two moved branches
+    (zero on a branch) and ``outside`` marks q_i beyond the half-threshold
+    window.  Both terms are multiplied by ``outside`` before they are
+    squared, so the window scores exactly +0.0 even where a square would
+    overflow (thresholds beyond about 1e154), and a nan query keeps its nan.
+    """
+    up, dn, half_dn, half_up = instance._edges
+    outside = (q < half_dn) | (q > half_up)
+    e_up = up - q
+    np.maximum(e_up, 0.0, out=e_up)
+    e_dn = q - dn
+    np.maximum(e_dn, 0.0, out=e_dn)
+    if instance.bounds is not None:
+        l, u = instance.bounds
+        np.minimum(e_up, u - q, out=e_up)
+        np.minimum(e_dn, q - l, out=e_dn)
+        np.abs(e_up, out=e_up)
+        np.abs(e_dn, out=e_dn)
+    a = np.minimum(e_up, e_dn, out=e_up)
+    a *= outside
+    a *= a
+    gain = instance.p0 - q
+    gain *= outside
+    gain *= gain
+    gain -= a
+    return gain
+
+
+def score(instance: Instance, q: np.ndarray) -> ProjectionScores:
+    """Vectorized per-coordinate projections, distances and gain scores.
+
+    Delta_i is exactly zero on the closed half-threshold window
+    |q_i - p0_i| <= delta_i / 2 and nonnegative everywhere (``_gains``).
+    """
+    q = _check_query(instance, q)
     p0, half = instance.p0, 0.5 * instance.delta
-    proj, _, _, window = _project(p0, instance.delta, instance.bounds, q)
+    proj = _project(p0, instance.delta, instance.bounds, q)[0]
     # exactly zero where q is already in P_i, an infinite q included
     dist_sq = np.where(proj == q, 0.0, (proj - q) ** 2)
-    delta_score = np.where(window, 0.0, (p0 - q) ** 2 - dist_sq)
+    delta_score = _gains(instance, q)
     tie_flags = (q == p0 + half) | (q == p0 - half)
 
     return ProjectionScores(q=q, proj=proj, dist_sq=dist_sq, delta_score=delta_score, tie_flags=tie_flags)
 
 
 def _select_top_k(delta_score: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest positive scores; ties resolved to lower index.
+    """Indices of the k largest positive scores, in increasing order; ties
+    resolved to lower index.
 
-    Coordinates with a zero score are never selected, so fewer than k indices
-    may be returned.  Uses partial selection to stay O(n) expected.
+    Coordinates with a zero (or nan) score are never selected, so fewer than
+    k indices may be returned.  The k-th largest score is found by partial
+    selection among the positive ones, so the work stays O(n) expected.
     """
     positive = np.flatnonzero(delta_score > 0.0)
-    if positive.size <= k:
+    m = positive.size
+    if m <= k:
         return positive
-    neg = -delta_score
-    part = np.argpartition(neg, k - 1)[:k]
-    thr = float(delta_score[part].min())
-    strictly_above = np.flatnonzero(delta_score > thr)
-    remaining = k - strictly_above.size
-    tied = np.flatnonzero(delta_score == thr)[:remaining]
-    return np.sort(np.concatenate([strictly_above, tied]))
+    values = delta_score[positive]
+    thr = np.partition(values, m - k)[m - k]
+    keep = values >= thr
+    if np.count_nonzero(keep) > k:
+        # more scores tie at the k-th largest than slots remain for them
+        keep = values > thr
+        keep[np.flatnonzero(values == thr)[: k - np.count_nonzero(keep)]] = True
+    # indexing by the indices, not by the mask: a boolean index that changes
+    # every call costs several times as much
+    return positive[np.flatnonzero(keep)]
 
 
 def project_feasible(instance: Instance, q: np.ndarray) -> np.ndarray:
@@ -168,12 +228,21 @@ def project_feasible(instance: Instance, q: np.ndarray) -> np.ndarray:
     Selects the k largest gain scores (lower index wins ties), changes those
     coordinates to their 1-D projections and keeps the baseline elsewhere.
     Coordinates whose score is zero are never selected, which biases the
-    output toward fewer changes without losing optimality.
+    output toward fewer changes without losing optimality.  The 1-D
+    projection runs on the chosen coordinates only.
     """
-    sc = score(instance, q)
-    chosen = _select_top_k(sc.delta_score, instance.k)
+    q = _check_query(instance, q)
+    chosen = _select_top_k(_gains(instance, q), instance.k)
+    up, dn, _, _ = instance._edges
+    bounds = instance.bounds
+    if bounds is not None:
+        bounds = (bounds[0][chosen], bounds[1][chosen])
+    # a chosen coordinate scores above zero, so it lies outside its window
+    # and moves to the clamp on its side of p0
+    q_c = q[chosen]
+    c_up, c_dn = _clamps(up[chosen], dn[chosen], bounds, q_c)
     p = instance.p0.copy()
-    p[chosen] = sc.proj[chosen]
+    p[chosen] = np.where(q_c > instance.p0[chosen], c_up, c_dn)
     return p
 
 
@@ -203,7 +272,7 @@ def _member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: floa
     Candidates are the two clamps of q_i and p0_i; one is admissible when its
     distance to q_i is within tol of the least, so both values of a tie count.
     """
-    _, c_up, c_dn, _ = _project(instance.p0, instance.delta, instance.bounds, q)
+    _, c_up, c_dn = _project(instance.p0, instance.delta, instance.bounds, q)
     candidates = (c_up, c_dn, instance.p0)
     d_cand = [np.abs(c - q) for c in candidates]
     d_best = np.minimum(np.minimum(d_cand[0], d_cand[1]), d_cand[2])

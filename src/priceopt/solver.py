@@ -26,6 +26,7 @@ certifies its final point once.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,8 +106,8 @@ class SolverParams:
     def __post_init__(self):
         if self.L_mode not in ("gershgorin", "power"):
             raise ContractError(f"L_mode must be 'gershgorin' or 'power', got {self.L_mode!r}")
-        if not self.eps > 0:
-            raise ContractError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ContractError(f"eps must be positive and finite, got {self.eps}")
         if not self.long_step_factor > 1:
             raise ContractError("long_step_factor must exceed 1")
         if self.max_iters < 1 or self.stab_window < 1:
@@ -217,9 +218,12 @@ class RefineResult(NamedTuple):
 
 
 def _classify(instance: Instance, p: np.ndarray) -> np.ndarray:
-    status = np.zeros(instance.n, dtype=np.int8)
-    status[p >= instance.p0 + instance.delta] = 1
-    status[p <= instance.p0 - instance.delta] = 2
+    """Status vector of p (``Partition``): 2 at or below p0 - delta, else 1 at
+    or above p0 + delta, else 0; built from int8 views, with no masked store."""
+    up, dn, _, _ = instance._edges
+    status = (p <= dn).view(np.int8)
+    status += status
+    np.maximum(status, (p >= up).view(np.int8), out=status)
     return status
 
 
@@ -264,7 +268,7 @@ def _newton_direction(
         if float(np.max(np.abs(r))) <= rtol:
             break
         sd = instance.s_matvec(d)
-        sd[~free] = 0.0
+        sd *= free
         curv = float(d @ sd)
         if not curv > 0.0:
             break
@@ -400,7 +404,9 @@ def gpa_solve(
     eps_abs = params.eps if params.absolute_eps else params.eps * max(1.0, abs(q_val))
     trace = [q_val]
 
-    delta_min_sq_half = float(np.min(instance.delta)) ** 2 / 2.0
+    # a product, not ** 2: a float power raises OverflowError past 1e154
+    delta_min = float(np.min(instance.delta))
+    delta_min_sq_half = delta_min * delta_min / 2.0
     status = _classify(instance, p)
     streak = 1
     stab_window = params.stab_window
@@ -484,9 +490,12 @@ def _random_feasible_start(instance: Instance, rng: np.random.Generator) -> np.n
     n, k = instance.n, instance.k
     support = rng.choice(n, size=k, replace=False)
     sides = rng.integers(0, 2, size=k) * 2 - 1
-    moves = instance.delta[support] * (1.0 + rng.random(k))
     start = instance.p0.copy()
-    start[support] = instance.p0[support] + sides * moves
+    # thresholds near the float maximum overflow to an infinite start, which
+    # the run on it rejects as a NumericError
+    with np.errstate(over="ignore"):
+        moves = instance.delta[support] * (1.0 + rng.random(k))
+        start[support] = instance.p0[support] + sides * moves
     if instance.bounds is not None:
         start[support] = np.clip(start[support], instance.lower[support], instance.upper[support])
     return start

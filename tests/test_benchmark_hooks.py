@@ -42,6 +42,12 @@ def test_tracer_records_solver_spans(tmp_path):
     # the certificate's residual lives in projection.py; its gain scores
     # still show up as a child span of the certificate
     assert "solver.certify_stationary" in names
+    # the GPA step projects without going through score; its span still sits
+    # under the run that called it
+    assert any(
+        name == "projection.project_feasible" and parent >= 0 and tracer.spans[parent][0] == "solver.gpa_solve"
+        for name, _, _, parent, *_ in tracer.spans
+    )
     assert any(
         name == "projection.score" and parent >= 0 and tracer.spans[parent][0] == "solver.certify_stationary"
         for name, _, _, parent, *_ in tracer.spans

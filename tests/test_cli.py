@@ -295,6 +295,28 @@ class TestNumericExit:
         assert code == 4
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("delta", ["const:1e200", "const:1e308"])
+    def test_huge_thresholds_exit_4(self, tmp_path, delta):
+        # the squared threshold overflows past 1e154, and near the float
+        # maximum the random starts do as well: either way the run ends in a
+        # NumericError, with no traceback and no warning
+        inst = gen(tmp_path, extra=("--delta", delta))
+        report = tmp_path / "r.csv"
+        assert run(["solve", "--instance", str(inst), "--report", str(report)]) == 4
+        assert not report.exists()
+
+
+class TestEpsValidation:
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_eps_is_data_error(self, tmp_path, command, eps):
+        # an infinite eps would stop every start after one iteration
+        inst = gen(tmp_path, n=10)
+        out = tmp_path / "out.csv"
+        out_flag = "--report" if command == "solve" else "--out"
+        assert run([command, "--instance", str(inst), "--eps", eps, out_flag, str(out)]) == 2
+        assert not out.exists()
+
 
 class TestByteIdenticalOutputs:
     def test_solve_reports_reproducible(self, tmp_path):
@@ -387,7 +409,7 @@ _CLI_OPTIONS = {
         "--out": _OUTS,
         **_SOLVER,
     },
-    "project": {"--instance": _INSTANCES, "--q": ["{q}", "{q_inf}", "{garbage}", "{missing}"], "--out": _OUTS},
+    "project": {"--out": _OUTS},
     "oracle": {"--instance": ["{small}", "{garbage}", "{missing}"], "--out": _OUTS},
     "compare": {"--base-profit": _NUMBERS, "--a": _NUMBERS, "--b": _NUMBERS},
     "export-mip": {
@@ -398,8 +420,21 @@ _CLI_OPTIONS = {
     "suite": {"--scale": ["desk", "full", "bogus"], "--out-dir": _OUTS, "--eps": _SOLVER["--eps"]},
 }
 # required options, and --k-list, whose default sweeps six budgets
-_MOSTLY_SET = {"--n", "--out", "--instance", "--report", "--q", "--base-profit", "--a", "--b", "--out-dir",
+_MOSTLY_SET = {"--n", "--out", "--instance", "--report", "--base-profit", "--a", "--b", "--out-dir",
                "--k-list"}
+# project's --instance and --q, drawn (or left out) together: the first
+# pairs match in n, so that most project examples run the projection
+_PROJECT_INPUTS = [
+    ("{small}", "{q}"),
+    ("{bounded}", "{q_bounded}"),
+    ("{small}", "{q_inf}"),
+    ("{bounded}", "{q_inf_bounded}"),
+    ("{bounded}", "{q}"),
+    ("{small}", "{garbage}"),
+    ("{small}", "{missing}"),
+    ("{garbage}", "{q}"),
+    ("{missing}", "{q_bounded}"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +449,8 @@ def cli_files(tmp_path_factory):
         "missing": root / "missing.txt",
         "q": root / "q.txt",
         "q_inf": root / "q_inf.txt",
+        "q_bounded": root / "q_bounded.txt",
+        "q_inf_bounded": root / "q_inf_bounded.txt",
         "out_dir": root / "out",
         "out": root / "out" / "result",
         "no_dir": root / "no_dir" / "result",
@@ -423,6 +460,8 @@ def cli_files(tmp_path_factory):
     files["garbage"].write_text("n 3\nk one\n")
     write_vector(np.linspace(-2.0, 12.0, 6), str(files["q"]))
     files["q_inf"].write_text("inf 1 2 3 4 5\n")
+    write_vector(np.linspace(0.0, 16.0, 12), str(files["q_bounded"]))
+    files["q_inf_bounded"].write_text("1 2 3 4 5 6 7 8 9 10 11 -inf\n")
     files["out_dir"].mkdir()
     return {name: str(path) for name, path in files.items()}
 
@@ -449,6 +488,10 @@ class TestCliFuzz:
                 argv.append(token.format(**cli_files))
         if command == "suite":
             argv += ["--seed", data.draw(st.sampled_from(["-1", "-3"]))]
+        if command == "project" and not data.draw(_one_in(8)):
+            pairs = _PROJECT_INPUTS if data.draw(_one_in(3)) else _PROJECT_INPUTS[:2]
+            instance, q = data.draw(st.sampled_from(pairs), label="project inputs")
+            argv += ["--instance", instance.format(**cli_files), "--q", q.format(**cli_files)]
         if data.draw(_one_in(8)):
             stray = data.draw(st.sampled_from(["--frobnicate", "extra", "--n"]))
             argv.insert(data.draw(st.integers(1, len(argv))), stray)

@@ -130,6 +130,18 @@ class TestWithK:
         assert np.array_equal(gradient_q(copy, p), gradient_q(rebuilt, p))
         assert profit_z(copy, p) == profit_z(rebuilt, p)
 
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_copy_shares_branch_edges(self, bounded):
+        bounds = (1.0, 5.0, 8.0, 14.0) if bounded else None
+        inst = generate(GenConfig(n=300, bounds_mode=bounds, seed=4))
+        copy = with_k(with_k(inst, 7), 9)
+        assert all(mine is theirs for mine, theirs in zip(copy._edges, inst._edges))
+        up, dn, half_dn, half_up = inst._edges
+        half = 0.5 * inst.delta
+        for got, want in ((up, inst.p0 + inst.delta), (dn, inst.p0 - inst.delta),
+                          (half_dn, inst.p0 - half), (half_up, inst.p0 + half)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
     @pytest.mark.parametrize("k", [0, -1, 4])
     def test_k_out_of_range_rejected(self, k):
         with pytest.raises(StructuralError, match="k must satisfy"):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from priceopt import (
     ContractError,
     GenConfig,
+    Instance,
     brute_projection,
     certify_in_H,
     distance_sq_1d,
@@ -16,7 +17,7 @@ from priceopt import (
     score,
     with_k,
 )
-from priceopt.solver import _random_feasible_start
+from priceopt.solver import _classify, _random_feasible_start
 from conftest import two_product_instance, random_instance
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -199,6 +200,23 @@ class TestScoreMatchesReference:
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+class TestHugeThresholds:
+    @pytest.mark.parametrize("delta", [1e160, 1e200, 1e308])
+    def test_window_scores_stay_zero_where_squares_overflow(self, rng, delta):
+        inst = generate(GenConfig(n=20, k_fraction=0.3, delta_mode=("const", delta), seed=3))
+        with np.errstate(over="ignore"):
+            queries = [inst.p0, *_query_mix(rng, inst)]
+        for q in queries:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sc = score(inst, q)
+                ref = _score_reference(inst, q)
+                got, want = project_feasible(inst, q), _reference_project_feasible(inst, q)
+            for g, w in zip((sc.proj, sc.dist_sq, sc.delta_score, sc.tie_flags), ref):
+                assert g.tobytes() == w.tobytes()
+            assert got.tobytes() == want.tobytes()
+        assert not np.any(score(inst, inst.p0).delta_score)
+
+
 class TestProjectFeasible:
     def test_worked_example(self):
         inst = two_product_instance()
@@ -249,6 +267,119 @@ class TestProjectFeasible:
         # symmetric query: both coordinates have the same score
         out = project_feasible(inst, np.array([1.0, 1.0]))
         assert np.array_equal(out, [1.0, 0.0])
+
+
+def _reference_select_top_k(delta_score, k):
+    """The argpartition top-k that project_feasible ran before it took the
+    k-th largest score by np.partition, kept as the reference."""
+    positive = np.flatnonzero(delta_score > 0.0)
+    if positive.size <= k:
+        return positive
+    part = np.argpartition(-delta_score, k - 1)[:k]
+    thr = float(delta_score[part].min())
+    strictly_above = np.flatnonzero(delta_score > thr)
+    tied = np.flatnonzero(delta_score == thr)[: k - strictly_above.size]
+    return np.sort(np.concatenate([strictly_above, tied]))
+
+
+def _reference_project_feasible(instance, q):
+    """project_feasible as it was before the branch-free gains: every
+    coordinate's 1-D projection from ``score`` (held to its reference bytes by
+    TestScoreMatchesReference) and the argpartition top-k."""
+    sc = score(instance, q)
+    chosen = _reference_select_top_k(sc.delta_score, instance.k)
+    p = instance.p0.copy()
+    p[chosen] = sc.proj[chosen]
+    return p
+
+
+def _reference_classify(instance, p):
+    """The masked-store status vector that ``solver._classify`` built before it
+    used the cached edges and int8 views, kept as the reference."""
+    status = np.zeros(instance.n, dtype=np.int8)
+    status[p >= instance.p0 + instance.delta] = 1
+    status[p <= instance.p0 - instance.delta] = 2
+    return status
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _flat_instance(rng, n, bounded):
+    """An instance whose p0 and delta are the same in every coordinate, so
+    that queries at the same offset score exactly the same."""
+    inst = generate(GenConfig(n=n, seed=int(rng.integers(0, 2**31))))
+    p0, delta = np.full(n, 10.0), np.full(n, 0.5)
+    bounds = (np.full(n, 8.25), np.full(n, 11.5)) if bounded else None
+    return Instance(n=n, k=int(rng.integers(1, n + 1)), a=inst.a, D=inst.D, c=inst.c, p0=p0,
+                    delta=delta, bounds=bounds)
+
+
+_OFFSETS = np.array([0.0, 0.3, -0.3, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0, 2.5, -2.5, 6.0, -6.0])
+
+
+class TestProjectFeasibleMatchesReference:
+    def test_query_mix(self, rng):
+        for trial in range(200):
+            n = int(rng.integers(2, 40))
+            bounded = trial % 2 == 0
+            mode = ("const", float(rng.uniform(0.2, 1.2))) if trial % 4 < 2 else ("fraction", 0.1)
+            cfg = GenConfig(
+                n=n, delta_mode=mode, seed=trial,
+                bounds_mode=(1.0, 5.0, 8.0, 14.0) if bounded else None,
+            )
+            inst = with_k(generate(cfg), int(rng.integers(1, n + 1)))
+            for q in _query_mix(rng, inst):
+                with np.errstate(invalid="ignore"):
+                    want = _reference_project_feasible(inst, q)
+                    got = project_feasible(inst, q)
+                assert _same_bytes(got, want)
+
+    def test_ties_at_the_kth_score(self, rng):
+        # many coordinates share each offset, so several scores tie exactly at
+        # the k-th largest and the lower indices must win the remaining slots
+        straddled = 0
+        for trial in range(300):
+            inst = _flat_instance(rng, int(rng.integers(4, 60)), bounded=trial % 2 == 0)
+            levels = rng.choice(_OFFSETS, size=int(rng.integers(2, 5)), replace=False)
+            q = inst.p0 + rng.choice(levels, size=inst.n) * inst.delta
+            want = _reference_project_feasible(inst, q)
+            assert _same_bytes(project_feasible(inst, q), want)
+            gains = score(inst, q).delta_score
+            positive = np.sort(gains[gains > 0.0])[::-1]
+            if positive.size > inst.k:
+                thr = positive[inst.k - 1]
+                straddled += np.count_nonzero(positive == thr) > np.count_nonzero(positive[: inst.k] == thr)
+        assert straddled >= 50
+
+
+class TestClassifyMatchesReference:
+    def _points(self, rng, inst):
+        for q in _query_mix(rng, inst):
+            yield q
+            with np.errstate(invalid="ignore"):
+                yield project_feasible(inst, q)
+        yield _random_feasible_start(inst, rng)
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_bit_identical(self, rng, bounded):
+        for trial in range(150):
+            inst = random_instance(rng, n_hi=30, bounded=bounded)
+            for p in self._points(rng, inst):
+                assert _same_bytes(_classify(inst, p), _reference_classify(inst, p))
+            flat = _flat_instance(rng, 20, bounded)
+            p = flat.p0 + rng.choice(_OFFSETS, size=flat.n) * flat.delta
+            assert _same_bytes(_classify(flat, p), _reference_classify(flat, p))
+
+    def test_thresholds_below_the_baseline_spacing(self):
+        # p0 + delta and p0 - delta both round to p0: both masks hold, and the
+        # lowered status wins, as in the masked-store order
+        inst = Instance(n=3, k=1, a=np.ones(3), D=np.eye(3), c=np.ones(3), p0=np.full(3, 1e17),
+                        delta=np.ones(3))
+        p = np.array([1e17, 2e17, 0.0])
+        assert _same_bytes(_classify(inst, p), _reference_classify(inst, p))
+        assert _classify(inst, p).tolist() == [2, 1, 2]
 
 
 class TestCertifyInH:

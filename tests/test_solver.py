@@ -39,6 +39,8 @@ class TestSolverParams:
             {"max_iters": 0},
             {"stab_window": 0},
             {"seed": -1},
+            {"eps": float("inf")},
+            {"eps": float("nan")},
         ],
     )
     def test_invalid(self, kwargs):
