@@ -74,14 +74,14 @@ def _parse_bounds_mode(text: str) -> Optional[tuple[float, float, float, float]]
     return tuple(_parse_number(p, "--bounds") for p in parts)  # type: ignore[return-value]
 
 
-def _solver_params(args, seed: Optional[int] = None) -> SolverParams:
+def _solver_params(args) -> SolverParams:
     return SolverParams(
         L_mode=args.l_mode,
         eps=args.eps,
         absolute_eps=args.absolute_eps,
         max_iters=args.max_iters,
         refine=args.refine,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
     )
 
 
@@ -185,7 +185,7 @@ def _cmd_solve(args) -> int:
         else:
             lam_n = spectral_bounds(instance, want_lambda_min=True).lambdan_est
             if best.stationary and lam_n is not None:
-                best.bound_i, best.bound_ii = performance_bound(instance, best, lam_n)
+                _, best.bound_ii = performance_bound(instance, best, lam_n)
                 print(f"suboptimality bounds attached (lambda_n estimated: {lam_n:.6g})")
             else:
                 print("suboptimality bounds unavailable (needs a converged lambda_n and a stationary point)")

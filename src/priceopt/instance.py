@@ -10,9 +10,13 @@ is equivalent to minimizing the convex quadratic
 
 with ``Z(p) = -Q(p) - c^T a``.  ``S`` is built once per instance as a cached
 sparse CSR matrix (``Instance.S``) and every product with it goes through
-that one matrix; the dense ``S`` is never formed.  ``spectral_bounds`` gives
-the step constant ``L > lambda_1(S)`` from Gershgorin's bound or a Lanczos
-estimate of ``lambda_1``, and Lanczos also estimates ``lambda_n(S)``.
+that one matrix; the dense ``S`` is never formed.  Systems in ``S`` are
+solved by one Jacobi-preconditioned conjugate gradient loop (``_pcg``),
+which serves both ``unconstrained_minimizer`` and the solver's refinement.
+``spectral_bounds`` gives the step constant ``L > lambda_1(S)`` from
+Gershgorin's bound or a Lanczos estimate of ``lambda_1``, and Lanczos also
+estimates ``lambda_n(S)``; Lanczos is the only user of
+``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
 # positive definiteness is inferred from SPD-solver convergence ("probable").
 _DENSE_PD_LIMIT = 2000
 
+# unconstrained_minimizer: CG residual target relative to |f|_inf
 _CG_RTOL = 1e-10
 
 # Lanczos estimates of the extreme eigenvalues of S: ARPACK's relative
@@ -380,24 +385,69 @@ def profit_z(instance: Instance, p: np.ndarray) -> float:
     return val
 
 
+def _pcg(
+    instance: Instance,
+    rhs: np.ndarray,
+    free: np.ndarray,
+    d_inv: np.ndarray,
+    forcing: float,
+    atol: float,
+    max_steps: int,
+) -> tuple[np.ndarray, bool]:
+    """Jacobi-preconditioned CG on S_FF x_F = rhs_F; x is zero outside the free set F.
+
+    The one solver for systems in S.  S_FF is applied as a masked product
+    with the instance's S, and ``d_inv`` is ``1 / diag(S)``, which callers
+    compute once rather than on every call.  Returns ``(x, converged)``:
+    converged once the infinity norm of the residual is at most
+    ``max(forcing * |rhs_F|_inf, atol)``, not converged after ``max_steps``
+    steps or on a breakdown (non-positive ``r^T z`` or curvature ``d^T S d``,
+    so S is not positive definite on F).  Both breakdown tests follow the
+    residual test, so they change no step of a positive definite solve.
+    """
+    r = np.where(free, rhs, 0.0)
+    rtol = max(forcing * float(np.max(np.abs(r))), atol)
+    z = d_inv * r
+    d = z.copy()
+    x = np.zeros_like(r)
+    rz = float(r @ z)
+    for _ in range(max_steps):
+        if float(np.max(np.abs(r))) <= rtol:
+            return x, True
+        if not rz > 0.0:
+            break
+        sd = instance.s_matvec(d)
+        sd *= free
+        curv = float(d @ sd)
+        if not curv > 0.0:
+            break
+        a = rz / curv
+        x += a * d
+        r -= a * sd
+        z = d_inv * r
+        rz_next = float(r @ z)
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+    return x, False
+
+
 def unconstrained_minimizer(instance: Instance) -> tuple[np.ndarray, float]:
     """Unconstrained minimizer p_hat solving S p = f, and its objective value.
 
-    Uses Jacobi-preconditioned conjugate gradients to relative residual
-    <= 1e-10.  Raises NumericError when the solve does not converge, which
-    signals that S is likely not positive definite.
+    Uses the Jacobi-preconditioned CG of ``_pcg`` on all coordinates, to an
+    infinity-norm residual <= 1e-10 |f|_inf.  Raises NumericError when the
+    solve does not converge, which signals that S is likely not positive
+    definite.
     """
-    # imported on first use: no command on the solve path needs
-    # scipy.sparse.linalg, and loading it costs every start-up ~80 ms
-    from scipy.sparse.linalg import cg
-
     n = instance.n
-    precond = sparse.diags_array(1.0 / instance.S.diagonal())
-    maxiter = max(200, min(4 * n, 20_000))
-    # breakdown on non-SPD systems surfaces as our NumericError, not a warning
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_hat, info = cg(instance.S, instance.f, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
-    if info != 0 or not np.all(np.isfinite(p_hat)):
+    max_steps = max(200, min(4 * n, 20_000))
+    free = np.ones(n, dtype=bool)
+    # a diverging solve on a non-SPD S ends in our NumericError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_hat, converged = _pcg(
+            instance, instance.f, free, 1.0 / instance.S.diagonal(), _CG_RTOL, 0.0, max_steps
+        )
+    if not (converged and np.all(np.isfinite(p_hat))):
         raise NumericError(
             "SPD solve did not converge within the iteration cap; S is likely not positive definite"
         )

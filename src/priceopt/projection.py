@@ -161,23 +161,27 @@ def _gains(instance: Instance, q: np.ndarray) -> np.ndarray:
     """
     up, dn, half_dn, half_up = instance._edges
     outside = (q < half_dn) | (q > half_up)
-    e_up = up - q
-    np.maximum(e_up, 0.0, out=e_up)
-    e_dn = q - dn
-    np.maximum(e_dn, 0.0, out=e_dn)
-    if instance.bounds is not None:
-        l, u = instance.bounds
-        np.minimum(e_up, u - q, out=e_up)
-        np.minimum(e_dn, q - l, out=e_dn)
-        np.abs(e_up, out=e_up)
-        np.abs(e_dn, out=e_dn)
-    a = np.minimum(e_up, e_dn, out=e_up)
-    a *= outside
-    a *= a
-    gain = instance.p0 - q
-    gain *= outside
-    gain *= gain
-    gain -= a
+    # a diverging iterate, or a start past the float range, overflows the
+    # distances or their squares to +inf: its gain is +inf and still chosen,
+    # and the run then fails as a NumericError, not with a warning
+    with np.errstate(over="ignore"):
+        e_up = up - q
+        np.maximum(e_up, 0.0, out=e_up)
+        e_dn = q - dn
+        np.maximum(e_dn, 0.0, out=e_dn)
+        if instance.bounds is not None:
+            l, u = instance.bounds
+            np.minimum(e_up, u - q, out=e_up)
+            np.minimum(e_dn, q - l, out=e_dn)
+            np.abs(e_up, out=e_up)
+            np.abs(e_dn, out=e_dn)
+        a = np.minimum(e_up, e_dn, out=e_up)
+        a *= outside
+        a *= a
+        gain = instance.p0 - q
+        gain *= outside
+        gain *= gain
+        gain -= a
     return gain
 
 
@@ -246,22 +250,22 @@ def project_feasible(instance: Instance, q: np.ndarray) -> np.ndarray:
     return p
 
 
-def is_feasible(instance: Instance, p: np.ndarray, tol: float = 0.0) -> bool:
-    """Whether p changes at most k coordinates and each lies in its P_i."""
+def is_feasible(instance: Instance, p: np.ndarray) -> bool:
+    """Whether p is finite, changes at most k coordinates and each lies in its P_i."""
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != (instance.n,):
+    if p.shape != (instance.n,) or not np.all(np.isfinite(p)):
         return False
     p0, delta = instance.p0, instance.delta
     moved = p != p0
     if np.count_nonzero(moved) > instance.k:
         return False
-    up = p >= p0 + delta - tol
-    down = p <= p0 - delta + tol
+    up = p >= p0 + delta
+    down = p <= p0 - delta
     if not np.all(~moved | up | down):
         return False
     if instance.bounds is not None:
         l, u = instance.bounds
-        if np.any(moved & ((p < l - tol) | (p > u + tol))):
+        if np.any(moved & ((p < l) | (p > u))):
             return False
     return True
 

@@ -13,7 +13,9 @@ of coordinates into unchanged / raised / lowered is frozen, and the run can
 finish by solving the restricted convex QP on that piece exactly.  That
 solve (``refine_on_partition``) is projected Newton-CG on the piece's box:
 conjugate gradients on the free coordinates give the step, and a projected
-Armijo search keeps it in the box and descending.
+Armijo search keeps it in the box and descending.  The CG loop is
+``instance._pcg``, shared with ``unconstrained_minimizer``, so this module
+keeps no linear algebra of its own.
 
 A point is first-order stationary when it is a fixed point of the map above
 (the L-stationarity of Beck & Eldar, SIAM J. Optim. 23(3), 2013):
@@ -37,6 +39,7 @@ import numpy as np
 from .errors import ContractError, NumericError, StructuralError
 from .instance import (
     Instance,
+    _pcg,
     gradient_q,
     objective_q,
     profit_z,
@@ -66,6 +69,13 @@ _REFINE_MAX_ITERS = 100_000
 # residual target relative to the largest free gradient entry.
 _CG_MAX_STEPS = 500
 _CG_FORCING = 1e-3
+
+# Iterations the partition must stay unchanged (with short steps) before the
+# run refines on it; doubled after each premature stabilization.
+_STAB_WINDOW = 5
+# The fifth canonical start is one projected step of this many times 1/L
+# from the baseline.
+_LONG_STEP_FACTOR = 10.0
 
 # Projected Armijo search: sufficient-decrease factor and halvings tried.
 _ARMIJO_C = 1e-4
@@ -99,8 +109,6 @@ class SolverParams:
     absolute_eps: bool = False
     max_iters: int = 50_000
     refine: bool = True
-    stab_window: int = 5
-    long_step_factor: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
@@ -108,10 +116,8 @@ class SolverParams:
             raise ContractError(f"L_mode must be 'gershgorin' or 'power', got {self.L_mode!r}")
         if not 0 < self.eps < math.inf:
             raise ContractError(f"eps must be positive and finite, got {self.eps}")
-        if not self.long_step_factor > 1:
-            raise ContractError("long_step_factor must exceed 1")
-        if self.max_iters < 1 or self.stab_window < 1:
-            raise ContractError("max_iters and stab_window must be positive")
+        if self.max_iters < 1:
+            raise ContractError(f"max_iters must be positive, got {self.max_iters}")
         if self.seed < 0:
             raise ContractError(f"seed must be non-negative, got {self.seed}")
 
@@ -199,7 +205,6 @@ class SolveReport:
     base_profit: float
     delta_mode: str
     bounds_mode: str
-    bound_i: Optional[float] = None
     bound_ii: Optional[float] = None
     instance_id: str = ""
     start_id: Optional[int] = None
@@ -246,40 +251,6 @@ def _partition_box(instance: Instance, partition: Partition) -> tuple[np.ndarray
     lo = np.where(raised, p0 + delta, np.where(lowered, l, p0))
     hi = np.where(raised, u, np.where(lowered, p0 - delta, p0))
     return lo, hi
-
-
-def _newton_direction(
-    instance: Instance, g: np.ndarray, free: np.ndarray, d_inv: np.ndarray, atol: float
-) -> np.ndarray:
-    """Jacobi-preconditioned CG on S_FF d_F = -g_F; zero outside the free set F.
-
-    S_FF is applied as a masked product with the instance's S.  Stops once the
-    infinity norm of the residual is at most max(_CG_FORCING * |g_F|_inf,
-    atol), after _CG_MAX_STEPS steps, or on a direction of non-positive
-    curvature (S not positive definite).
-    """
-    r = np.where(free, -g, 0.0)
-    rtol = max(_CG_FORCING * float(np.max(np.abs(r))), atol)
-    z = d_inv * r
-    d = z.copy()
-    x = np.zeros_like(g)
-    rz = float(r @ z)
-    for _ in range(_CG_MAX_STEPS):
-        if float(np.max(np.abs(r))) <= rtol:
-            break
-        sd = instance.s_matvec(d)
-        sd *= free
-        curv = float(d @ sd)
-        if not curv > 0.0:
-            break
-        a = rz / curv
-        x += a * d
-        r -= a * sd
-        z = d_inv * r
-        rz_next = float(r @ z)
-        d = z + (rz_next / rz) * d
-        rz = rz_next
-    return x
 
 
 def refine_on_partition(
@@ -331,7 +302,7 @@ def refine_on_partition(
         iterations += 1
 
         free = movable & ~((p <= lo) & (g > 0.0)) & ~((p >= hi) & (g < 0.0))
-        d = _newton_direction(instance, g, free, d_inv, 0.1 * tol)
+        d, _ = _pcg(instance, -g, free, d_inv, _CG_FORCING, 0.1 * tol, _CG_MAX_STEPS)
 
         t = 1.0
         for _ in range(_ARMIJO_TRIALS):
@@ -380,7 +351,7 @@ def gpa_solve(
     Infeasible starts are first projected onto the feasible set.  Iterates
     until the per-iteration decrease falls below the stopping threshold or
     the iteration budget runs out; when refinement is enabled and the
-    partition has been stable for ``stab_window`` iterations while steps are
+    partition has been stable for ``_STAB_WINDOW`` iterations while steps are
     below ``delta_min^2 / 2``, the run finishes by solving the restricted
     convex QP on the frozen piece.  ``on_iterate`` (if given) is called as
     ``(t, p_t, p_{t+1}, Q_t, Q_{t+1}, step_sq)`` for every projection step.
@@ -409,7 +380,7 @@ def gpa_solve(
     delta_min_sq_half = delta_min * delta_min / 2.0
     status = _classify(instance, p)
     streak = 1
-    stab_window = params.stab_window
+    stab_window = _STAB_WINDOW
     refine_attempts = 0
     refined = False
     converged = False
@@ -505,7 +476,7 @@ def build_starts(instance: Instance, params: SolverParams, L: float) -> list[np.
     """The five canonical starting points.
 
     (1) the baseline, (2)-(4) seeded random feasible vectors, (5) one
-    long-step projection of the baseline (step long_step_factor / L), which
+    long-step projection of the baseline (step _LONG_STEP_FACTOR / L), which
     often escapes the baseline's own basin.
     """
     rng = np.random.default_rng(params.seed)
@@ -513,7 +484,7 @@ def build_starts(instance: Instance, params: SolverParams, L: float) -> list[np.
     for _ in range(3):
         starts.append(_random_feasible_start(instance, rng))
     g0 = gradient_q(instance, instance.p0)
-    starts.append(project_feasible(instance, instance.p0 - params.long_step_factor * g0 / L))
+    starts.append(project_feasible(instance, instance.p0 - _LONG_STEP_FACTOR * g0 / L))
     return starts
 
 

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,23 @@ class TestNumericExit:
         report = tmp_path / "r.csv"
         assert run(["solve", "--instance", str(inst), "--report", str(report)]) == 4
         assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_indefinite_s_exits_4_without_warning(self, tmp_path, command):
+        # D diagonal (1, -0.5): the iterates diverge until a gain score
+        # squares past the float range, which must not surface as a warning
+        from priceopt import Instance
+
+        inst = Instance(n=2, k=1, a=[5.0, 5.0], D=[[1.0, 0.0], [0.0, -0.5]],
+                        c=[1.0, 1.0], p0=[5.0, 5.0], delta=[0.5, 0.5])
+        path = tmp_path / "bad.txt"
+        write_instance(inst, str(path))
+        out = tmp_path / "out.csv"
+        out_flag = "--report" if command == "solve" else "--out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--instance", str(path), out_flag, str(out)]) == 4
+        assert not out.exists()
 
 
 class TestEpsValidation:

@@ -1,9 +1,10 @@
 """Start-up cost: importing priceopt loads only what its commands run.
 
 ``scipy.optimize`` (about 0.25 s) is never needed, and ``scipy.sparse.linalg``
-(about 0.08 s) only by the CG solve behind ``unconstrained_minimizer`` and the
-large-n ``validate``, and by the Lanczos estimates of ``spectral_bounds``
-(``mode="power"`` or ``want_lambda_min=True``).  Each check runs in a fresh
+(about 0.08 s) only by the Lanczos estimates of ``spectral_bounds``
+(``mode="power"`` or ``want_lambda_min=True``).  Systems in S are solved by
+priceopt's own CG, so ``unconstrained_minimizer`` and the large-n
+``validate`` that runs it load neither.  Each check runs in a fresh
 interpreter, since this process may have loaded either.
 """
 
@@ -36,10 +37,21 @@ def test_import_leaves_optimize_and_linalg_unloaded(tmp_path):
     assert _loaded_after("import priceopt, priceopt.cli", tmp_path) == []
 
 
-def test_cg_solver_loads_on_first_use(tmp_path):
+def test_cg_solver_loads_no_linalg(tmp_path):
+    # n = 2500 is above the dense Cholesky limit, so validate runs the CG solve
     code = (
-        "from priceopt import GenConfig, generate, unconstrained_minimizer\n"
-        "unconstrained_minimizer(generate(GenConfig(n=20, seed=0)))"
+        "from priceopt import GenConfig, generate, unconstrained_minimizer, validate\n"
+        "inst = generate(GenConfig(n=2500, seed=0))\n"
+        "unconstrained_minimizer(inst)\n"
+        "assert validate(inst).a1_positive_definite"
+    )
+    assert _loaded_after(code, tmp_path) == []
+
+
+def test_lanczos_loads_linalg_on_first_use(tmp_path):
+    code = (
+        "from priceopt import GenConfig, generate, spectral_bounds\n"
+        "spectral_bounds(generate(GenConfig(n=20, seed=0)), mode='power')"
     )
     assert _loaded_after(code, tmp_path) == ["scipy.sparse.linalg"]
 

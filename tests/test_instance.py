@@ -82,6 +82,14 @@ class TestValidate:
         assert not report.a1_positive_definite
         assert report.a1_sign_pattern
 
+    def test_indefinite_s_detected_above_dense_limit(self):
+        # n > 2000 skips the dense factorization: the CG solve must fail
+        inst = generate(GenConfig(n=3000, dominance_fix=False, offdiag_rel_mag=3.0,
+                                  allow_mixed_signs=True, seed=0))
+        report = validate(inst)
+        assert not report.a1_positive_definite
+        assert "SPD solver did not converge" in " ".join(report.messages)
+
     def test_positive_off_diagonals_fail_sign_pattern(self):
         inst = dense_instance(
             D=[[2.0, 0.1], [0.1, 2.0]], a=[10, 10], c=[1, 1], p0=[5, 5], delta=[1, 1]
@@ -226,6 +234,16 @@ class TestUnconstrainedMinimizer:
         inst = dense_instance(
             D=[[1.0, -1.0], [-1.0, 1.0]], a=[1, 1], c=[1, 1], p0=[5, 5], delta=[1, 1]
         )
+        with pytest.raises(NumericError):
+            unconstrained_minimizer(inst)
+
+    def test_preconditioner_breakdown_raises(self):
+        # S = [[2, -1.5], [-1.5, -2]], f = [1, 1]: with a negative diagonal
+        # entry the preconditioned r^T z reaches zero, which must end the
+        # solve as a NumericError rather than a division by zero
+        D = np.array([[1.0, -0.75], [-0.75, -1.0]])
+        c = np.array([1.0, 1.0])
+        inst = dense_instance(D=D, a=np.array([1.0, 1.0]) - D.T @ c, c=c, p0=[5, 5], delta=[1, 1])
         with pytest.raises(NumericError):
             unconstrained_minimizer(inst)
 

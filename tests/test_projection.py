@@ -244,6 +244,14 @@ class TestProjectFeasible:
             out = project_feasible(inst, q)
             assert is_feasible(inst, out)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_price_is_infeasible(self, value):
+        inst = generate(GenConfig(n=10, seed=1))
+        assert is_feasible(inst, inst.p0)
+        p = inst.p0.copy()
+        p[0] = value
+        assert not is_feasible(inst, p)
+
     def test_selected_scores_dominate(self, rng):
         for _ in range(30):
             inst = random_instance(rng)

@@ -22,7 +22,8 @@ from priceopt import (
     unconstrained_minimizer,
     with_k,
 )
-from priceopt.solver import STATIONARITY_TOL
+from priceopt.instance import _pcg
+from priceopt.solver import _CG_FORCING, _CG_MAX_STEPS, STATIONARITY_TOL
 from conftest import two_product_instance, random_instance
 
 
@@ -34,10 +35,8 @@ class TestSolverParams:
         "kwargs",
         [
             {"eps": 0.0},
-            {"long_step_factor": 1.0},
             {"L_mode": "exact"},
             {"max_iters": 0},
-            {"stab_window": 0},
             {"seed": -1},
             {"eps": float("inf")},
             {"eps": float("nan")},
@@ -177,10 +176,11 @@ class TestGpaSolve:
         calls = []
         certify = solver.certify_stationary
         monkeypatch.setattr(solver, "certify_stationary", lambda *a: calls.append(a) or certify(*a))
+        monkeypatch.setattr(solver, "_STAB_WINDOW", 1)
         inst = random_instance(rng, 12, 12, k=3)
-        # stab_window=1 and a decrease threshold no step meets: the run can
-        # only end in the stabilization branch (or at max_iters)
-        params = SolverParams(eps=1e-300, absolute_eps=True, stab_window=1)
+        # a stabilization window of 1 and a decrease threshold no step meets:
+        # the run can only end in the stabilization branch (or at max_iters)
+        params = SolverParams(eps=1e-300, absolute_eps=True)
         report = gpa_solve(inst, inst.p0, params)
         assert report.refined and report.converged and report.iterations < params.max_iters
         assert len(calls) == 1
@@ -386,6 +386,62 @@ class TestMultiStart:
         L = spectral_bounds(inst).L
         for start in build_starts(inst, SolverParams(seed=4), L):
             assert is_feasible(inst, start)
+
+
+def _reference_newton_direction(instance, g, free, d_inv, atol, max_steps=_CG_MAX_STEPS):
+    """Jacobi-preconditioned CG on S_FF d_F = -g_F, zero outside F: the
+    refinement's Newton direction written out on its own, as the reference
+    that ``_pcg`` must match bit for bit when the refinement calls it."""
+    r = np.where(free, -g, 0.0)
+    rtol = max(_CG_FORCING * float(np.max(np.abs(r))), atol)
+    z = d_inv * r
+    d = z.copy()
+    x = np.zeros_like(g)
+    rz = float(r @ z)
+    for _ in range(max_steps):
+        if float(np.max(np.abs(r))) <= rtol:
+            break
+        sd = instance.s_matvec(d)
+        sd *= free
+        curv = float(d @ sd)
+        if not curv > 0.0:
+            break
+        a = rz / curv
+        x += a * d
+        r -= a * sd
+        z = d_inv * r
+        rz_next = float(r @ z)
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+    return x
+
+
+class TestPcgMatchesReference:
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("illcond", [False, True])
+    def test_refinement_direction_bytes(self, illcond, bounded):
+        rng = np.random.default_rng(7 + 2 * illcond + bounded)
+        for _ in range(25):
+            n = int(rng.integers(1, 400))
+            cfg = GenConfig(
+                n=n,
+                bounds_mode=(1.0, 5.0, 8.0, 14.0) if bounded else None,
+                diag_range=(0.01, 10.0) if illcond else (1.0, 10.0),
+                offdiag_rel_mag=0.9 if illcond else 0.2,
+                seed=int(rng.integers(0, 2**31)),
+            )
+            inst = generate(cfg)
+            d_inv = 1.0 / inst.S.diagonal()
+            free = rng.random(n) < rng.uniform(0.0, 1.0)
+            g = gradient_q(inst, inst.p0 + rng.normal(0.0, 3.0, n))
+            tol = 1e-9 * spectral_bounds(inst).L * max(1.0, float(np.max(np.abs(inst.p0))))
+            # the refinement's 0.1 * tol, no floor, a floor that ends the solve
+            # at once, and a step cap that cuts the solve short
+            for atol, steps in ((0.1 * tol, _CG_MAX_STEPS), (0.0, _CG_MAX_STEPS), (1e3, _CG_MAX_STEPS),
+                                (0.1 * tol, 3)):
+                want = _reference_newton_direction(inst, g, free, d_inv, atol, steps)
+                got, _ = _pcg(inst, -g, free, d_inv, _CG_FORCING, atol, steps)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestRefineOnPartition:
