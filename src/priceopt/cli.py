@@ -217,8 +217,11 @@ def _cmd_project(args) -> int:
     instance = _load_instance(args.instance)
     q = storage.read_vector(args.q, instance.n)
     p = project_feasible(instance, q)
+    with np.errstate(over="ignore"):
+        dist_sq = float(np.sum((p - q) ** 2))
+    if not math.isfinite(dist_sq):
+        raise NumericError("squared distance from the query to the feasible set overflows")
     ok = certify_in_H(instance, q, p)
-    dist_sq = float(np.sum((p - q) ** 2))
     text = (
         f"in_H {int(ok)}\n"
         f"dist_sq {storage.format_float(dist_sq)}\n"

@@ -10,7 +10,10 @@ is equivalent to minimizing the convex quadratic
 
 with ``Z(p) = -Q(p) - c^T a``.  ``S`` is built once per instance as a cached
 sparse CSR matrix (``Instance.S``) and every product with it goes through
-that one matrix; the dense ``S`` is never formed.  Systems in ``S`` are
+that one matrix; the dense ``S`` is never formed.  Q and its gradient are
+evaluated in one place, ``value_and_gradient``, under one overflow policy
+(a non-finite value or gradient is a ``NumericError``); ``objective_q`` and
+``gradient_q`` return its two parts.  Systems in ``S`` are
 solved by one Jacobi-preconditioned conjugate gradient loop (``_pcg``),
 which serves both ``unconstrained_minimizer`` and the solver's refinement.
 ``spectral_bounds`` gives the step constant ``L > lambda_1(S)`` from
@@ -89,7 +92,9 @@ class Instance:
              and nonzero in every row, and no explicit zeros are kept
     c        unit costs, length n
     p0       baseline prices, length n
-    delta    minimum change thresholds, length n, all > 0
+    delta    minimum change thresholds, length n, all > 0, such that
+             p0 + delta and p0 - delta are finite and differ from p0 in
+             floating point
     bounds   optional pair (l, u) of per-product price bounds with
              l <= p0 - delta and u >= p0 + delta
     """
@@ -133,15 +138,35 @@ class Instance:
             bad = int(np.flatnonzero(self.delta <= 0.0)[0])
             raise ValidationError(f"delta must be strictly positive (delta[{bad}] = {self.delta[bad]})")
 
+        # p0 +- delta must be finite prices other than p0: below the float
+        # spacing of p0 a moved branch would fall onto p0, and past the
+        # float range it would be empty
+        with np.errstate(over="ignore"):
+            up, dn = self.p0 + self.delta, self.p0 - self.delta
+        unmoved = (up == self.p0) | (dn == self.p0)
+        if np.any(unmoved):
+            bad = int(np.flatnonzero(unmoved)[0])
+            raise ValidationError(
+                f"delta[{bad}] = {self.delta[bad]} is below the float spacing of "
+                f"p0[{bad}] = {self.p0[bad]}: p0 + delta or p0 - delta rounds to p0"
+            )
+        overflow = np.isinf(up) | np.isinf(dn)
+        if np.any(overflow):
+            bad = int(np.flatnonzero(overflow)[0])
+            raise ValidationError(
+                f"p0[{bad}] = {self.p0[bad]} with delta[{bad}] = {self.delta[bad]}: "
+                "p0 + delta or p0 - delta overflows"
+            )
+
         if self.bounds is not None:
             lo, hi = self.bounds
             lo = _as_vector("l", lo, n)
             hi = _as_vector("u", hi, n)
-            if np.any(lo > self.p0 - self.delta):
-                bad = int(np.flatnonzero(lo > self.p0 - self.delta)[0])
+            if np.any(lo > dn):
+                bad = int(np.flatnonzero(lo > dn)[0])
                 raise ValidationError(f"l must satisfy l <= p0 - delta (violated at index {bad})")
-            if np.any(hi < self.p0 + self.delta):
-                bad = int(np.flatnonzero(hi < self.p0 + self.delta)[0])
+            if np.any(hi < up):
+                bad = int(np.flatnonzero(hi < up)[0])
                 raise ValidationError(f"u must satisfy u >= p0 + delta (violated at index {bad})")
             object.__setattr__(self, "bounds", (lo, hi))
 
@@ -277,8 +302,10 @@ def validate(instance: Instance) -> ValidationReport:
       reported as probable
     * nonnegativity: a > 0, c > 0 and a - D c >= 0 element-wise
     * profitable baseline: p0 - delta >= c element-wise
-    * positive thresholds and bound consistency (re-checked defensively;
-      the constructor already enforces both)
+
+    ``a4_positive_delta`` and ``bounds_consistent`` are true by construction:
+    ``Instance`` rejects non-positive thresholds and inconsistent bounds, so
+    they are reported without a check.
     """
     msgs: list[str] = []
     n = instance.n
@@ -314,25 +341,13 @@ def validate(instance: Instance) -> ValidationReport:
     if not a3:
         msgs.append("baseline profitability: requires p0 - delta >= c")
 
-    a4 = bool(np.all(instance.delta > 0.0))
-
-    if instance.bounds is None:
-        bc = True
-    else:
-        bc = bool(
-            np.all(instance.lower <= instance.p0 - instance.delta)
-            and np.all(instance.upper >= instance.p0 + instance.delta)
-        )
-    if not bc:
-        msgs.append("bounds: require l <= p0 - delta and u >= p0 + delta")
-
     return ValidationReport(
         a1_sign_pattern=a1_sign,
         a1_positive_definite=a1_pd,
         a2_nonneg=a2,
         a3_profitable_baseline=a3,
-        a4_positive_delta=a4,
-        bounds_consistent=bc,
+        a4_positive_delta=True,
+        bounds_consistent=True,
         messages=msgs,
     )
 
@@ -345,27 +360,20 @@ def _check_length(instance: Instance, p: np.ndarray) -> np.ndarray:
 
 
 def objective_q(instance: Instance, p: np.ndarray) -> float:
-    """Q(p) = 1/2 p^T S p - f^T p, via one product with the sparse S."""
-    p = _check_length(instance, p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sp = instance.s_matvec(p)
-        val = 0.5 * float(p @ sp) - float(instance.f @ p)
-    if not np.isfinite(val):
-        raise NumericError("objective evaluated to a non-finite value")
-    return val
+    """Q(p) = 1/2 p^T S p - f^T p (``value_and_gradient``'s value)."""
+    return value_and_gradient(instance, p)[0]
 
 
 def gradient_q(instance: Instance, p: np.ndarray) -> np.ndarray:
-    """grad Q(p) = S p - f, via one product with the sparse S."""
-    p = _check_length(instance, p)
-    g = instance.s_matvec(p) - instance.f
-    if not np.all(np.isfinite(g)):
-        raise NumericError("gradient evaluated to non-finite values")
-    return g
+    """grad Q(p) = S p - f (``value_and_gradient``'s gradient)."""
+    return value_and_gradient(instance, p)[1]
 
 
 def value_and_gradient(instance: Instance, p: np.ndarray) -> tuple[float, np.ndarray]:
-    """Q(p) and grad Q(p) sharing a single S @ p product (solver hot path)."""
+    """Q(p) and grad Q(p) from one S @ p product: the one evaluator of Q.
+
+    Raises NumericError when either is not finite.
+    """
     p = _check_length(instance, p)
     with np.errstate(over="ignore", invalid="ignore"):
         sp = instance.s_matvec(p)

@@ -547,8 +547,9 @@ def parse_lp(path: str) -> LpModel:
 def validate_lp_file(path: str) -> LpModel:
     """Parse and sanity-check an LP file; returns the model on success."""
     model = parse_lp(path)
-    # Names need no check: every variable the parser records matches _NAME
-    # (group v, a "* name" tail, a _KEYWORD word, or "inf" after a range's "<=").
+    # Names and senses need no check: the parser stores only values of _SENSES,
+    # and every variable it records matches _NAME (group v, a "* name" tail, a
+    # _KEYWORD word, or "inf" after a range's "<=").
     # Coefficients such as 1e400 parse as inf; bounds alone may be infinite.
     objective = model.objective_name
     if not (all(map(math.isfinite, model.linear.values())) and all(map(math.isfinite, model.quadratic.values()))):
@@ -556,8 +557,6 @@ def validate_lp_file(path: str) -> LpModel:
     if not math.isfinite(model.constant):
         raise LpFormatError(f"objective {objective!r} has a non-finite constant")
     for con in model.constraints:
-        if con.sense not in ("<=", ">=", "="):
-            raise LpFormatError(f"constraint {con.name!r} has unsupported sense")
         if not math.isfinite(con.rhs):
             raise LpFormatError(f"constraint {con.name!r} has a non-finite right-hand side")
         if not all(map(math.isfinite, con.coefs.values())):

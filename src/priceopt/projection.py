@@ -32,6 +32,11 @@ several times an elementwise ``maximum``, and the projection runs on every
 gradient step.  ``project_feasible`` takes the top k of the gains and runs
 the 1-D projection on those k coordinates only.
 
+The branch of P_i that a price lies on is decided once, too, in
+``_classify`` (lowered at or below ``p0 - delta``, else raised at or above
+``p0 + delta``, else unchanged), from the same cached edges; ``is_feasible``
+and the solver's ``Partition`` both use it.
+
 The 1-D projection is computed once, in ``_project`` (the clamps of q into
 the raised and the lowered interval, ``_clamps``, and the half-threshold
 choice between them and p0); ``score``, ``project_1d`` and the certificates
@@ -49,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, StructuralError
-from .instance import Instance
+from .instance import Instance, _check_length
 
 __all__ = [
     "ProjectionScores",
@@ -143,13 +148,6 @@ class ProjectionScores:
     tie_flags: np.ndarray
 
 
-def _check_query(instance: Instance, q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (instance.n,):
-        raise StructuralError(f"query must have length {instance.n}, got shape {q.shape}")
-    return q
-
-
 def _gains(instance: Instance, q: np.ndarray) -> np.ndarray:
     """Gain scores Delta_i at q, with no data-dependent select.
 
@@ -163,8 +161,10 @@ def _gains(instance: Instance, q: np.ndarray) -> np.ndarray:
     outside = (q < half_dn) | (q > half_up)
     # a diverging iterate, or a start past the float range, overflows the
     # distances or their squares to +inf: its gain is +inf and still chosen,
-    # and the run then fails as a NumericError, not with a warning
-    with np.errstate(over="ignore"):
+    # and the run then fails as a NumericError, not with a warning.  Where
+    # both squares overflow (a far query on a bounded instance) the gain is
+    # inf - inf = nan, never chosen.
+    with np.errstate(over="ignore", invalid="ignore"):
         e_up = up - q
         np.maximum(e_up, 0.0, out=e_up)
         e_dn = q - dn
@@ -185,13 +185,24 @@ def _gains(instance: Instance, q: np.ndarray) -> np.ndarray:
     return gain
 
 
+def _classify(instance: Instance, p: np.ndarray) -> np.ndarray:
+    """Status vector of p (``solver.Partition``): 2 at or below p0 - delta,
+    else 1 at or above p0 + delta, else 0; built from int8 views, with no
+    masked store."""
+    up, dn, _, _ = instance._edges
+    status = (p <= dn).view(np.int8)
+    status += status
+    np.maximum(status, (p >= up).view(np.int8), out=status)
+    return status
+
+
 def score(instance: Instance, q: np.ndarray) -> ProjectionScores:
     """Vectorized per-coordinate projections, distances and gain scores.
 
     Delta_i is exactly zero on the closed half-threshold window
     |q_i - p0_i| <= delta_i / 2 and nonnegative everywhere (``_gains``).
     """
-    q = _check_query(instance, q)
+    q = _check_length(instance, q)
     p0, half = instance.p0, 0.5 * instance.delta
     proj = _project(p0, instance.delta, instance.bounds, q)[0]
     # exactly zero where q is already in P_i, an infinite q included
@@ -235,7 +246,7 @@ def project_feasible(instance: Instance, q: np.ndarray) -> np.ndarray:
     output toward fewer changes without losing optimality.  The 1-D
     projection runs on the chosen coordinates only.
     """
-    q = _check_query(instance, q)
+    q = _check_length(instance, q)
     chosen = _select_top_k(_gains(instance, q), instance.k)
     up, dn, _, _ = instance._edges
     bounds = instance.bounds
@@ -255,19 +266,15 @@ def is_feasible(instance: Instance, p: np.ndarray) -> bool:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (instance.n,) or not np.all(np.isfinite(p)):
         return False
-    p0, delta = instance.p0, instance.delta
-    moved = p != p0
+    moved = p != instance.p0
     if np.count_nonzero(moved) > instance.k:
         return False
-    up = p >= p0 + delta
-    down = p <= p0 - delta
-    if not np.all(~moved | up | down):
-        return False
+    # moved coordinates lie on a branch (Partition.from_prices' rule), in bounds
+    off = _classify(instance, p) == 0
     if instance.bounds is not None:
         l, u = instance.bounds
-        if np.any(moved & ((p < l) | (p > u))):
-            return False
-    return True
+        off |= (p < l) | (p > u)
+    return not np.any(moved & off)
 
 
 def _member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
@@ -299,17 +306,14 @@ def _membership_residual(instance: Instance, q: np.ndarray, p: np.ndarray, tol: 
     split the coordinates into must-in, never-in and a pool of ties (or, when
     the k-th largest is within the margin of zero, must-in and a free pool).
     Each condition on the radius is monotone in it, so the residual is the
-    largest per-condition minimum, two of them order statistics.
+    largest per-condition minimum, two of them order statistics; k = n is
+    no special case (the k-th largest score is then the smallest).
     """
     n, k = instance.n, instance.k
     delta_score = score(instance, q).delta_score
     in_cost = _member_distance(instance, q, p, tol)
     out_cost = np.abs(p - instance.p0)
     tol_delta = _tie_margin(instance, q, tol)
-
-    if k >= n:
-        cost = np.minimum(in_cost, np.where(delta_score <= tol_delta, out_cost, np.inf))
-        return float(np.max(cost))
 
     theta = float(np.partition(delta_score, n - k)[n - k])
     fill_slots = theta > tol_delta

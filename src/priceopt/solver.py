@@ -46,7 +46,7 @@ from .instance import (
     spectral_bounds,
     value_and_gradient,
 )
-from .projection import _membership_residual, _tie_margin, is_feasible, project_feasible, score
+from .projection import _classify, _membership_residual, _tie_margin, is_feasible, project_feasible, score
 
 __all__ = [
     "SolverParams",
@@ -220,16 +220,6 @@ class RefineResult(NamedTuple):
     p: np.ndarray
     converged: bool
     iterations: int
-
-
-def _classify(instance: Instance, p: np.ndarray) -> np.ndarray:
-    """Status vector of p (``Partition``): 2 at or below p0 - delta, else 1 at
-    or above p0 + delta, else 0; built from int8 views, with no masked store."""
-    up, dn, _, _ = instance._edges
-    status = (p <= dn).view(np.int8)
-    status += status
-    np.maximum(status, (p >= up).view(np.int8), out=status)
-    return status
 
 
 def _delta_descriptor(instance: Instance) -> str:

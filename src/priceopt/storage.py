@@ -166,10 +166,13 @@ def _parse_entries(lines: list[str], first_line_no: int) -> np.ndarray:
     """The ``row col value`` lines of the D block as an array of ``_ENTRY`` records."""
     if not lines:
         return np.empty(0, dtype=_ENTRY)
+    # loadtxt skips blank lines, which are errors here, and warns when it
+    # finds nothing else; a blank first line goes to the per-line path
     try:
-        entries = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
-        if entries.size == len(lines):  # loadtxt skips blank lines; they are errors here
-            return entries
+        if lines[0].strip():
+            entries = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+            if entries.size == len(lines):
+                return entries
     except (ValueError, OverflowError):
         pass
     # loadtxt refused the block: one line at a time, to name the offending one

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +12,8 @@ from priceopt import GenConfig
 from priceopt.cli import run
 from priceopt.storage import read_instance, write_instance, write_vector
 from conftest import two_product_instance
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def gen(tmp_path, n=30, seed=7, extra=()):
@@ -41,6 +45,14 @@ class TestGen:
     def test_bad_delta_flag(self, tmp_path):
         code = run(["gen", "--n", "20", "--delta", "wat:1", "--out", str(tmp_path / "x.txt")])
         assert code == 2
+
+    @pytest.mark.parametrize("delta", ["const:1e-16", "const:1e-160", "frac:1e-300"])
+    def test_threshold_below_baseline_spacing_is_data_error(self, tmp_path, capsys, delta):
+        out = tmp_path / "inst.txt"
+        code = run(["gen", "--n", "5", "--seed", "0", "--delta", delta, "--out", str(out)])
+        assert code == 2
+        assert "below the float spacing" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_numeric_delta_is_data_error(self, tmp_path):
         code = run(["gen", "--n", "20", "--delta", "const:abc", "--out", str(tmp_path / "x.txt")])
@@ -78,6 +90,18 @@ class TestSolve:
         inst = tmp_path / "bad.txt"
         inst.write_bytes(b"n 1\nk 1\na \xff\n")
         assert run(["solve", "--instance", str(inst), "--report", str(tmp_path / "r.csv")]) == 2
+
+    def test_blank_entry_block_is_data_error_without_warning(self, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("n 1\nk 1\na 1\nc 1\np0 2\ndelta 1\nD 1\n \n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "priceopt", "solve", "--instance", str(path),
+             "--report", str(tmp_path / "r.csv")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "line 8" in proc.stderr and "Warning" not in proc.stderr
 
     def test_bounds_report_flag(self, tmp_path):
         inst = gen(tmp_path, n=20)
@@ -147,6 +171,22 @@ class TestProjectCmd:
         out = tmp_path / "p.txt"
         assert run(["project", "--instance", str(inst), "--q", str(qfile), "--out", str(out)]) == 2
         assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_distance_is_numeric_error(self, tmp_path, capsys):
+        # far beyond u_0 both candidate squared distances overflow, so no
+        # float distance exists: exit 4, no output file, and no warning
+        inst_path = gen(tmp_path, n=6, seed=1, extra=("--bounds", "1,5,8,14"))
+        q = read_instance(str(inst_path)).p0.copy()
+        q[0] = 1e200
+        qfile = tmp_path / "q.txt"
+        write_vector(q, str(qfile))
+        out = tmp_path / "p.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["project", "--instance", str(inst_path), "--q", str(qfile),
+                        "--out", str(out)]) == 4
+        assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
 

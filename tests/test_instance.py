@@ -17,6 +17,7 @@ from priceopt import (
     validate,
     with_k,
 )
+from priceopt.instance import value_and_gradient
 from conftest import two_product_instance, random_instance
 
 
@@ -361,3 +362,50 @@ class TestLanczosEstimates:
         for k in (1, 30, 300):
             assert spectral_bounds(with_k(inst, k), mode="power", want_lambda_min=True) == first
         assert calls == ["LA", "SA"]
+
+
+def _bytes(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestOneEvaluator:
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_objective_and_gradient_are_its_parts(self, rng, bounded):
+        for _ in range(40):
+            inst = random_instance(rng, n_hi=30, bounded=bounded)
+            for scale in (0.0, 1.0, 50.0, 1e6):
+                p = inst.p0 + scale * rng.normal(0.0, 1.0, inst.n)
+                val, g = value_and_gradient(inst, p)
+                assert _bytes(objective_q(inst, p)) == _bytes(val)
+                assert _bytes(gradient_q(inst, p)) == _bytes(g)
+
+    def test_one_overflow_policy(self):
+        # Q overflows while S p - f is still finite: all three raise, and
+        # none warns first (warnings are errors in this suite)
+        inst = scalar_instance()
+        p = np.array([1e160])
+        for evaluate in (objective_q, gradient_q, value_and_gradient):
+            with pytest.raises(NumericError):
+                evaluate(inst, p)
+
+
+class TestThresholdSpacing:
+    @pytest.mark.parametrize("p0, delta", [(4.7, 1e-16), (4.7, 1e-160), (2.0**60, 76.8)])
+    def test_threshold_below_spacing_rejected(self, p0, delta):
+        # p0 + delta or p0 - delta rounds to p0 (at 2**60 only the raised
+        # side does: the spacing above a power of two is twice the one below)
+        with pytest.raises(ValidationError, match=r"delta\[1\] .* below the float spacing of p0\[1\]"):
+            dense_instance(D=np.eye(2), a=[10, 10], c=[1, 1], p0=[5.0, p0], delta=[1.0, delta])
+
+    @pytest.mark.parametrize("p0, delta", [(1.7e308, 1e308), (-1.7e308, 1e308)])
+    def test_threshold_past_the_float_range_rejected(self, p0, delta):
+        # the raised (or lowered) branch would start at inf: empty
+        with pytest.raises(ValidationError, match=r"p0\[1\] = .* overflows"):
+            dense_instance(D=np.eye(2), a=[10, 10], c=[1, 1], p0=[5.0, p0], delta=[1.0, delta])
+
+    @pytest.mark.parametrize("p0, delta", [(1e17, 16.0), (4.7, 1e-14), (2.0**60, 192.0), (-3.0, 5e-16),
+                                           (5.0, 1e308)])
+    def test_threshold_that_moves_p0_accepted(self, p0, delta):
+        inst = dense_instance(D=np.eye(2), a=[10, 10], c=[1, 1], p0=[5.0, p0], delta=[1.0, delta])
+        up, dn, _, _ = inst._edges
+        assert up[1] != p0 and dn[1] != p0

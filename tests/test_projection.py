@@ -7,6 +7,7 @@ from priceopt import (
     ContractError,
     GenConfig,
     Instance,
+    ValidationError,
     brute_projection,
     certify_in_H,
     distance_sq_1d,
@@ -381,13 +382,11 @@ class TestClassifyMatchesReference:
             assert _same_bytes(_classify(flat, p), _reference_classify(flat, p))
 
     def test_thresholds_below_the_baseline_spacing(self):
-        # p0 + delta and p0 - delta both round to p0: both masks hold, and the
-        # lowered status wins, as in the masked-store order
-        inst = Instance(n=3, k=1, a=np.ones(3), D=np.eye(3), c=np.ones(3), p0=np.full(3, 1e17),
-                        delta=np.ones(3))
-        p = np.array([1e17, 2e17, 0.0])
-        assert _same_bytes(_classify(inst, p), _reference_classify(inst, p))
-        assert _classify(inst, p).tolist() == [2, 1, 2]
+        # p0 + delta and p0 - delta would both round to p0, so the moved
+        # branches would fall onto the baseline: construction refuses it
+        with pytest.raises(ValidationError, match=r"delta\[0\] = 1.0 is below the float spacing"):
+            Instance(n=3, k=1, a=np.ones(3), D=np.eye(3), c=np.ones(3), p0=np.full(3, 1e17),
+                     delta=np.ones(3))
 
 
 class TestCertifyInH:
@@ -510,6 +509,82 @@ class TestCertifyMatchesReference:
         assert not _reference_certify_in_H(inst, q, noisy, 1e-8)
         assert certify_in_H(inst, q, noisy, 1e-8)
         assert not certify_in_H(inst, q, p + np.array([0.0, 2e-8]), 1e-8)
+
+
+def _reference_full_budget_residual(instance, q, p, tol):
+    """The k = n branch that _membership_residual ran before the general
+    path covered it, kept as the reference."""
+    from priceopt.projection import _member_distance, _tie_margin
+
+    delta_score = score(instance, q).delta_score
+    in_cost = _member_distance(instance, q, p, tol)
+    out_cost = np.abs(p - instance.p0)
+    tied = delta_score <= _tie_margin(instance, q, tol)
+    return float(np.max(np.minimum(in_cost, np.where(tied, out_cost, np.inf))))
+
+
+def _reference_is_feasible(instance, p):
+    """is_feasible as it was before it classified p with ``_classify``,
+    kept as the reference."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (instance.n,) or not np.all(np.isfinite(p)):
+        return False
+    p0, delta = instance.p0, instance.delta
+    moved = p != p0
+    if np.count_nonzero(moved) > instance.k:
+        return False
+    if not np.all(~moved | (p >= p0 + delta) | (p <= p0 - delta)):
+        return False
+    if instance.bounds is not None:
+        l, u = instance.bounds
+        if np.any(moved & ((p < l) | (p > u))):
+            return False
+    return True
+
+
+class TestFullBudgetResidual:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-3])
+    def test_general_path_matches_reference_bytes(self, rng, tol):
+        from priceopt.projection import _membership_residual
+
+        cases = 0
+        for trial in range(120):
+            inst = random_instance(rng, n_hi=30, bounded=trial % 2 == 0)
+            inst = with_k(inst, inst.n)
+            for q, p in _certify_cases(rng, inst, tol):
+                got = _membership_residual(inst, q, p, tol)
+                want = _reference_full_budget_residual(inst, q, p, tol)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                cases += 1
+        assert cases > 1000
+
+
+class TestIsFeasibleMatchesReference:
+    def _points(self, rng, inst):
+        for q in _query_mix(rng, inst):
+            yield q
+            with np.errstate(invalid="ignore"):
+                p = project_feasible(inst, q)
+            yield p
+            # a moved coordinate nudged into the gap between the branches
+            moved = np.flatnonzero(p != inst.p0)
+            if moved.size:
+                gap = p.copy()
+                i = rng.choice(moved)
+                gap[i] = inst.p0[i] + rng.uniform(-0.99, 0.99) * inst.delta[i]
+                yield gap
+        yield _random_feasible_start(inst, rng)
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_same_verdicts(self, rng, bounded):
+        verdicts = set()
+        for trial in range(150):
+            inst = random_instance(rng, n_hi=30, bounded=bounded)
+            for p in self._points(rng, inst):
+                want = _reference_is_feasible(inst, p)
+                assert is_feasible(inst, p) == want
+                verdicts.add(want)
+        assert verdicts == {False, True}
 
 
 class TestBoundedTies:

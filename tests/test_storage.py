@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from priceopt import (
@@ -92,6 +92,8 @@ def _instances(draw):
     vec = st.lists(_awkward, min_size=n, max_size=n)
     p0 = np.array(draw(vec))
     delta = np.array(draw(st.lists(_nonzero.map(abs), min_size=n, max_size=n)))
+    # an Instance rejects a threshold below the float spacing of its p0
+    delta = np.maximum(delta, np.spacing(np.abs(p0)))
     bounds = None
     if draw(st.booleans()):
         slack = st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)
@@ -407,6 +409,7 @@ _instance_texts = st.lists(
 class TestReaderFuzz:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=_instance_texts)
+    @example(text="D 1\n ")  # a D block of blank lines: loadtxt warned before it raised
     def test_parses_or_raises_priceopt_error(self, tmp_path, text):
         path = tmp_path / "fuzz.txt"
         path.write_text(text, encoding="utf-8")
