@@ -13,9 +13,10 @@ sparse CSR matrix (``Instance.S``) and every product with it goes through
 that one matrix; the dense ``S`` is never formed.  Q and its gradient are
 evaluated in one place, ``value_and_gradient``, under one overflow policy
 (a non-finite value or gradient is a ``NumericError``); ``objective_q`` and
-``gradient_q`` return its two parts.  Systems in ``S`` are
-solved by one Jacobi-preconditioned conjugate gradient loop (``_pcg``),
-which serves both ``unconstrained_minimizer`` and the solver's refinement.
+``gradient_q`` return its two parts.  Systems in ``S`` or in a principal
+block of it are solved by one Jacobi-preconditioned conjugate gradient loop
+(``_pcg``), which takes the matrix: ``unconstrained_minimizer`` passes
+``S`` and the solver's refinement the block ``S_CC`` of its piece.
 ``spectral_bounds`` gives the step constant ``L > lambda_1(S)`` from
 Gershgorin's bound or a Lanczos estimate of ``lambda_1``, and Lanczos also
 estimates ``lambda_n(S)``; Lanczos is the only user of
@@ -394,7 +395,7 @@ def profit_z(instance: Instance, p: np.ndarray) -> float:
 
 
 def _pcg(
-    instance: Instance,
+    S: sparse.csr_array,
     rhs: np.ndarray,
     free: np.ndarray,
     d_inv: np.ndarray,
@@ -404,9 +405,11 @@ def _pcg(
 ) -> tuple[np.ndarray, bool]:
     """Jacobi-preconditioned CG on S_FF x_F = rhs_F; x is zero outside the free set F.
 
-    The one solver for systems in S.  S_FF is applied as a masked product
-    with the instance's S, and ``d_inv`` is ``1 / diag(S)``, which callers
-    compute once rather than on every call.  Returns ``(x, converged)``:
+    The one solver for systems in S.  ``S`` is the symmetric matrix of the
+    system: the instance's S for ``unconstrained_minimizer``, the piece's
+    block S_CC for the refinement.  S_FF is applied as a masked product with
+    it, and ``d_inv`` is ``1 / diag(S)``, which callers compute once rather
+    than on every call.  Returns ``(x, converged)``:
     converged once the infinity norm of the residual is at most
     ``max(forcing * |rhs_F|_inf, atol)``, not converged after ``max_steps``
     steps or on a breakdown (non-positive ``r^T z`` or curvature ``d^T S d``,
@@ -424,7 +427,7 @@ def _pcg(
             return x, True
         if not rz > 0.0:
             break
-        sd = instance.s_matvec(d)
+        sd = S @ d
         sd *= free
         curv = float(d @ sd)
         if not curv > 0.0:
@@ -453,7 +456,7 @@ def unconstrained_minimizer(instance: Instance) -> tuple[np.ndarray, float]:
     # a diverging solve on a non-SPD S ends in our NumericError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         p_hat, converged = _pcg(
-            instance, instance.f, free, 1.0 / instance.S.diagonal(), _CG_RTOL, 0.0, max_steps
+            instance.S, instance.f, free, 1.0 / instance.S.diagonal(), _CG_RTOL, 0.0, max_steps
         )
     if not (converged and np.all(np.isfinite(p_hat))):
         raise NumericError(

@@ -156,14 +156,16 @@ def _gains(instance: Instance, q: np.ndarray) -> np.ndarray:
     window.  Both terms are multiplied by ``outside`` before they are
     squared, so the window scores exactly +0.0 even where a square would
     overflow (thresholds beyond about 1e154), and a nan query keeps its nan.
+    With bounds, a finite query far beyond one (about 1e154 away) overflows
+    both squares to inf - inf = nan; there the gain is taken in the factored
+    form, ``(u - p0)(2q - p0 - u)`` above u and ``(p0 - l)(p0 + l - 2q)``
+    below l, which stays finite.  Every other gain is left as is.
     """
     up, dn, half_dn, half_up = instance._edges
     outside = (q < half_dn) | (q > half_up)
     # a diverging iterate, or a start past the float range, overflows the
     # distances or their squares to +inf: its gain is +inf and still chosen,
-    # and the run then fails as a NumericError, not with a warning.  Where
-    # both squares overflow (a far query on a bounded instance) the gain is
-    # inf - inf = nan, never chosen.
+    # and the run then fails as a NumericError, not with a warning
     with np.errstate(over="ignore", invalid="ignore"):
         e_up = up - q
         np.maximum(e_up, 0.0, out=e_up)
@@ -182,6 +184,16 @@ def _gains(instance: Instance, q: np.ndarray) -> np.ndarray:
         gain *= outside
         gain *= gain
         gain -= a
+        if instance.bounds is not None:
+            far = np.flatnonzero(np.isnan(gain))
+            # an infinite or nan query keeps its nan
+            far = far[np.isfinite(q[far])]
+            if far.size:
+                q_f, p0_f = q[far], instance.p0[far]
+                l_f, u_f = l[far], u[far]
+                above = (u_f - p0_f) * (2.0 * q_f - p0_f - u_f)
+                below = (p0_f - l_f) * (p0_f + l_f - 2.0 * q_f)
+                gain[far] = np.where(q_f > u_f, above, below)
     return gain
 
 
@@ -205,8 +217,10 @@ def score(instance: Instance, q: np.ndarray) -> ProjectionScores:
     q = _check_length(instance, q)
     p0, half = instance.p0, 0.5 * instance.delta
     proj = _project(p0, instance.delta, instance.bounds, q)[0]
-    # exactly zero where q is already in P_i, an infinite q included
-    dist_sq = np.where(proj == q, 0.0, (proj - q) ** 2)
+    # exactly zero where q is already in P_i, an infinite q included; a far
+    # query's distance overflows to inf without a warning
+    with np.errstate(over="ignore"):
+        dist_sq = np.where(proj == q, 0.0, (proj - q) ** 2)
     delta_score = _gains(instance, q)
     tie_flags = (q == p0 + half) | (q == p0 - half)
 

@@ -11,11 +11,13 @@ objective never increases and drops by at least ``(L - lambda_1)/2`` times
 the squared step.  Once steps shrink below ``delta_min^2 / 2`` the partition
 of coordinates into unchanged / raised / lowered is frozen, and the run can
 finish by solving the restricted convex QP on that piece exactly.  That
-solve (``refine_on_partition``) is projected Newton-CG on the piece's box:
-conjugate gradients on the free coordinates give the step, and a projected
-Armijo search keeps it in the box and descending.  The CG loop is
-``instance._pcg``, shared with ``unconstrained_minimizer``, so this module
-keeps no linear algebra of its own.
+solve (``refine_on_partition``) is projected Newton-CG on the piece's box,
+run in the coordinates of the kappa <= k prices that can move: their rows of
+S give the gradient, their block S_CC the rest, conjugate gradients on the
+free coordinates give the step, and a projected Armijo search keeps it in
+the box and descending.  The CG loop is ``instance._pcg``, shared with
+``unconstrained_minimizer``, so this module keeps no linear algebra of its
+own.
 
 A point is first-order stationary when it is a fixed point of the map above
 (the L-stationarity of Beck & Eldar, SIAM J. Optim. 23(3), 2013):
@@ -41,7 +43,6 @@ from .instance import (
     Instance,
     _pcg,
     gradient_q,
-    objective_q,
     profit_z,
     spectral_bounds,
     value_and_gradient,
@@ -254,16 +255,21 @@ def refine_on_partition(
     """Solve the restricted strongly convex QP over one polyhedral piece.
 
     Coordinates in alpha stay at the baseline; raised/lowered coordinates are
-    confined to their per-coordinate interval [lo, hi].  The solve is
+    confined to their per-coordinate interval [lo, hi].  Only the movable
+    ones, C = {i : lo_i < hi_i}, can change, so the solve runs in their
+    coordinates x = p_C: the rows ``S_C.`` give the gradient
+    ``g_C = S_C. p - f_C`` at the full point (the same numbers as
+    ``(S p - f)_C``), and the block ``S_CC`` every other product.  It is
     projected Newton-CG (Bertsekas, SIAM J. Control Optim. 20(2), 1982): each
-    outer iteration frees the coordinates that are neither fixed nor held at
-    a bound by the gradient, solves the Newton system on them by
-    preconditioned CG, and searches along the projected arc
-    ``clip(p + t d, lo, hi)`` with Armijo backtracking on the exact quadratic
-    decrease.  When the search fails, one projected-gradient step of size
-    1/L is taken instead, so the objective never increases.  The run stops
-    once ``L * max|clip(p - g/L, lo, hi) - p| <= tol`` (converged) or after
-    max_iters outer iterations.  The output stays in the piece.
+    outer iteration frees the coordinates of C not held at a bound by the
+    gradient, solves the Newton system on them by preconditioned CG, and
+    searches along the projected arc ``clip(x + t d, lo, hi)`` with Armijo
+    backtracking on the exact quadratic decrease.  When the search fails, one
+    projected-gradient step of size 1/L is taken instead, so the objective
+    never increases.  The run stops once
+    ``L * max|clip(x - g_C/L, lo, hi) - x| <= tol`` (converged) or after
+    max_iters outer iterations.  The output is the full price vector, in the
+    piece.
     """
     p = np.asarray(p, dtype=np.float64)
     lo, hi = _partition_box(instance, partition)
@@ -279,32 +285,38 @@ def refine_on_partition(
     if tol is None:
         tol = 1e-9 * L * max(1.0, float(np.max(np.abs(instance.p0))))
 
-    d_inv = 1.0 / instance.S.diagonal()
-    movable = lo < hi
+    # C is empty when bounds pin every changed price at its threshold
+    C = np.flatnonzero(lo < hi)
+    S_rows = instance.S[C]
+    S_CC = S_rows[:, C]
+    d_inv = 1.0 / S_CC.diagonal()
+    lo, hi, f = lo[C], hi[C], instance.f[C]
+    x = p[C]
     iterations = 0
     while True:
-        g = instance.s_matvec(p) - instance.f
-        pg_norm = L * float(np.max(np.abs(np.clip(p - g / L, lo, hi) - p)))
+        p[C] = x
+        g = S_rows @ p - f
+        pg_norm = L * float(np.max(np.abs(np.clip(x - g / L, lo, hi) - x), initial=0.0))
         # "not >" so that a non-finite residual (S not positive definite,
         # piece unbounded below) stops the loop as well
         if not pg_norm > tol or iterations >= max_iters:
             return RefineResult(p=p, converged=bool(pg_norm <= tol), iterations=iterations)
         iterations += 1
 
-        free = movable & ~((p <= lo) & (g > 0.0)) & ~((p >= hi) & (g < 0.0))
-        d, _ = _pcg(instance, -g, free, d_inv, _CG_FORCING, 0.1 * tol, _CG_MAX_STEPS)
+        free = ~((x <= lo) & (g > 0.0)) & ~((x >= hi) & (g < 0.0))
+        d, _ = _pcg(S_CC, -g, free, d_inv, _CG_FORCING, 0.1 * tol, _CG_MAX_STEPS)
 
         t = 1.0
         for _ in range(_ARMIJO_TRIALS):
-            p_next = np.clip(p + t * d, lo, hi)
-            s = p_next - p
+            x_next = np.clip(x + t * d, lo, hi)
+            s = x_next - x
             slope = float(g @ s)
-            if slope < 0.0 and slope + 0.5 * float(s @ instance.s_matvec(s)) <= _ARMIJO_C * slope:
+            if slope < 0.0 and slope + 0.5 * float(s @ (S_CC @ s)) <= _ARMIJO_C * slope:
                 break
             t *= 0.5
         else:
-            p_next = np.clip(p - g / L, lo, hi)
-        p = p_next
+            x_next = np.clip(x - g / L, lo, hi)
+        x = x_next
 
 
 def certify_stationary(
@@ -312,20 +324,25 @@ def certify_stationary(
     p: np.ndarray,
     L: float,
     tol: float = STATIONARITY_TOL,
+    grad: Optional[np.ndarray] = None,
 ) -> tuple[bool, float]:
     """Fixed-point residual of p under the projected-gradient map.
 
     Computes q = p - grad Q(p) / L and the smallest infinity-norm distance
     from p to a member of the projection set H(q), honoring its set-valued
     ties (``projection._membership_residual``, the same closed form that
-    ``certify_in_H`` decides).  Returns (residual <= tol, residual).
+    ``certify_in_H`` decides).  Returns (residual <= tol, residual).  A
+    caller that already holds grad Q(p) passes it as ``grad``, which saves
+    one product with S.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (instance.n,):
         raise StructuralError(f"p must have length {instance.n}")
     if not L > 0:
         raise ContractError("L must be positive")
-    residual = _membership_residual(instance, p - gradient_q(instance, p) / L, p, tol)
+    if grad is None:
+        grad = gradient_q(instance, p)
+    residual = _membership_residual(instance, p - grad / L, p, tol)
     return residual <= tol, residual
 
 
@@ -397,28 +414,28 @@ def gpa_solve(
         if params.refine:
             # solve the restricted QP on the current piece; keep it unless worse
             result = refine_on_partition(instance, Partition.from_status(status), p, L=L)
-            q_ref = objective_q(instance, result.p)
+            q_ref, g_ref = value_and_gradient(instance, result.p)
             if q_ref <= q_val:
-                p, q_val = result.p, q_ref
+                p, q_val, grad = result.p, q_ref, g_ref
                 trace.append(q_val)
             refined = True
         if not stabilized:
             converged = True
             break
-        certificate = certify_stationary(instance, p, L, STATIONARITY_TOL)
+        # grad is the gradient at p, whichever point was kept
+        certificate = certify_stationary(instance, p, L, STATIONARITY_TOL, grad)
         if certificate[0] or refine_attempts >= 2 or not result.converged:
             converged = certificate[0] or result.converged
             break
         # Premature stabilization: resume with a stricter window.
         certificate = None
-        grad = gradient_q(instance, p)
         refine_attempts += 1
         stab_window *= 2
         status = _classify(instance, p)
         streak = 1
 
     if certificate is None:
-        certificate = certify_stationary(instance, p, L, STATIONARITY_TOL)
+        certificate = certify_stationary(instance, p, L, STATIONARITY_TOL, grad)
     ok, residual = certificate
     partition = Partition.from_status(_classify(instance, p))
     kappa = int(np.count_nonzero(p != instance.p0))

@@ -39,6 +39,9 @@ def test_tracer_records_solver_spans(tmp_path):
     for name in ("solver.gpa_solve", "instance.Instance.s_matvec", "solver.Partition.from_status"):
         assert name in names
     assert tracer.count["matvec.flops"] > 0
+    # the refinement's own products are on S_CC, not counted as matvecs; its
+    # iterations still reach the tracer through RefineResult
+    assert tracer.count["solver.refine.iterations"] > 0
     # the certificate's residual lives in projection.py; its gain scores
     # still show up as a child span of the certificate
     assert "solver.certify_stationary" in names

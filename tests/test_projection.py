@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +219,29 @@ class TestHugeThresholds:
                 assert g.tobytes() == w.tobytes()
             assert got.tobytes() == want.tobytes()
         assert not np.any(score(inst, inst.p0).delta_score)
+
+
+class TestFarQueryBounded:
+    """A finite query about 1e200 beyond a bound overflows both squares of
+    its gain; the gain must still be the exact one, and the projection must
+    move the coordinate to that bound."""
+
+    @pytest.mark.parametrize("value", [1e200, -1e200])
+    def test_gain_finite_and_projection_at_bound(self, value):
+        inst = generate(GenConfig(n=6, seed=1, bounds_mode=(1.0, 5.0, 8.0, 14.0)))
+        q = inst.p0.copy()
+        q[0] = value
+        bound = inst.upper[0] if value > 0 else inst.lower[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sc = score(inst, q)
+            p = project_feasible(inst, q)
+        exact = (Fraction(inst.p0[0]) - Fraction(value)) ** 2 - (Fraction(bound) - Fraction(value)) ** 2
+        assert np.isfinite(sc.delta_score[0])
+        assert sc.delta_score[0] == pytest.approx(float(exact), rel=1e-12)
+        assert p[0] == bound
+        assert np.array_equal(p[1:], inst.p0[1:])
+        assert sc.dist_sq[0] == np.inf
 
 
 class TestProjectFeasible:

@@ -23,7 +23,16 @@ from priceopt import (
     with_k,
 )
 from priceopt.instance import _pcg
-from priceopt.solver import _CG_FORCING, _CG_MAX_STEPS, STATIONARITY_TOL
+from priceopt.solver import (
+    _ARMIJO_C,
+    _ARMIJO_TRIALS,
+    _CG_FORCING,
+    _CG_MAX_STEPS,
+    _REFINE_MAX_ITERS,
+    STATIONARITY_TOL,
+    RefineResult,
+    _partition_box,
+)
 from conftest import two_product_instance, random_instance
 
 
@@ -416,6 +425,43 @@ def _reference_newton_direction(instance, g, free, d_inv, atol, max_steps=_CG_MA
     return x
 
 
+def _reference_refine_on_partition(instance, partition, p, tol=None, L=None, max_iters=_REFINE_MAX_ITERS):
+    """The refinement's full-space loop: every gradient, CG step, Armijo
+    trial and stopping test over all n coordinates, with full S products.
+    The reference that the solve on the movable coordinates must agree with."""
+    p = np.asarray(p, dtype=np.float64)
+    lo, hi = _partition_box(instance, partition)
+    p = np.clip(p, lo, hi)
+    if partition.n_changed == 0:
+        return RefineResult(p=instance.p0.copy(), converged=True, iterations=0)
+    if L is None:
+        L = spectral_bounds(instance).L
+    if tol is None:
+        tol = 1e-9 * L * max(1.0, float(np.max(np.abs(instance.p0))))
+    d_inv = 1.0 / instance.S.diagonal()
+    movable = lo < hi
+    iterations = 0
+    while True:
+        g = instance.s_matvec(p) - instance.f
+        pg_norm = L * float(np.max(np.abs(np.clip(p - g / L, lo, hi) - p)))
+        if not pg_norm > tol or iterations >= max_iters:
+            return RefineResult(p=p, converged=bool(pg_norm <= tol), iterations=iterations)
+        iterations += 1
+        free = movable & ~((p <= lo) & (g > 0.0)) & ~((p >= hi) & (g < 0.0))
+        d = _reference_newton_direction(instance, g, free, d_inv, 0.1 * tol)
+        t = 1.0
+        for _ in range(_ARMIJO_TRIALS):
+            p_next = np.clip(p + t * d, lo, hi)
+            step = p_next - p
+            slope = float(g @ step)
+            if slope < 0.0 and slope + 0.5 * float(step @ instance.s_matvec(step)) <= _ARMIJO_C * slope:
+                break
+            t *= 0.5
+        else:
+            p_next = np.clip(p - g / L, lo, hi)
+        p = p_next
+
+
 class TestPcgMatchesReference:
     @pytest.mark.parametrize("bounded", [False, True])
     @pytest.mark.parametrize("illcond", [False, True])
@@ -440,7 +486,7 @@ class TestPcgMatchesReference:
             for atol, steps in ((0.1 * tol, _CG_MAX_STEPS), (0.0, _CG_MAX_STEPS), (1e3, _CG_MAX_STEPS),
                                 (0.1 * tol, 3)):
                 want = _reference_newton_direction(inst, g, free, d_inv, atol, steps)
-                got, _ = _pcg(inst, -g, free, d_inv, _CG_FORCING, atol, steps)
+                got, _ = _pcg(inst.S, -g, free, d_inv, _CG_FORCING, atol, steps)
                 assert got.tobytes() == want.tobytes()
 
 
@@ -482,6 +528,124 @@ class TestRefineOnPartition:
         part = Partition(alpha=[0], beta=[1], gamma=[])
         with pytest.raises(ContractError):
             refine_on_partition(inst, part, np.array([1.0, 0.7]))
+
+
+def _random_piece(rng, inst):
+    """A random partition within the budget and a start in its piece: each
+    changed price at its threshold, at the far end (a bound, or three
+    thresholds out), or in between."""
+    n = inst.n
+    m = int(rng.integers(0, inst.k + 1))
+    status = np.zeros(n, dtype=np.int8)
+    status[rng.choice(n, size=m, replace=False)] = rng.integers(1, 3, size=m)
+    p0, delta = inst.p0, inst.delta
+    near = np.where(status == 1, p0 + delta, p0 - delta)
+    if inst.bounds is None:
+        far = near + np.where(status == 1, 3.0, -3.0) * delta
+    else:
+        far = np.where(status == 1, inst.upper, inst.lower)
+    w = rng.integers(0, 3, size=n).astype(float)
+    w[w == 2.0] = rng.random(int(np.count_nonzero(w == 2.0)))
+    return Partition.from_status(status), np.where(status == 0, p0, near + w * (far - near))
+
+
+class TestRefineMatchesFullSpace:
+    """The solve on the movable coordinates against the full-space loop: the
+    same iterations and outcome, Q equal up to the rounding of shorter dots."""
+
+    @staticmethod
+    def _assert_agree(inst, part, start, **kwargs):
+        got = refine_on_partition(inst, part, start, **kwargs)
+        want = _reference_refine_on_partition(inst, part, start, **kwargs)
+        assert got.p.shape == (inst.n,)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        q_got, q_want = objective_q(inst, got.p), objective_q(inst, want.p)
+        assert abs(q_got - q_want) <= 1e-12 * max(1.0, abs(q_want))
+        lo, hi = _partition_box(inst, part)
+        assert np.all(got.p >= lo) and np.all(got.p <= hi)
+        return got
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("illcond", [False, True])
+    def test_random_pieces(self, illcond, bounded):
+        rng = np.random.default_rng(31 + 2 * illcond + bounded)
+        for _ in range(30):
+            n = int(rng.integers(1, 300))
+            inst = generate(GenConfig(
+                n=n,
+                k_fraction=float(rng.uniform(0.01, 1.0)),
+                bounds_mode=(1.0, 5.0, 8.0, 14.0) if bounded else None,
+                diag_range=(0.01, 10.0) if illcond else (1.0, 10.0),
+                offdiag_rel_mag=0.9 if illcond else 0.2,
+                seed=int(rng.integers(0, 2**31)),
+            ))
+            part, start = _random_piece(rng, inst)
+            self._assert_agree(inst, part, start)
+
+    def test_no_change(self):
+        inst = generate(GenConfig(n=30, seed=2))
+        result = self._assert_agree(inst, Partition.from_status(np.zeros(30, dtype=np.int8)), inst.p0)
+        assert result.iterations == 0 and np.array_equal(result.p, inst.p0)
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_full_budget(self, bounded, rng):
+        for _ in range(5):
+            inst = random_instance(rng, 5, 60, bounded=bounded)
+            inst = with_k(inst, inst.n)
+            status = rng.integers(1, 3, size=inst.n).astype(np.int8)
+            part = Partition.from_status(status)
+            start = np.where(status == 1, inst.p0 + inst.delta, inst.p0 - inst.delta)
+            assert self._assert_agree(inst, part, start).iterations > 0
+
+    @pytest.mark.parametrize("status", [0, 1, 2])
+    def test_single_product(self, status):
+        inst = generate(GenConfig(n=1, seed=4))
+        start = inst.p0 + np.array([0.0, 1.5, -1.5][status]) * inst.delta
+        self._assert_agree(inst, Partition.from_status(np.array([status], dtype=np.int8)), start)
+
+    def test_all_changed_prices_pinned(self, rng):
+        # bounds at the thresholds: every changed price is fixed, so no
+        # coordinate can move although the piece changes kappa > 0 prices
+        base = generate(GenConfig(n=40, k_fraction=0.25, seed=6))
+        inst = Instance(n=base.n, k=base.k, a=base.a, D=base.D, c=base.c, p0=base.p0,
+                        delta=base.delta, bounds=(base.p0 - base.delta, base.p0 + base.delta))
+        status = np.zeros(inst.n, dtype=np.int8)
+        status[rng.choice(inst.n, size=inst.k, replace=False)] = rng.integers(1, 3, size=inst.k)
+        part = Partition.from_status(status)
+        start = np.where(status == 1, inst.upper, np.where(status == 2, inst.lower, inst.p0))
+        result = self._assert_agree(inst, part, start)
+        assert part.n_changed == inst.k > 0
+        assert result.iterations == 0 and result.converged
+        assert np.array_equal(result.p, start)
+
+
+class TestMatvecCount:
+    """Products with the instance's S are a noise-free measure of the work."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        matvec = Instance.s_matvec
+        monkeypatch.setattr(Instance, "s_matvec", lambda self, p: calls.append(1) or matvec(self, p))
+        return calls
+
+    def test_refinement_makes_no_full_product(self, monkeypatch, rng):
+        inst = generate(GenConfig(n=200, diag_range=(0.01, 10.0), offdiag_rel_mag=0.9, seed=8))
+        part, start = _random_piece(rng, inst)
+        L = spectral_bounds(inst).L
+        calls = self._count(monkeypatch)
+        assert refine_on_partition(inst, part, start, L=L).converged
+        assert not calls
+
+    def test_multi_start_ceiling(self, monkeypatch):
+        # one product per value_and_gradient: each start's first point, its
+        # 10-12 GPA steps and its refined point, plus the long-step start's
+        # gradient at p0 (52 + 5 + 5 + 1); the refinement and the
+        # certificates add none
+        inst = generate(GenConfig(n=20_000, seed=0))
+        calls = self._count(monkeypatch)
+        multi_start(inst, SolverParams())
+        assert len(calls) <= 63
 
 
 class TestPerformanceBound:
