@@ -9,14 +9,18 @@ is equivalent to minimizing the convex quadratic
     Q(p) = 1/2 p^T S p - f^T p,      S = D + D^T,  f = a + D^T c,
 
 with ``Z(p) = -Q(p) - c^T a``.  ``S`` is built once per instance as a cached
-sparse CSR matrix (``Instance.S``) and every product with it goes through
-that one matrix; the dense ``S`` is never formed.  Q and its gradient are
+sparse CSR matrix (``Instance.S``, int32 indices when they fit) and every
+product with it goes through that one matrix; the dense ``S`` is never
+formed.  What does not depend on k (the Gershgorin bound of S, ``Z(p0)``,
+``max(delta)`` and the Lanczos estimates) is computed once, on first use,
+and shared with every ``with_k`` copy.  Q and its gradient are
 evaluated in one place, ``value_and_gradient``, under one overflow policy
 (a non-finite value or gradient is a ``NumericError``); ``objective_q`` and
 ``gradient_q`` return its two parts.  Systems in ``S`` or in a principal
 block of it are solved by one Jacobi-preconditioned conjugate gradient loop
 (``_pcg``), which takes the matrix: ``unconstrained_minimizer`` passes
-``S`` and the solver's refinement the block ``S_CC`` of its piece.
+``S`` and the solver's refinement the block ``S_CC`` of its piece, which
+``_rows_and_block`` cuts from the piece's rows in one pass.
 ``spectral_bounds`` gives the step constant ``L > lambda_1(S)`` from
 Gershgorin's bound or a Lanczos estimate of ``lambda_1``, and Lanczos also
 estimates ``lambda_n(S)``; Lanczos is the only user of
@@ -25,9 +29,10 @@ estimates ``lambda_n(S)``; Lanczos is the only user of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
@@ -175,8 +180,15 @@ class Instance:
 
     @cached_property
     def S(self) -> sparse.csr_array:
-        """S = D + D^T in canonical CSR form (sparse, never dense)."""
+        """S = D + D^T in canonical CSR form (sparse, never dense).
+
+        Its index arrays are int32 whenever n and nnz(S) fit: the products
+        are the same, bit for bit, and read less memory.
+        """
         S = sparse.csr_array(self.D + self.D.T)
+        if max(self.n, S.nnz) <= np.iinfo(np.int32).max:
+            S.indices = S.indices.astype(np.int32)
+            S.indptr = S.indptr.astype(np.int32)
         for buf in (S.data, S.indices, S.indptr):
             buf.setflags(write=False)
         return S
@@ -193,8 +205,10 @@ class Instance:
         return edges
 
     @cached_property
-    def _eigenvalues(self) -> dict:
-        """Lanczos results by ARPACK ``which``, filled by ``_extreme_eigenvalue``."""
+    def _constants(self) -> dict:
+        """Values that do not depend on k, each computed on first use and
+        shared with every ``with_k`` copy (``_shared``): the Gershgorin
+        bound of S, Z(p0), max(delta) and the Lanczos eigenvalue estimates."""
         return {}
 
     @cached_property
@@ -249,15 +263,17 @@ def with_k(instance: Instance, k: int) -> Instance:
     """Copy of the instance with a different change budget.
 
     Nothing else depends on k, so the copy shares the validated data and the
-    cached S, f, branch edges and eigenvalue estimates of the original (built
-    here if they were not yet), and only k is checked.
+    cached S, f and branch edges of the original (built here if they were not
+    yet) and its ``_constants``: the Gershgorin bound, Z(p0), max(delta) and
+    eigenvalue estimates that any of them computes serve them all.  Only k
+    is checked.
     """
     copy = object.__new__(Instance)
     shared = {
         "S": instance.S,
         "f": instance.f,
         "_edges": instance._edges,
-        "_eigenvalues": instance._eigenvalues,
+        "_constants": instance._constants,
     }
     copy.__dict__.update(instance.__dict__, **shared, k=_check_k(instance.n, k))
     return copy
@@ -394,6 +410,32 @@ def profit_z(instance: Instance, p: np.ndarray) -> float:
     return val
 
 
+def _rows_and_block(S: sparse.csr_array, C: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """The rows ``S[C, :]`` and the principal block ``S_CC`` of S, for sorted
+    unique indices C.
+
+    The block is cut from the rows in one pass over their stored entries: a
+    column map sends each column in C to its position and every other column
+    to -1, the entries that map are kept in their order, and the block's
+    row pointers are the running count of kept entries read at the rows'
+    pointers.  That is the same CSR, array for array, as ``S[C][:, C]``.
+    """
+    rows = S[C]
+    position = np.full(S.shape[1], -1, dtype=rows.indices.dtype)
+    position[C] = np.arange(C.size, dtype=rows.indices.dtype)
+    mapped = np.take(position, rows.indices)
+    keep = mapped >= 0
+    running = np.zeros(keep.size + 1, dtype=rows.indptr.dtype)
+    np.cumsum(keep, out=running[1:])
+    # taking by the kept indices, not by the mask: a boolean index over
+    # scattered entries costs several times as much
+    kept = np.flatnonzero(keep)
+    block = sparse.csr_array(
+        (np.take(rows.data, kept), np.take(mapped, kept), running[rows.indptr]), shape=(C.size, C.size)
+    )
+    return rows, block
+
+
 def _pcg(
     S: sparse.csr_array,
     rhs: np.ndarray,
@@ -465,15 +507,51 @@ def unconstrained_minimizer(instance: Instance) -> tuple[np.ndarray, float]:
     return p_hat, objective_q(instance, p_hat)
 
 
+def _shared(compute: Callable[[Instance], float]) -> Callable[[Instance], float]:
+    """Compute ``compute(instance)`` once and keep it in ``instance._constants``,
+    which the instance shares with its ``with_k`` copies."""
+    key = compute.__name__
+
+    @functools.wraps(compute)
+    def cached(instance: Instance) -> float:
+        cache = instance._constants
+        if key not in cache:
+            cache[key] = compute(instance)
+        return cache[key]
+
+    return cached
+
+
+@_shared
+def _gershgorin(instance: Instance) -> float:
+    """Gershgorin's bound on lambda_1(S), max_i sum_j |s_ij|, from one
+    reduction over the rows of S (every row stores its diagonal, so none is
+    empty)."""
+    S = instance.S
+    return float(np.max(np.add.reduceat(np.abs(S.data), S.indptr[:-1])))
+
+
+@_shared
+def _base_profit(instance: Instance) -> float:
+    """Z(p0), the profit at the baseline prices (``profit_z``)."""
+    return profit_z(instance, instance.p0)
+
+
+@_shared
+def _delta_max(instance: Instance) -> float:
+    """The largest change threshold."""
+    return float(np.max(instance.delta))
+
+
 def _extreme_eigenvalue(instance: Instance, which: str) -> Optional[float]:
     """Largest (``which="LA"``) or smallest (``"SA"``) eigenvalue of S by
     Lanczos (ARPACK), or None when it does not converge.
 
     The start vector is a fixed Gaussian draw, so reruns agree bit for bit
     (a structured start such as all-ones can be an eigenvector of S).  Each
-    result is computed once per S and kept with it.
+    result is computed once per S and kept in ``instance._constants``.
     """
-    cache = instance._eigenvalues
+    cache = instance._constants
     if which in cache:
         return cache[which]
     if instance.n == 1:  # ARPACK needs n > 1, and S is its own eigenvalue
@@ -504,13 +582,13 @@ def spectral_bounds(
                  positive, falls back to the gershgorin bound and flags it
 
     lambda_n is estimated by Lanczos only when requested, and reported only
-    if the estimate converged to a positive value.
+    if the estimate converged to a positive value.  The Gershgorin sum and
+    the Lanczos estimates are computed once per S (``_shared``).
     """
     if mode not in ("gershgorin", "power"):
         raise ValueError(f"mode must be 'gershgorin' or 'power', got {mode!r}")
 
-    row_sums = np.abs(instance.S).sum(axis=1)
-    gersh = float(np.max(row_sums))
+    gersh = _gershgorin(instance)
 
     used_fallback = False
     if mode == "gershgorin":

@@ -29,8 +29,8 @@ is the same floating-point arithmetic as the branch-by-branch score, bit for
 bit; inside it both terms are zero.  It is written with products instead of
 ``np.where`` because a select on a mask that changes every call costs
 several times an elementwise ``maximum``, and the projection runs on every
-gradient step.  ``project_feasible`` takes the top k of the gains and runs
-the 1-D projection on those k coordinates only.
+gradient step.  ``project_feasible`` takes the top k of the gains
+(``_select_top_k``) and runs the 1-D projection on those k coordinates only.
 
 The branch of P_i that a price lies on is decided once, too, in
 ``_classify`` (lowered at or below ``p0 - delta``, else raised at or above
@@ -39,11 +39,14 @@ and the solver's ``Partition`` both use it.
 
 The 1-D projection is computed once, in ``_project`` (the clamps of q into
 the raised and the lowered interval, ``_clamps``, and the half-threshold
-choice between them and p0); ``score``, ``project_1d`` and the certificates
-all use it.  Membership in H(q) is decided once, too:
+choice between them and p0); ``score`` and ``project_1d`` use it, and
+``project_feasible`` and the certificate use its clamps on the coordinates
+they need.  Membership in H(q) is decided once, too:
 ``_membership_residual`` is the closed-form distance from p to H(q), which
 ``certify_in_H`` and ``solver.certify_stationary`` (at q = p - grad Q(p) / L)
-both use.
+both use.  It reads the gains from ``_gains``; beyond them, their k-th
+largest and the masks that sort the coordinates against it, its work is
+proportional to the coordinates that can decide the residual, not to n.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, StructuralError
-from .instance import Instance, _check_length
+from .instance import Instance, _check_length, _delta_max
 
 __all__ = [
     "ProjectionScores",
@@ -233,13 +236,24 @@ def _select_top_k(delta_score: np.ndarray, k: int) -> np.ndarray:
 
     Coordinates with a zero (or nan) score are never selected, so fewer than
     k indices may be returned.  The k-th largest score is found by partial
-    selection among the positive ones, so the work stays O(n) expected.
+    selection, so the work stays O(n) expected.  With more than k positive
+    scores it is taken over the whole vector first: when exactly k scores
+    reach it, those k are the answer.  Otherwise (scores tied at it, or nan
+    scores among the k largest) it is found again among the positive scores
+    and ties are cut by index.
     """
-    positive = np.flatnonzero(delta_score > 0.0)
-    m = positive.size
-    if m <= k:
-        return positive
+    positive = delta_score > 0.0
+    if np.count_nonzero(positive) <= k:
+        return np.flatnonzero(positive)
+    n = delta_score.size
+    thr = np.partition(delta_score, n - k)[n - k]
+    if thr > 0.0:
+        chosen = np.flatnonzero(delta_score >= thr)
+        if chosen.size == k:
+            return chosen
+    positive = np.flatnonzero(positive)
     values = delta_score[positive]
+    m = positive.size
     thr = np.partition(values, m - k)[m - k]
     keep = values >= thr
     if np.count_nonzero(keep) > k:
@@ -291,17 +305,23 @@ def is_feasible(instance: Instance, p: np.ndarray) -> bool:
     return not np.any(moved & off)
 
 
-def _member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
-    """Per coordinate, the distance from p_i to the nearest admissible 1-D minimizer.
+def _member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: float, idx: np.ndarray) -> np.ndarray:
+    """For each i in idx, the distance from p_i to the nearest admissible 1-D minimizer.
 
-    Candidates are the two clamps of q_i and p0_i; one is admissible when its
-    distance to q_i is within tol of the least, so both values of a tie count.
+    Candidates are the two clamps of q_i (``_clamps``) and p0_i; one is
+    admissible when its distance to q_i is within tol of the least, so both
+    values of a tie count.
     """
-    _, c_up, c_dn = _project(instance.p0, instance.delta, instance.bounds, q)
-    candidates = (c_up, c_dn, instance.p0)
+    up, dn, _, _ = instance._edges
+    bounds = instance.bounds
+    if bounds is not None:
+        bounds = (bounds[0][idx], bounds[1][idx])
+    q, p, p0 = q[idx], p[idx], instance.p0[idx]
+    c_up, c_dn = _clamps(up[idx], dn[idx], bounds, q)
+    candidates = (c_up, c_dn, p0)
     d_cand = [np.abs(c - q) for c in candidates]
     d_best = np.minimum(np.minimum(d_cand[0], d_cand[1]), d_cand[2])
-    dist = np.full(instance.n, np.inf)
+    dist = np.full(idx.size, np.inf)
     for c, d in zip(candidates, d_cand):
         dist = np.where(d <= d_best + tol, np.minimum(dist, np.abs(p - c)), dist)
     return dist
@@ -309,7 +329,7 @@ def _member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: floa
 
 def _tie_margin(instance: Instance, q: np.ndarray, tol: float) -> float:
     """Margin within which two gain scores at q count as tied, for tolerance tol."""
-    return 4.0 * tol * (1.0 + float(np.max(np.abs(q - instance.p0))) + float(np.max(instance.delta)))
+    return 4.0 * tol * (1.0 + float(np.max(np.abs(q - instance.p0))) + _delta_max(instance))
 
 
 def _membership_residual(instance: Instance, q: np.ndarray, p: np.ndarray, tol: float) -> float:
@@ -322,33 +342,56 @@ def _membership_residual(instance: Instance, q: np.ndarray, p: np.ndarray, tol: 
     Each condition on the radius is monotone in it, so the residual is the
     largest per-condition minimum, two of them order statistics; k = n is
     no special case (the k-th largest score is then the smallest).
+
+    Only the gains, their k-th largest and the masks cost O(n).  A
+    coordinate's distance to p0, ``out_cost = |p - p0|``, is zero unless p
+    changed it, so the maxima and the order statistic that read it skip the
+    unchanged coordinates (a dropped zero never exceeds a maximum, and the
+    order statistic counts them).  The distance to a 1-D minimizer,
+    ``in_cost``, is computed only where a condition reads it: on must-in
+    coordinates, and on the pool where it fills slots, else on the changed
+    pool coordinates (an unchanged one contributes min(in_cost, 0) = 0).
     """
     n, k = instance.n, instance.k
-    delta_score = score(instance, q).delta_score
-    in_cost = _member_distance(instance, q, p, tol)
-    out_cost = np.abs(p - instance.p0)
+    p0 = instance.p0
+    delta_score = _gains(instance, q)
     tol_delta = _tie_margin(instance, q, tol)
+    changed = p != p0
 
     theta = float(np.partition(delta_score, n - k)[n - k])
     fill_slots = theta > tol_delta
     if fill_slots:
         must_in = delta_score > theta + tol_delta
         never_in = delta_score < theta - tol_delta
+        need = ~never_in
+        out_never = np.flatnonzero(never_in & changed)
+        pool_size = n - int(np.count_nonzero(never_in))
     else:
         must_in = delta_score > tol_delta
-        never_in = np.zeros(n, dtype=bool)
-    pool = ~must_in & ~never_in
-    slots = k - int(np.count_nonzero(must_in))
-    pool_in, pool_out = in_cost[pool], out_cost[pool]
+        need = must_in | changed
+        out_never = np.zeros(0, dtype=np.intp)
+        pool_size = n
+    n_must = int(np.count_nonzero(must_in))
+    pool_size -= n_must
+    slots = k - n_must
+
+    # need is must-in plus the pool coordinates the conditions read
+    idx = np.flatnonzero(need)
+    in_cost = _member_distance(instance, q, p, tol, idx)
+    in_must = must_in[idx]
+    pool_in = in_cost[~in_must]
+    pool = idx[~in_must]
+    pool_out = np.abs(p[pool] - p0[pool])
 
     # must-in coordinates within r of a minimizer, never-in ones within r of
     # p0, pool ones within r of either
-    minima = [in_cost[must_in], out_cost[never_in], np.minimum(pool_in, pool_out)]
+    minima = [in_cost[in_must], np.abs(p[out_never] - p0[out_never]), np.minimum(pool_in, pool_out)]
     # at most `slots` pool coordinates move in, the rest stay within r of p0:
-    # r is at least the (slots+1)-th largest pool out_cost
-    m = pool_out.size
-    if m > slots:
-        minima.append(np.partition(pool_out, m - slots - 1)[m - slots - 1])
+    # r is at least the (slots+1)-th largest pool out_cost, zero when fewer
+    # than slots+1 pool coordinates changed
+    if pool_size > slots:
+        pos = pool_out.size - slots - 1
+        minima.append(np.partition(pool_out, pos)[pos] if pos >= 0 else 0.0)
     if fill_slots:
         # exactly k changes: `slots` pool coordinates within r of a minimizer
         minima.append(np.partition(pool_in, slots - 1)[slots - 1])

@@ -15,9 +15,10 @@ solve (``refine_on_partition``) is projected Newton-CG on the piece's box,
 run in the coordinates of the kappa <= k prices that can move: their rows of
 S give the gradient, their block S_CC the rest, conjugate gradients on the
 free coordinates give the step, and a projected Armijo search keeps it in
-the box and descending.  The CG loop is ``instance._pcg``, shared with
-``unconstrained_minimizer``, so this module keeps no linear algebra of its
-own.
+the box and descending.  The rows and the block come from
+``instance._rows_and_block`` and the CG loop is ``instance._pcg``, shared
+with ``unconstrained_minimizer``, so this module keeps no linear algebra of
+its own.
 
 A point is first-order stationary when it is a fixed point of the map above
 (the L-stationarity of Beck & Eldar, SIAM J. Optim. 23(3), 2013):
@@ -25,7 +26,11 @@ A point is first-order stationary when it is a fixed point of the map above
 of ``p - grad Q(p) / L`` with the closed-form residual that lives in
 ``projection.py`` and also decides ``certify_in_H``, so legitimate
 two-valued projections and tied scores do not fail certification.  Each run
-certifies its final point once.
+certifies its final point once, and the certificate computes the 1-D
+distances only on the coordinates that can decide it.  The Gershgorin step
+constant and the base profit ``Z(p0)`` that every run reports are computed
+once per instance and its ``with_k`` copies (``instance._gershgorin``,
+``instance._base_profit``).
 """
 
 from __future__ import annotations
@@ -41,13 +46,15 @@ import numpy as np
 from .errors import ContractError, NumericError, StructuralError
 from .instance import (
     Instance,
+    _base_profit,
     _pcg,
+    _rows_and_block,
     gradient_q,
     profit_z,
     spectral_bounds,
     value_and_gradient,
 )
-from .projection import _classify, _membership_residual, _tie_margin, is_feasible, project_feasible, score
+from .projection import _classify, _gains, _membership_residual, _tie_margin, is_feasible, project_feasible
 
 __all__ = [
     "SolverParams",
@@ -287,8 +294,7 @@ def refine_on_partition(
 
     # C is empty when bounds pin every changed price at its threshold
     C = np.flatnonzero(lo < hi)
-    S_rows = instance.S[C]
-    S_CC = S_rows[:, C]
+    S_rows, S_CC = _rows_and_block(instance.S, C)
     d_inv = 1.0 / S_CC.diagonal()
     lo, hi, f = lo[C], hi[C], instance.f[C]
     x = p[C]
@@ -439,7 +445,7 @@ def gpa_solve(
     ok, residual = certificate
     partition = Partition.from_status(_classify(instance, p))
     kappa = int(np.count_nonzero(p != instance.p0))
-    base_profit = profit_z(instance, instance.p0)
+    base_profit = _base_profit(instance)
 
     return SolveReport(
         final_p=p,
@@ -563,7 +569,7 @@ def performance_bound(
     L = report.L
     p = report.final_p
     q = p - gradient_q(instance, p) / L
-    scores = np.sort(score(instance, q).delta_score)[::-1]
+    scores = np.sort(_gains(instance, q))[::-1]
     kappa = report.kappa
     tail = float(scores[kappa:].sum())
     if tol is None:

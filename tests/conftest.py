@@ -41,6 +41,27 @@ def random_instance(
     return with_k(generate(cfg), k)
 
 
+def reference_member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
+    """Per coordinate, the distance from p_i to the nearest admissible 1-D
+    minimizer, over all n coordinates: the ``projection._member_distance``
+    that the certificates ran before it took an index set, kept as the
+    reference.
+
+    Candidates are the two clamps of q_i and p0_i; one is admissible when its
+    distance to q_i is within tol of the least, so both values of a tie count.
+    """
+    from priceopt.projection import _project
+
+    _, c_up, c_dn = _project(instance.p0, instance.delta, instance.bounds, q)
+    candidates = (c_up, c_dn, instance.p0)
+    d_cand = [np.abs(c - q) for c in candidates]
+    d_best = np.minimum(np.minimum(d_cand[0], d_cand[1]), d_cand[2])
+    dist = np.full(instance.n, np.inf)
+    for c, d in zip(candidates, d_cand):
+        dist = np.where(d <= d_best + tol, np.minimum(dist, np.abs(p - c)), dist)
+    return dist
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)

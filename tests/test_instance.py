@@ -6,9 +6,11 @@ from priceopt import (
     GenConfig,
     Instance,
     NumericError,
+    SolverParams,
     StructuralError,
     ValidationError,
     generate,
+    gpa_solve,
     gradient_q,
     objective_q,
     profit_z,
@@ -17,7 +19,7 @@ from priceopt import (
     validate,
     with_k,
 )
-from priceopt.instance import value_and_gradient
+from priceopt.instance import _rows_and_block, value_and_gradient
 from conftest import two_product_instance, random_instance
 
 
@@ -122,6 +124,91 @@ class TestCachedS:
         assert inst.f.tobytes() == (inst.a + dt @ inst.c).tobytes()
 
 
+def _same_csr(got, want):
+    return all(
+        getattr(got, a).dtype == getattr(want, a).dtype and getattr(got, a).tobytes() == getattr(want, a).tobytes()
+        for a in ("indptr", "indices", "data")
+    ) and got.shape == want.shape
+
+
+def _int64_copy(S):
+    S64 = S.copy()
+    S64.indices, S64.indptr = S.indices.astype(np.int64), S.indptr.astype(np.int64)
+    return S64
+
+
+class TestInt32Indices:
+    @pytest.mark.parametrize("n, seed", [(1, 0), (40, 1), (3000, 2)])
+    def test_products_match_int64_bytes(self, n, seed):
+        inst = generate(GenConfig(n=n, seed=seed))
+        S = inst.S
+        assert S.indices.dtype == S.indptr.dtype == np.int32
+        S64 = _int64_copy(S)
+        assert S64.indices.dtype == S64.indptr.dtype == np.int64
+        rng = np.random.default_rng(seed)
+        C = np.flatnonzero(rng.random(n) < 0.3)
+        rows, block = _rows_and_block(S, C)
+        rows64, block64 = _rows_and_block(S64, C)
+        for _ in range(5):
+            p = rng.normal(0.0, 3.0, n)
+            x = p[C]
+            assert (S @ p).tobytes() == (S64 @ p).tobytes()
+            assert (rows @ p).tobytes() == (rows64 @ p).tobytes()
+            assert (block @ x).tobytes() == (block64 @ x).tobytes()
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_lp_export_unchanged(self, tmp_path, bounded):
+        from priceopt.lpformat import export_mip_lp
+
+        inst = generate(GenConfig(n=60, bounds_mode=(1.0, 5.0, 8.0, 14.0) if bounded else None, seed=3))
+        export_mip_lp(inst, str(tmp_path / "int32.lp"))
+        inst.__dict__["S"] = _int64_copy(inst.S)
+        export_mip_lp(inst, str(tmp_path / "int64.lp"))
+        assert (tmp_path / "int32.lp").read_bytes() == (tmp_path / "int64.lp").read_bytes()
+
+
+class TestRowsAndBlock:
+    """The one-pass block equals SciPy's row-then-column fancy indexing."""
+
+    def _check(self, S, C):
+        rows, block = _rows_and_block(S, C)
+        want_rows = S[C]
+        assert _same_csr(rows, want_rows)
+        assert _same_csr(block, want_rows[:, C])
+
+    def test_random_subsets(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(1, 120))
+            inst = generate(GenConfig(n=n, seed=trial))
+            frac = rng.choice([0.0, 0.05, 0.5, 1.0])
+            self._check(inst.S, np.flatnonzero(rng.random(n) < frac))
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_empty_and_full(self, n):
+        S = generate(GenConfig(n=n, seed=n)).S
+        self._check(S, np.arange(0))
+        self._check(S, np.arange(n))
+
+    def test_pieces_with_pinned_prices(self, rng):
+        # u = p0 + delta and l = p0 - delta pin every changed price of the
+        # pinned coordinates, so only the others can move; all pinned, C is empty
+        from priceopt.solver import Partition, _partition_box, _random_feasible_start
+
+        for trial in range(30):
+            base = generate(GenConfig(n=int(rng.integers(2, 80)), seed=trial))
+            pinned = rng.random(base.n) < (1.0 if trial % 3 == 0 else 0.5)
+            l = np.where(pinned, base.p0 - base.delta, base.p0 - 5 * base.delta)
+            u = np.where(pinned, base.p0 + base.delta, base.p0 + 5 * base.delta)
+            inst = Instance(n=base.n, k=int(rng.integers(1, base.n + 1)), a=base.a, D=base.D, c=base.c,
+                            p0=base.p0, delta=base.delta, bounds=(l, u))
+            p = _random_feasible_start(inst, rng)
+            lo, hi = _partition_box(inst, Partition.from_prices(inst, p))
+            C = np.flatnonzero(lo < hi)
+            if trial % 3 == 0:
+                assert C.size == 0
+            self._check(inst.S, C)
+
+
 class TestWithK:
     @pytest.mark.parametrize("bounded", [False, True])
     def test_copy_shares_data_and_keeps_values(self, bounded):
@@ -150,6 +237,24 @@ class TestWithK:
         for got, want in ((up, inst.p0 + inst.delta), (dn, inst.p0 - inst.delta),
                           (half_dn, inst.p0 - half), (half_up, inst.p0 + half)):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+    def test_copies_share_the_constants(self):
+        # a copy made before or after the original computes them reads the
+        # shared value: the sentinels below would not survive a recomputation
+        inst = generate(GenConfig(n=300, seed=4))
+        early = with_k(inst, 7)
+        L = spectral_bounds(inst).L
+        base = gpa_solve(early, early.p0, SolverParams(), L=L).base_profit
+        late = with_k(inst, 9)
+        assert early._constants is inst._constants is late._constants
+        gersh, delta_max = float(np.max(np.abs(inst.S).sum(axis=1))), float(np.max(inst.delta))
+        assert late._constants == {"_gershgorin": gersh, "_base_profit": base, "_delta_max": delta_max}
+        assert spectral_bounds(early).L == spectral_bounds(late).L == L
+        inst._constants["_gershgorin"] = 123.0
+        inst._constants["_base_profit"] = -4.5
+        assert spectral_bounds(early).L == spectral_bounds(with_k(late, 3)).L == 1.001 * 123.0
+        report = gpa_solve(late, late.p0, SolverParams(), L=L)
+        assert report.base_profit == -4.5
 
     @pytest.mark.parametrize("k", [0, -1, 4])
     def test_k_out_of_range_rejected(self, k):
@@ -283,6 +388,13 @@ class TestSpectralBounds:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             spectral_bounds(two_product_instance(), mode="exact")
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (50, 2), (3000, 3)])
+    def test_gershgorin_matches_row_sums_bitwise(self, n, seed):
+        inst = generate(GenConfig(n=n, seed=seed, diag_range=(0.01, 10.0), offdiag_rel_mag=0.9))
+        gersh = float(np.max(np.abs(inst.S).sum(axis=1)))
+        sb = spectral_bounds(inst)
+        assert sb.L == 1.001 * gersh and sb.lambda1_est == gersh
 
 
 class TestPowerIterationFallback:

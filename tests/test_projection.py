@@ -22,7 +22,7 @@ from priceopt import (
     with_k,
 )
 from priceopt.solver import _classify, _random_feasible_start
-from conftest import two_product_instance, random_instance
+from conftest import random_instance, reference_member_distance, two_product_instance
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 positive = st.floats(min_value=0.05, max_value=5, allow_nan=False)
@@ -317,6 +317,51 @@ def _reference_select_top_k(delta_score, k):
     return np.sort(np.concatenate([strictly_above, tied]))
 
 
+def _reference_positive_top_k(delta_score, k):
+    """The top-k that ``_select_top_k`` ran before it tried the full gain
+    vector first: the k-th largest among the positive scores only, kept as
+    the reference."""
+    positive = np.flatnonzero(delta_score > 0.0)
+    m = positive.size
+    if m <= k:
+        return positive
+    values = delta_score[positive]
+    thr = np.partition(values, m - k)[m - k]
+    keep = values >= thr
+    if np.count_nonzero(keep) > k:
+        keep = values > thr
+        keep[np.flatnonzero(values == thr)[: k - np.count_nonzero(keep)]] = True
+    return positive[np.flatnonzero(keep)]
+
+
+class TestSelectTopKMatchesReference:
+    def test_levels_ties_zeros_and_nan(self, rng):
+        from priceopt.projection import _select_top_k
+
+        seen = set()
+        for trial in range(3000):
+            n = int(rng.integers(1, 30))
+            levels = np.array([0.0, 0.0, 1.0, 2.0, 2.0, 3.5, np.nan, 1e-300, np.inf])
+            pick = levels[: int(rng.integers(2, levels.size + 1))]
+            scores = rng.choice(pick, size=n)
+            if trial % 2:
+                # distinct positive scores mixed in
+                scores = np.where(rng.random(n) < 0.5, rng.random(n), scores)
+            k = n if trial % 7 == 0 else int(rng.integers(1, n + 1))
+            got = _select_top_k(scores, k)
+            want = _reference_positive_top_k(scores, k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # m positive scores; with m > k, either exactly k reach the k-th
+            # largest score or the selection falls back (ties at it, nan)
+            m = np.count_nonzero(scores > 0.0)
+            seen.add("k=n" if k == n else "m<k" if m < k else "m=k" if m == k else "m>k")
+            seen.add("nan" if np.isnan(scores).any() else "finite")
+            if m > k:
+                thr = np.partition(scores, n - k)[n - k]
+                seen.add("k reach it" if thr > 0.0 and np.count_nonzero(scores >= thr) == k else "fallback")
+        assert seen == {"k=n", "m<k", "m=k", "m>k", "nan", "finite", "k reach it", "fallback"}
+
+
 def _reference_project_feasible(instance, q):
     """project_feasible as it was before the branch-free gains: every
     coordinate's 1-D projection from ``score`` (held to its reference bytes by
@@ -454,14 +499,12 @@ def _reference_certify_in_H(instance, q, p, tol=1e-8):
     every selected score at least every unselected one, within tol) or zero
     gain (|sigma| < k: every unselected score at most tol).
     """
-    from priceopt.projection import _member_distance
-
     sigma = p != instance.p0
     n_changed = int(np.count_nonzero(sigma))
     if n_changed > instance.k:
         return False
     sc = score(instance, q)
-    if n_changed and np.any(_member_distance(instance, q, p, tol)[sigma] > tol):
+    if n_changed and np.any(reference_member_distance(instance, q, p, tol)[sigma] > tol):
         return False
     outside = ~sigma
     max_out = float(sc.delta_score[outside].max()) if np.any(outside) else 0.0
@@ -540,13 +583,46 @@ class TestCertifyMatchesReference:
 def _reference_full_budget_residual(instance, q, p, tol):
     """The k = n branch that _membership_residual ran before the general
     path covered it, kept as the reference."""
-    from priceopt.projection import _member_distance, _tie_margin
-
     delta_score = score(instance, q).delta_score
-    in_cost = _member_distance(instance, q, p, tol)
+    in_cost = reference_member_distance(instance, q, p, tol)
     out_cost = np.abs(p - instance.p0)
-    tied = delta_score <= _tie_margin(instance, q, tol)
+    tied = delta_score <= _reference_tie_margin(instance, q, tol)
     return float(np.max(np.minimum(in_cost, np.where(tied, out_cost, np.inf))))
+
+
+def _reference_tie_margin(instance, q, tol):
+    return 4.0 * tol * (1.0 + float(np.max(np.abs(q - instance.p0))) + float(np.max(instance.delta)))
+
+
+def _reference_membership_residual(instance, q, p, tol):
+    """``_membership_residual`` as it was before it took its gains from
+    ``_gains`` and computed the 1-D distances only where they count: every
+    cost over all n coordinates, kept as the reference."""
+    n, k = instance.n, instance.k
+    delta_score = score(instance, q).delta_score
+    in_cost = reference_member_distance(instance, q, p, tol)
+    out_cost = np.abs(p - instance.p0)
+    tol_delta = _reference_tie_margin(instance, q, tol)
+
+    theta = float(np.partition(delta_score, n - k)[n - k])
+    fill_slots = theta > tol_delta
+    if fill_slots:
+        must_in = delta_score > theta + tol_delta
+        never_in = delta_score < theta - tol_delta
+    else:
+        must_in = delta_score > tol_delta
+        never_in = np.zeros(n, dtype=bool)
+    pool = ~must_in & ~never_in
+    slots = k - int(np.count_nonzero(must_in))
+    pool_in, pool_out = in_cost[pool], out_cost[pool]
+
+    minima = [in_cost[must_in], out_cost[never_in], np.minimum(pool_in, pool_out)]
+    m = pool_out.size
+    if m > slots:
+        minima.append(np.partition(pool_out, m - slots - 1)[m - slots - 1])
+    if fill_slots:
+        minima.append(np.partition(pool_in, slots - 1)[slots - 1])
+    return max(float(np.max(r, initial=0.0)) for r in minima)
 
 
 def _reference_is_feasible(instance, p):
@@ -583,6 +659,62 @@ class TestFullBudgetResidual:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
                 cases += 1
         assert cases > 1000
+
+
+def _residual_bytes(fn, instance, q, p, tol):
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.float64(fn(instance, q, p, tol)).tobytes()
+
+
+class TestMembershipResidualMatchesReference:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-3])
+    def test_certify_cases(self, rng, tol):
+        from priceopt.projection import _membership_residual
+
+        cases, full_budget, slack = 0, 0, 0
+        for trial in range(160):
+            inst = random_instance(rng, n_hi=30, bounded=trial % 2 == 0)
+            if trial % 4 >= 2:
+                inst = with_k(inst, inst.n)
+            for q, p in _certify_cases(rng, inst, tol):
+                got = _residual_bytes(_membership_residual, inst, q, p, tol)
+                assert got == _residual_bytes(_reference_membership_residual, inst, q, p, tol)
+                cases += 1
+                full_budget += inst.k == inst.n
+                slack += np.frombuffer(got)[0] > tol
+        assert cases >= 1000 and 0 < full_budget < cases and slack > 0
+
+    def test_query_mix_with_infinite_and_nan_queries(self, rng):
+        # the mix puts queries at p0, the thresholds, the half-threshold
+        # ties, the bounds and beyond them, and +-inf and nan in some rows
+        from priceopt.projection import _membership_residual
+
+        for trial in range(150):
+            inst = random_instance(rng, n_hi=30, bounded=trial % 2 == 0)
+            for q in _query_mix(rng, inst):
+                with np.errstate(invalid="ignore"):
+                    points = (project_feasible(inst, q), _random_feasible_start(inst, rng), inst.p0)
+                for p in points:
+                    for tol in (1e-8, 1e-3):
+                        want = _residual_bytes(_reference_membership_residual, inst, q, p, tol)
+                        assert _residual_bytes(_membership_residual, inst, q, p, tol) == want
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_gpa_end_points(self, rng, bounded):
+        from priceopt import SolverParams, gpa_solve, gradient_q, spectral_bounds
+        from priceopt.projection import _membership_residual
+
+        for trial in range(40):
+            inst = random_instance(rng, n_lo=5, n_hi=60, bounded=bounded)
+            if trial % 3 == 0:
+                inst = with_k(inst, inst.n)
+            L = spectral_bounds(inst).L
+            start = _random_feasible_start(inst, rng)
+            p = gpa_solve(inst, start, SolverParams(max_iters=int(rng.integers(1, 40))), L=L).final_p
+            q = p - gradient_q(inst, p) / L
+            for tol in (1e-8, 1e-7, 1e-3):
+                want = _residual_bytes(_reference_membership_residual, inst, q, p, tol)
+                assert _residual_bytes(_membership_residual, inst, q, p, tol) == want
 
 
 class TestIsFeasibleMatchesReference:

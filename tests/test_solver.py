@@ -32,8 +32,9 @@ from priceopt.solver import (
     STATIONARITY_TOL,
     RefineResult,
     _partition_box,
+    _random_feasible_start,
 )
-from conftest import two_product_instance, random_instance
+from conftest import random_instance, reference_member_distance, two_product_instance
 
 
 class TestSolverParams:
@@ -244,12 +245,12 @@ def _search_certify(instance, p, L, tol=STATIONARITY_TOL):
     against the admissibility conditions written out one by one, and returns
     (flag, residual, branch) with branch one of "k>=n", "ties", "slack".
     """
-    from priceopt.projection import _member_distance, score
+    from priceopt.projection import score
 
     n, k = instance.n, instance.k
     q = p - gradient_q(instance, p) / L
     delta_score = score(instance, q).delta_score
-    in_cost = _member_distance(instance, q, p, tol)
+    in_cost = reference_member_distance(instance, q, p, tol)
     out_cost = np.abs(p - instance.p0)
     tol_delta = 4.0 * tol * (1.0 + float(np.max(np.abs(instance.p0 - q))) + float(np.max(instance.delta)))
 
@@ -680,6 +681,23 @@ class TestPerformanceBound:
             assert grad_sq <= bound_i + 1e-8
             checked += 1
         assert checked >= 15
+
+    def test_same_bits_as_the_score_tail(self, rng, monkeypatch):
+        # the tail used to come from score(q).delta_score; _gains gives the
+        # same scores without the 1-D projections
+        from priceopt import score, solver
+
+        cases = []
+        for trial in range(12):
+            inst = random_instance(rng, 5, 60, bounded=False)
+            report = gpa_solve(inst, _random_feasible_start(inst, rng), SolverParams())
+            if report.stationary:
+                cases.append((inst, report, performance_bound(inst, report, 0.5)))
+        assert len(cases) >= 8
+        monkeypatch.setattr(solver, "_gains", lambda inst, q: score(inst, q).delta_score)
+        for inst, report, got in cases:
+            want = performance_bound(inst, report, 0.5)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_unavailable_without_lambda_n(self):
         inst = two_product_instance()
