@@ -189,7 +189,7 @@ def _cmd_solve(args) -> int:
                 print(f"suboptimality bounds attached (lambda_n estimated: {lam_n:.6g})")
             else:
                 print("suboptimality bounds unavailable (needs a converged lambda_n and a stationary point)")
-    storage.write_report(reports, args.report, include_wall_time=False)
+    storage.write_report(reports, args.report)
     total_wall = sum(r.wall_time for r in reports)
     print(
         f"best start {best.start_id}: profit {best.final_profit:.6g} "
@@ -273,7 +273,7 @@ def _cmd_sweep(args) -> int:
         best.instance_id = f"k_frac={frac:g}"
         reports.append(best)
         warm = best.final_p
-    storage.write_report(reports, args.out, include_wall_time=False)
+    storage.write_report(reports, args.out)
     print(f"swept {len(fractions)} budgets -> {args.out}")
     return 0
 
@@ -296,9 +296,7 @@ def _cmd_suite(args) -> int:
             r.instance_id = tag
         all_reports.extend(reports)
         print(f"[{idx + 1}/{len(configs)}] {tag}: best profit {best.final_profit:.6g}")
-    storage.write_report(
-        all_reports, os.path.join(args.out_dir, "results.csv"), include_wall_time=False
-    )
+    storage.write_report(all_reports, os.path.join(args.out_dir, "results.csv"))
     return 0
 
 

@@ -11,20 +11,19 @@ is equivalent to minimizing the convex quadratic
 with ``Z(p) = -Q(p) - c^T a``.  ``S`` is built once per instance as a cached
 sparse CSR matrix (``Instance.S``, int32 indices when they fit) and every
 product with it goes through that one matrix; the dense ``S`` is never
-formed.  What does not depend on k (the Gershgorin bound of S, ``Z(p0)``,
-``max(delta)`` and the Lanczos estimates) is computed once, on first use,
-and shared with every ``with_k`` copy.  Q and its gradient are
-evaluated in one place, ``value_and_gradient``, under one overflow policy
-(a non-finite value or gradient is a ``NumericError``); ``objective_q`` and
-``gradient_q`` return its two parts.  Systems in ``S`` or in a principal
-block of it are solved by one Jacobi-preconditioned conjugate gradient loop
-(``_pcg``), which takes the matrix: ``unconstrained_minimizer`` passes
-``S`` and the solver's refinement the block ``S_CC`` of its piece, which
-``_rows_and_block`` cuts from the piece's rows in one pass.
-``spectral_bounds`` gives the step constant ``L > lambda_1(S)`` from
-Gershgorin's bound or a Lanczos estimate of ``lambda_1``, and Lanczos also
-estimates ``lambda_n(S)``; Lanczos is the only user of
-``scipy.sparse.linalg``.
+formed.  What does not depend on k (the Gershgorin bound of S, ``Z(p0)``
+and the Lanczos estimates) is computed once, on first use, by a function
+under ``_shared``, and kept in one dict that every ``with_k`` copy shares.
+Q and its gradient are evaluated in one place, ``value_and_gradient``, under
+one overflow policy (a non-finite value or gradient is a ``NumericError``);
+``objective_q`` and ``gradient_q`` return its two parts.  Systems in ``S``
+or in a principal block of it are solved by one Jacobi-preconditioned
+conjugate gradient loop (``_pcg``), which takes the matrix:
+``unconstrained_minimizer`` passes ``S`` and the solver's refinement the
+block ``S_CC`` of its piece.  ``spectral_bounds`` gives the step constant
+``L > lambda_1(S)`` from Gershgorin's bound or a Lanczos estimate of
+``lambda_1``, and Lanczos also estimates ``lambda_n(S)``; Lanczos is the
+only user of ``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -207,8 +206,9 @@ class Instance:
     @cached_property
     def _constants(self) -> dict:
         """Values that do not depend on k, each computed on first use and
-        shared with every ``with_k`` copy (``_shared``): the Gershgorin
-        bound of S, Z(p0), max(delta) and the Lanczos eigenvalue estimates."""
+        shared with every ``with_k`` copy: the results of the functions
+        under ``_shared`` (the Gershgorin bound of S, Z(p0) and the Lanczos
+        eigenvalue estimates), keyed by function name and arguments."""
         return {}
 
     @cached_property
@@ -264,9 +264,8 @@ def with_k(instance: Instance, k: int) -> Instance:
 
     Nothing else depends on k, so the copy shares the validated data and the
     cached S, f and branch edges of the original (built here if they were not
-    yet) and its ``_constants``: the Gershgorin bound, Z(p0), max(delta) and
-    eigenvalue estimates that any of them computes serve them all.  Only k
-    is checked.
+    yet) and its ``_constants``: the Gershgorin bound, Z(p0) and eigenvalue
+    estimates that any of them computes serve them all.  Only k is checked.
     """
     copy = object.__new__(Instance)
     shared = {
@@ -410,32 +409,6 @@ def profit_z(instance: Instance, p: np.ndarray) -> float:
     return val
 
 
-def _rows_and_block(S: sparse.csr_array, C: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """The rows ``S[C, :]`` and the principal block ``S_CC`` of S, for sorted
-    unique indices C.
-
-    The block is cut from the rows in one pass over their stored entries: a
-    column map sends each column in C to its position and every other column
-    to -1, the entries that map are kept in their order, and the block's
-    row pointers are the running count of kept entries read at the rows'
-    pointers.  That is the same CSR, array for array, as ``S[C][:, C]``.
-    """
-    rows = S[C]
-    position = np.full(S.shape[1], -1, dtype=rows.indices.dtype)
-    position[C] = np.arange(C.size, dtype=rows.indices.dtype)
-    mapped = np.take(position, rows.indices)
-    keep = mapped >= 0
-    running = np.zeros(keep.size + 1, dtype=rows.indptr.dtype)
-    np.cumsum(keep, out=running[1:])
-    # taking by the kept indices, not by the mask: a boolean index over
-    # scattered entries costs several times as much
-    kept = np.flatnonzero(keep)
-    block = sparse.csr_array(
-        (np.take(rows.data, kept), np.take(mapped, kept), running[rows.indptr]), shape=(C.size, C.size)
-    )
-    return rows, block
-
-
 def _pcg(
     S: sparse.csr_array,
     rhs: np.ndarray,
@@ -507,16 +480,18 @@ def unconstrained_minimizer(instance: Instance) -> tuple[np.ndarray, float]:
     return p_hat, objective_q(instance, p_hat)
 
 
-def _shared(compute: Callable[[Instance], float]) -> Callable[[Instance], float]:
-    """Compute ``compute(instance)`` once and keep it in ``instance._constants``,
-    which the instance shares with its ``with_k`` copies."""
-    key = compute.__name__
+def _shared(compute: Callable[..., Optional[float]]) -> Callable[..., Optional[float]]:
+    """Compute ``compute(instance, *args)`` once per ``args`` and keep it in
+    ``instance._constants`` under ``(name, *args)``; the instance shares that
+    dict with its ``with_k`` copies."""
+    name = compute.__name__
 
     @functools.wraps(compute)
-    def cached(instance: Instance) -> float:
+    def cached(instance: Instance, *args) -> Optional[float]:
         cache = instance._constants
+        key = (name, *args)
         if key not in cache:
-            cache[key] = compute(instance)
+            cache[key] = compute(instance, *args)
         return cache[key]
 
     return cached
@@ -538,35 +513,23 @@ def _base_profit(instance: Instance) -> float:
 
 
 @_shared
-def _delta_max(instance: Instance) -> float:
-    """The largest change threshold."""
-    return float(np.max(instance.delta))
-
-
 def _extreme_eigenvalue(instance: Instance, which: str) -> Optional[float]:
     """Largest (``which="LA"``) or smallest (``"SA"``) eigenvalue of S by
     Lanczos (ARPACK), or None when it does not converge.
 
     The start vector is a fixed Gaussian draw, so reruns agree bit for bit
-    (a structured start such as all-ones can be an eigenvector of S).  Each
-    result is computed once per S and kept in ``instance._constants``.
+    (a structured start such as all-ones can be an eigenvector of S).
     """
-    cache = instance._constants
-    if which in cache:
-        return cache[which]
     if instance.n == 1:  # ARPACK needs n > 1, and S is its own eigenvalue
-        lam = float(instance.S.diagonal()[0])
-    else:
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        return float(instance.S.diagonal()[0])
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(instance.n)
-        try:
-            lam = eigsh(instance.S, k=1, which=which, v0=v0, tol=_LANCZOS_TOL, return_eigenvectors=False)
-            lam = float(lam[0])
-        except ArpackNoConvergence:
-            lam = None
-    cache[which] = lam
-    return lam
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(instance.n)
+    try:
+        lam = eigsh(instance.S, k=1, which=which, v0=v0, tol=_LANCZOS_TOL, return_eigenvectors=False)
+    except ArpackNoConvergence:
+        return None
+    return float(lam[0])
 
 
 def spectral_bounds(

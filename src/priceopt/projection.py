@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, StructuralError
-from .instance import Instance, _check_length, _delta_max
+from .instance import Instance, _check_length
 
 __all__ = [
     "ProjectionScores",
@@ -329,7 +329,7 @@ def _member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: floa
 
 def _tie_margin(instance: Instance, q: np.ndarray, tol: float) -> float:
     """Margin within which two gain scores at q count as tied, for tolerance tol."""
-    return 4.0 * tol * (1.0 + float(np.max(np.abs(q - instance.p0))) + _delta_max(instance))
+    return 4.0 * tol * (1.0 + float(np.max(np.abs(q - instance.p0))) + float(np.max(instance.delta)))
 
 
 def _membership_residual(instance: Instance, q: np.ndarray, p: np.ndarray, tol: float) -> float:
@@ -405,9 +405,13 @@ def certify_in_H(
     tol: float = DEFAULT_CERT_TOL,
 ) -> bool:
     """Whether p is within tol, in the infinity norm, of a member of H(q),
-    ties admitted (``_membership_residual``)."""
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if q.shape != (instance.n,) or p.shape != (instance.n,):
-        raise StructuralError("q and p must both have length n")
+    ties admitted (``_membership_residual``).
+
+    q and p must be finite: a nan in q would make the tie margin nan and
+    the residual 0, so any p would pass.
+    """
+    q = _check_length(instance, q)
+    p = _check_length(instance, p)
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise StructuralError("q and p must hold finite numbers")
     return _membership_residual(instance, q, p, tol) <= tol

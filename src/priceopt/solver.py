@@ -15,10 +15,11 @@ solve (``refine_on_partition``) is projected Newton-CG on the piece's box,
 run in the coordinates of the kappa <= k prices that can move: their rows of
 S give the gradient, their block S_CC the rest, conjugate gradients on the
 free coordinates give the step, and a projected Armijo search keeps it in
-the box and descending.  The rows and the block come from
-``instance._rows_and_block`` and the CG loop is ``instance._pcg``, shared
-with ``unconstrained_minimizer``, so this module keeps no linear algebra of
-its own.
+the box and descending.  The rows and the block are SciPy slices of the
+instance's S (``S[C]`` and its columns C), and the CG loop is
+``instance._pcg``, shared with ``unconstrained_minimizer``, so this module
+keeps no linear algebra of its own.  The piece's box reads the branch edges
+``p0 +- delta`` that the instance caches.
 
 A point is first-order stationary when it is a fixed point of the map above
 (the L-stationarity of Beck & Eldar, SIAM J. Optim. 23(3), 2013):
@@ -47,8 +48,8 @@ from .errors import ContractError, NumericError, StructuralError
 from .instance import (
     Instance,
     _base_profit,
+    _check_length,
     _pcg,
-    _rows_and_block,
     gradient_q,
     profit_z,
     spectral_bounds,
@@ -243,11 +244,12 @@ def _bounds_descriptor(instance: Instance) -> str:
 
 def _partition_box(instance: Instance, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate interval [lo, hi] of the piece F(alpha, beta, gamma)."""
-    p0, delta = instance.p0, instance.delta
+    p0 = instance.p0
+    up, dn, _, _ = instance._edges
     raised, lowered = partition.status == 1, partition.status == 2
     l, u = (-np.inf, np.inf) if instance.bounds is None else instance.bounds
-    lo = np.where(raised, p0 + delta, np.where(lowered, l, p0))
-    hi = np.where(raised, u, np.where(lowered, p0 - delta, p0))
+    lo = np.where(raised, up, np.where(lowered, l, p0))
+    hi = np.where(raised, u, np.where(lowered, dn, p0))
     return lo, hi
 
 
@@ -294,7 +296,8 @@ def refine_on_partition(
 
     # C is empty when bounds pin every changed price at its threshold
     C = np.flatnonzero(lo < hi)
-    S_rows, S_CC = _rows_and_block(instance.S, C)
+    S_rows = instance.S[C]
+    S_CC = S_rows[:, C]
     d_inv = 1.0 / S_CC.diagonal()
     lo, hi, f = lo[C], hi[C], instance.f[C]
     x = p[C]
@@ -341,9 +344,7 @@ def certify_stationary(
     caller that already holds grad Q(p) passes it as ``grad``, which saves
     one product with S.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (instance.n,):
-        raise StructuralError(f"p must have length {instance.n}")
+    p = _check_length(instance, p)
     if not L > 0:
         raise ContractError("L must be positive")
     if grad is None:
@@ -378,9 +379,7 @@ def gpa_solve(
     if not np.isfinite(L) or L <= 0:
         raise NumericError(f"invalid step constant L={L}")
 
-    p = np.asarray(start, dtype=np.float64)
-    if p.shape != (instance.n,):
-        raise StructuralError(f"start must have length {instance.n}")
+    p = _check_length(instance, start)
     if not is_feasible(instance, p):
         p = project_feasible(instance, p)
 

@@ -309,7 +309,7 @@ def write_vector(vec: np.ndarray, path: str) -> None:
     atomic_write_text(path, _float_line(vec) + "\n")
 
 
-def _report_row(r: SolveReport, include_wall_time: bool) -> list[str]:
+def _report_row(r: SolveReport) -> list[str]:
     return [
         r.instance_id,
         str(r.n),
@@ -320,38 +320,24 @@ def _report_row(r: SolveReport, include_wall_time: bool) -> list[str]:
         format_float(r.final_profit),
         format_float(r.improvement_pct),
         str(r.iterations),
-        format_float(r.wall_time) if include_wall_time else "",
+        "",  # wall_time_s
         "1" if r.stationary else "0",
         "" if r.bound_ii is None else format_float(r.bound_ii),
     ]
 
 
-def write_report(
-    reports: Sequence[SolveReport],
-    path: str,
-    format: str = "csv",
-    include_wall_time: bool = True,
-) -> None:
-    """Write solver reports as CSV rows or a readable line format.
+def write_report(reports: Sequence[SolveReport], path: str) -> None:
+    """Write solver reports as CSV rows, one per report.
 
-    ``include_wall_time=False`` blanks the timing column so identical runs
-    produce byte-identical files.
+    The ``wall_time_s`` column is always blank, so identical runs produce
+    byte-identical files.
     """
-    if format not in ("csv", "lines"):
-        raise ContractError(f"format must be 'csv' or 'lines', got {format!r}")
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow(_report_row(r, include_wall_time))
-        atomic_write_text(path, buf.getvalue())
-    else:
-        chunks = []
-        for r in reports:
-            row = _report_row(r, include_wall_time)
-            chunks.append("\n".join(f"{k}: {v}" for k, v in zip(REPORT_COLUMNS, row)) + "\n")
-        atomic_write_text(path, "\n".join(chunks))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    for r in reports:
+        writer.writerow(_report_row(r))
+    atomic_write_text(path, buf.getvalue())
 
 
 def adjusted_gap(z_base: float, z_gurobi: float, z_gpa: float) -> float:

@@ -19,7 +19,7 @@ from priceopt import (
     validate,
     with_k,
 )
-from priceopt.instance import _rows_and_block, value_and_gradient
+from priceopt.instance import value_and_gradient
 from conftest import two_product_instance, random_instance
 
 
@@ -124,13 +124,6 @@ class TestCachedS:
         assert inst.f.tobytes() == (inst.a + dt @ inst.c).tobytes()
 
 
-def _same_csr(got, want):
-    return all(
-        getattr(got, a).dtype == getattr(want, a).dtype and getattr(got, a).tobytes() == getattr(want, a).tobytes()
-        for a in ("indptr", "indices", "data")
-    ) and got.shape == want.shape
-
-
 def _int64_copy(S):
     S64 = S.copy()
     S64.indices, S64.indptr = S.indices.astype(np.int64), S.indptr.astype(np.int64)
@@ -147,8 +140,11 @@ class TestInt32Indices:
         assert S64.indices.dtype == S64.indptr.dtype == np.int64
         rng = np.random.default_rng(seed)
         C = np.flatnonzero(rng.random(n) < 0.3)
-        rows, block = _rows_and_block(S, C)
-        rows64, block64 = _rows_and_block(S64, C)
+        # the refinement's rows and block, as it slices them
+        rows, rows64 = S[C], S64[C]
+        block, block64 = rows[:, C], rows64[:, C]
+        for A in (rows, block):
+            assert A.indices.dtype == A.indptr.dtype == np.int32
         for _ in range(5):
             p = rng.normal(0.0, 3.0, n)
             x = p[C]
@@ -165,48 +161,6 @@ class TestInt32Indices:
         inst.__dict__["S"] = _int64_copy(inst.S)
         export_mip_lp(inst, str(tmp_path / "int64.lp"))
         assert (tmp_path / "int32.lp").read_bytes() == (tmp_path / "int64.lp").read_bytes()
-
-
-class TestRowsAndBlock:
-    """The one-pass block equals SciPy's row-then-column fancy indexing."""
-
-    def _check(self, S, C):
-        rows, block = _rows_and_block(S, C)
-        want_rows = S[C]
-        assert _same_csr(rows, want_rows)
-        assert _same_csr(block, want_rows[:, C])
-
-    def test_random_subsets(self, rng):
-        for trial in range(60):
-            n = int(rng.integers(1, 120))
-            inst = generate(GenConfig(n=n, seed=trial))
-            frac = rng.choice([0.0, 0.05, 0.5, 1.0])
-            self._check(inst.S, np.flatnonzero(rng.random(n) < frac))
-
-    @pytest.mark.parametrize("n", [1, 2, 300])
-    def test_empty_and_full(self, n):
-        S = generate(GenConfig(n=n, seed=n)).S
-        self._check(S, np.arange(0))
-        self._check(S, np.arange(n))
-
-    def test_pieces_with_pinned_prices(self, rng):
-        # u = p0 + delta and l = p0 - delta pin every changed price of the
-        # pinned coordinates, so only the others can move; all pinned, C is empty
-        from priceopt.solver import Partition, _partition_box, _random_feasible_start
-
-        for trial in range(30):
-            base = generate(GenConfig(n=int(rng.integers(2, 80)), seed=trial))
-            pinned = rng.random(base.n) < (1.0 if trial % 3 == 0 else 0.5)
-            l = np.where(pinned, base.p0 - base.delta, base.p0 - 5 * base.delta)
-            u = np.where(pinned, base.p0 + base.delta, base.p0 + 5 * base.delta)
-            inst = Instance(n=base.n, k=int(rng.integers(1, base.n + 1)), a=base.a, D=base.D, c=base.c,
-                            p0=base.p0, delta=base.delta, bounds=(l, u))
-            p = _random_feasible_start(inst, rng)
-            lo, hi = _partition_box(inst, Partition.from_prices(inst, p))
-            C = np.flatnonzero(lo < hi)
-            if trial % 3 == 0:
-                assert C.size == 0
-            self._check(inst.S, C)
 
 
 class TestWithK:
@@ -247,12 +201,22 @@ class TestWithK:
         base = gpa_solve(early, early.p0, SolverParams(), L=L).base_profit
         late = with_k(inst, 9)
         assert early._constants is inst._constants is late._constants
-        gersh, delta_max = float(np.max(np.abs(inst.S).sum(axis=1))), float(np.max(inst.delta))
-        assert late._constants == {"_gershgorin": gersh, "_base_profit": base, "_delta_max": delta_max}
+        gersh = float(np.max(np.abs(inst.S).sum(axis=1)))
+        assert late._constants == {("_gershgorin",): gersh, ("_base_profit",): base}
+        # the Lanczos estimates land in the same dict, one entry per end
+        bounds = spectral_bounds(early, mode="power", want_lambda_min=True)
+        assert inst._constants == {
+            ("_gershgorin",): gersh,
+            ("_base_profit",): base,
+            ("_extreme_eigenvalue", "LA"): bounds.lambda1_est,
+            ("_extreme_eigenvalue", "SA"): bounds.lambdan_est,
+        }
         assert spectral_bounds(early).L == spectral_bounds(late).L == L
-        inst._constants["_gershgorin"] = 123.0
-        inst._constants["_base_profit"] = -4.5
+        inst._constants[("_gershgorin",)] = 123.0
+        inst._constants[("_base_profit",)] = -4.5
+        inst._constants[("_extreme_eigenvalue", "LA")] = 7.0
         assert spectral_bounds(early).L == spectral_bounds(with_k(late, 3)).L == 1.001 * 123.0
+        assert spectral_bounds(with_k(late, 3), mode="power").L == 1.01 * 7.0
         report = gpa_solve(late, late.p0, SolverParams(), L=L)
         assert report.base_profit == -4.5
 

@@ -10,6 +10,7 @@ from priceopt import (
     ContractError,
     GenConfig,
     Instance,
+    StructuralError,
     ValidationError,
     brute_projection,
     certify_in_H,
@@ -488,6 +489,23 @@ class TestCertifyInH:
     def test_too_many_changes_rejected(self):
         inst = two_product_instance()  # k = 1
         assert not certify_in_H(inst, np.array([2.0, 2.0]), np.array([2.0, 2.0]))
+
+    def test_non_finite_inputs_rejected(self):
+        # a nan in q made the tie margin nan and the residual 0, so p0 was
+        # certified although the projection changes 2 coordinates
+        inst = with_k(generate(GenConfig(n=10, seed=1)), 2)
+        q = inst.p0 + 3 * inst.delta
+        q[:3] = np.nan
+        with pytest.raises(StructuralError, match="finite"):
+            certify_in_H(inst, q, inst.p0)
+        q = inst.p0 + 3 * inst.delta
+        for bad in (np.nan, np.inf, -np.inf):
+            p = project_feasible(inst, q)
+            p[0] = bad
+            with pytest.raises(StructuralError, match="finite"):
+                certify_in_H(inst, q, p)
+        with pytest.raises(StructuralError, match="length 10"):
+            certify_in_H(inst, q[:9], inst.p0)
 
 
 def _reference_certify_in_H(instance, q, p, tol=1e-8):

@@ -316,20 +316,10 @@ class TestWriteReport:
     def test_wall_time_suppression_is_deterministic(self, tmp_path):
         reports = self._reports(2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_report(reports, str(p1), include_wall_time=False)
+        write_report(reports, str(p1))
         reports2 = self._reports(2)
-        write_report(reports2, str(p2), include_wall_time=False)
+        write_report(reports2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_lines_format(self, tmp_path):
-        path = tmp_path / "r.txt"
-        write_report(self._reports(1), str(path), format="lines")
-        text = path.read_text()
-        assert "final_profit:" in text and "stationary: 1" in text
-
-    def test_bad_format(self, tmp_path):
-        with pytest.raises(ContractError):
-            write_report([], str(tmp_path / "r"), format="json")
 
 
 class TestAdjustedGap:
