@@ -23,11 +23,13 @@ header states the dropped value so profits can be reconstructed.
 number``; ``Bounds`` (``x free``, ``x <= b``, ``x >= b``, ``x = b``, ``a <= x
 <= b``, inf allowed); ``Binary`` and ``General`` lists; ``End``.  Keywords
 ignore case; ``\\`` starts a comment.  One ``findall`` splits the text into
-items, runs of whole tokens that are nearly all a signed term or a comparison
-with its number, and one loop over them builds the model.  An error names the
-line of its token, computed from the item's offset only then, or the last line
-if the input ends early.  ``tests/test_lpformat.py`` keeps the earlier
-token-by-token parser as the reference this one must match.
+items of four groups (signs, number, name, rest): nearly all are one signed
+term, and the term that ends a row or bound carries its comparison and number
+in the rest.  One loop over the items reads the objective and every row; the
+Bounds, Binary and General lists have short loops of their own.  An error
+names the line of its token, computed from the item's offset only then, or the
+last line if the input ends early.  ``tests/test_lpformat.py`` keeps the
+earlier token-by-token parser as the reference this one must match.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -208,30 +211,34 @@ class LpModel:
         return names
 
 
-# An item is a run of whole tokens.  Nearly all are a term "[signs] [number]
-# name [tail]" (groups s, n, v, t) whose name is not a section keyword; the tail
-# is "^ number", "* name" or a label's ':'.  Group x holds the rest: a keyword
-# ("subject"/"such" only before "to"/"that"), a comparison with the number after
-# it if any, signs alone or before a number or '[', a number, '[', ']' with its
+# An item is a run of whole tokens, in four groups (s, n, v, r).  Nearly all
+# are a term "[signs] [number] name [tail]": s, n and v hold the signs, the
+# number and a name that is not a section keyword, and r the tail: "^ number",
+# "* name", a label's ':', the comparison and number that end a row or bound
+# ("<= 0"), or "".  Every other item has r alone: a keyword ("subject"/"such"
+# only before "to"/"that"), a comparison with the number after it if any,
+# signs alone or before a number or '[', a number, '[', ']' with its
 # "/ number", "^ number", "* name", one operator, and last a character that
 # starts no token.  A number never ends where an exponent follows ("1e5 x").
+# Optional parts are written "(?:...|)", not "(?:...)?": the regex engine takes
+# an alternative faster than it runs a repeat.
 _NC = r"(?![A-Za-z0-9_.])"  # the name token ends here
 _NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+|(?![eE][+-]?\d))"
 _CMP = r"(?:<=|>=|=<|=>|[<>=])"
+_RHS = rf"{_CMP}[\s+-]*(?:{_NUM}|(?ai:inf(?:inity|)){_NC})"
 _KEYWORD = (  # the first-letter test up front makes most names fail it at once
-    r"(?=[bBeEgGmMsS])(?:(?ai:m(?:ax|in)(?:imi[sz]e)?|s(?:t|\.t\.)|b(?:ounds?|in(?:ary|aries)?)|gen(?:erals?)?|end)"
+    r"(?=[bBeEgGmMsS])(?:(?ai:m(?:ax|in)(?:imi[sz]e|)|s(?:t|\.t\.)|b(?:ounds?|in(?:ary|aries|))|gen(?:erals?|)|end)"
     rf"|(?ai:su(?:bject|ch)){_NC}(?=\s*(?ai:t(?:o|hat)){_NC})){_NC}"
 )
 _ITEM = re.compile(
-    rf"\s*(?:(?P<s>[+-](?:\s*[+-])*)?\s*(?:(?P<n>{_NUM})\s*)?(?P<v>(?!{_KEYWORD}){_NAME})"
-    rf"(?:\s*(?P<t>\^\s*{_NUM}|\*\s*{_NAME}|:))?"
-    rf"|(?P<x>{_KEYWORD}|{_CMP}\s*(?:[+-]\s*)*(?:{_NUM}|(?ai:inf(?:inity)?){_NC})|{_CMP}"
-    rf"|(?:[+-]\s*)+(?:{_NUM}|\[)?|{_NUM}|\[|\](?:\s*/(?:\s*{_NUM})?)?"
-    rf"|\^\s*{_NUM}|\*\s*{_NAME}|[\^*/:]|\S))"
+    rf"\s*(?:(?:(?P<s>[+-](?:[\s+-]*[+-]|))\s*|)(?:(?P<n>{_NUM})\s*|)(?P<v>(?!{_KEYWORD}){_NAME})\s*|)"
+    rf"(?P<r>(?(v)(?:\^\s*{_NUM}|\*\s*{_NAME}|:|{_RHS}|)|(?:{_KEYWORD}|{_RHS}|{_CMP}|[+-][\s+-]*(?:{_NUM}|\[|)"
+    rf"|{_NUM}|\[|\](?:\s*/(?:\s*{_NUM}|)|)|\^\s*{_NUM}|\*\s*{_NAME}|[\^*/:]|\S)))"
 )
-_X = 4  # index of group x in an item
-_EOF = ("",) * 5  # appended after the last item
+_TAIL = ("^", "*", ":")  # how a term's tail starts, unless it is a comparison
+_CMP_START = ("<", ">", "=")
+_EOF = ("",) * 4  # appended after the last item
 _SIGNS = re.compile(r"(?:[+-]\s*)*")
 _TOKEN = re.compile(rf"{_CMP}|{_NUM}|{_NAME}|\S")  # the token an error message quotes
 # "\" starts a comment that runs to the end of the line; these are the line
@@ -251,20 +258,22 @@ _SENSES = {"<=": "<=", "=<": "<=", "<": "<=", ">=": ">=", "=>": ">=", ">": ">=",
 
 
 class _Fail(Exception):
-    """A parse error: (message, item index or None, and ``at``, the token in
-    the item: None for its first, "t"/"v" for that group, "last", "operand"
-    after a leading comparison, or "signs" for the first after its signs)."""
+    """A parse error: (message, ahead, at).  ``ahead`` counts items from the
+    one read last (0), or is None for an error without a line; ``at`` is the
+    token in that item: None for its first, "v"/"r" for the start of that
+    group, "last" for the last token of r, "operand" for the one after the
+    comparison that starts r, or "signs" for the first after its signs."""
 
 
-def _kind(x: str) -> str:
-    """What the item with this x is; "" is the end of the input."""
-    c = x[:1]
-    if c in ("<", ">", "="):
-        return "cmp" if x in _SENSES else "rhs"
+def _kind(r: str) -> str:
+    """What the item with this r and no name is; "" is the end of the input."""
+    c = r[:1]
+    if c in _CMP_START:
+        return "cmp" if r in _SENSES else "rhs"
     if c in ("+", "-"):
-        last = x.rstrip()[-1]
+        last = r.rstrip()[-1]
         return "open" if last == "[" else "signs" if last in "+-" else "const"
-    if c.isdecimal() or (c == "." and len(x) > 1):
+    if c.isdecimal() or (c == "." and len(r) > 1):
         return "const"
     if c.isascii() and c.isalpha():
         return "kw"  # any other name is in group v
@@ -278,16 +287,16 @@ def _number(text: str) -> float:
     return -value if text.count("-", 0, k) % 2 else value
 
 
-def _comparison(x: str) -> tuple[str, str]:
+def _comparison(r: str) -> tuple[str, str]:
     """(sense, rest) of an item that starts with a comparison."""
-    op = x[:2] if x[:2] in _SENSES else x[0]
-    return _SENSES[op], x[len(op) :].lstrip()
+    op = r[:2] if r[:2] in _SENSES else r[0]
+    return _SENSES[op], r[len(op) :].lstrip()
 
 
 @functools.lru_cache(maxsize=256)
-def _rhs(x: str) -> tuple[str, float]:
+def _rhs(r: str) -> tuple[str, float]:
     """(sense, value) of a comparison and its number; most rows end alike ("<= 0")."""
-    sense, rest = _comparison(x)
+    sense, rest = _comparison(r)
     return sense, _number(rest)
 
 
@@ -296,215 +305,236 @@ def parse_lp_text(text: str) -> LpModel:
     body = _COMMENT.sub(" ", text)  # not "": "\r" + comment + "\n" stays two line breaks
     items = _ITEM.findall(body)
     items.append(_EOF)
+    it = iter(items)
     try:
-        return _parse_items(items)
+        return _parse_items(items, it)
     except _Fail as fail:
-        raise _error(text, body, items, *fail.args) from None
+        message, ahead, *at = fail.args
+        read = len(items) - operator.length_hint(it) - 1  # the index of the item read last
+        raise _error(text, body, items, message, None if ahead is None else read + ahead, *at) from None
 
 
-def _parse_items(items: list) -> LpModel:
-    """The model of the items; all readers share one (index, item) iterator."""
-    it = enumerate(items)
-    word = next(it)[1][_X].lower()
-    if _SECTIONS.get(word) != "objective":
+def _parse_items(items: list, it) -> LpModel:
+    """The model of the items, read from their iterator ``it``.
+
+    One loop reads the objective and every row, one term at a time; the
+    Bounds, Binary and General sections have loops of their own.
+    """
+    s, n, v, r = next(it)
+    word = r.lower()
+    if v or _SECTIONS.get(word) != "objective":
         raise _Fail("file must start with Maximize or Minimize", 0)
-    obj_name, first = _label(it, next(it))
-    linear, quad, constant, i, x = _terms(it, first, bracket=True)
-    model = LpModel(word[:3], obj_name, linear, quad, constant, [])
-    word = x.lower()
-    if _SECTIONS.get(word) != "constraints":
-        raise _Fail("expected a 'Subject To' section after the objective", i)
-    if word in ("subject", "such"):  # the next item starts with its "to" or "that"
-        i, (_, _, _, t, _) = next(it)
-        if t:
-            raise _Fail("expected a term, found {found}", i, "t")
-
+    model = LpModel(word[:3], None, {}, {}, 0.0, [])
     append = model.constraints.append
-    pending = None
+    objective = True  # the expression read is the objective, up to Subject To
+    name, coefs, const, fresh = None, model.linear, 0.0, True  # fresh: nothing of it read yet
+    rows = it
     while True:
-        i, item = pending or next(it)
-        pending = None
-        x = item[_X]
-        section = _SECTIONS.get(x.lower()) if x else None
-        if item is _EOF:
-            raise _Fail("missing End marker", None)
+        for s, n, v, r in rows:
+            if v:  # a term, and the comparison that ends its row if any
+                if r and r[0] in "^*:":  # a tail (_TAIL), not a comparison
+                    if r == ":" and fresh and not (s or n):
+                        name, fresh = v, False
+                        continue
+                    raise _Fail("expected a term, found {found}", 0, "r")
+                coef = float(n) if n else 1.0
+                if s and (s == "-" or s != "+" and s.count("-") % 2):
+                    coef = 0.0 - coef  # not -coef: "- 0 x" adds 0.0, not -0.0
+                if v in coefs:
+                    coefs[v] += coef
+                else:
+                    coefs[v] = coef
+                fresh = False
+                if not r:
+                    continue
+                kind = "rhs"
+            else:
+                kind = _kind(r)
+            if objective and kind in ("kw", "end", "cmp", "rhs"):
+                break
+            if kind == "rhs":  # the end of a row
+                if not coefs:
+                    raise _Fail("constraint has no variables", 0, "r")
+                sense, rhs = _rhs(r)
+                append(LpConstraint(name, coefs, sense, rhs - const))
+                name, coefs, const, fresh = None, {}, 0.0, True
+            elif kind == "const":
+                const += _number(r)
+                fresh = False
+            elif kind == "open" and objective:
+                _bracket(it, -1.0 if r.count("-") % 2 else 1.0, model.quadratic)
+                fresh = False
+            elif kind == "kw" and fresh:
+                break  # a section
+            elif kind == "end" and fresh:
+                raise _Fail("missing End marker", None)
+            elif kind in ("kw", "end"):
+                raise _Fail("constraint must contain a comparison", 0)
+            elif kind == "cmp":
+                raise _Fail("expected a number in constraint right-hand side", 1, "signs")
+            elif kind == "open":
+                raise _Fail("quadratic bracket not allowed here", 0, "signs")
+            else:
+                raise _Fail("expected a term, found {found}", 0, "signs")
+        word = r.lower()
+        section = _SECTIONS.get(word)
+        if objective:
+            if section != "constraints":
+                raise _Fail("expected a 'Subject To' section after the objective", 0, "r")
+            model.objective_name, model.constant = name, const
+            objective, name, coefs, const, fresh = False, None, {}, 0.0, True
+            rows = it
+            if word in ("subject", "such"):  # the next item is its "to" or "that"
+                r = next(it)[3]
+                if r[:1] in _TAIL:
+                    raise _Fail("expected a term, found {found}", 0, "r")
+                if r:  # a comparison, which starts the first row
+                    rows = itertools.chain((("", "", "", r),), it)
+            continue
         if section == "bounds":
             pending = _bounds(items, it, model.bounds)
         elif section in ("binary", "general"):
             pending = _names(it, model.binaries if section == "binary" else model.generals)
         elif section == "end":
-            if items[i + 1] is not _EOF:
-                raise _Fail("trailing content {found} after End", i + 1)
+            if next(it) is not _EOF:
+                raise _Fail("trailing content {found} after End", 0)
             return model
-        elif section:
-            raise _Fail(f"unexpected section {x!r}", i)
-        else:  # a row: [name :] terms comparison number
-            name, first = _label(it, (i, item))
-            coefs, _, const, i, x = _terms(it, first, bracket=False)
-            if x in _SENSES:
-                raise _Fail("expected a number in constraint right-hand side", i + 1, "signs")
-            if x[:1] not in ("<", ">", "="):
-                raise _Fail("constraint must contain a comparison", i)
-            if not coefs:
-                raise _Fail("constraint has no variables", i)
-            sense, rhs = _rhs(x)
-            append(LpConstraint(name, coefs, sense, rhs - const))
-
-
-def _label(it, first: tuple) -> tuple:
-    """(name, first term) of a row or objective that starts with item ``first``."""
-    s, n, name, t, _ = first[1]
-    return (name, next(it)) if t == ":" and not (s or n) else (None, first)
-
-
-def _terms(it, first: tuple, bracket: bool):
-    """Terms from item ``first`` to a comparison, a keyword or the end: the linear
-    and quadratic coefficients, the constant, and the ending item's index and x."""
-    linear: dict[str, float] = {}
-    quad: dict[tuple[str, str], float] = {}
-    constant = 0.0
-    get = linear.get
-    for i, (s, n, name, t, x) in itertools.chain((first,), it):
-        if name:
-            if t:
-                raise _Fail("expected a term, found {found}", i, "t")
-            coef = float(n) if n else 1.0
-            if s and s.count("-") % 2:
-                coef = -coef
-            linear[name] = get(name, 0.0) + coef
-            continue
-        kind = _kind(x)
-        if kind in ("end", "kw", "cmp", "rhs"):
-            return linear, quad, constant, i, x
-        if kind == "const":
-            constant += _number(x)
-        elif kind == "open" and bracket:
-            _bracket(it, -1.0 if x.count("-") % 2 else 1.0, quad)
-        elif kind == "open":
-            raise _Fail("quadratic bracket not allowed here", i, "signs")
         else:
-            raise _Fail("expected a term, found {found}", i, "signs")
+            raise _Fail(f"unexpected section {r!r}", 0)
+        rows = itertools.chain((pending,), it)  # the item that ended the section comes first
 
 
 def _bracket(it, outer: float, quad: dict) -> None:
     """The terms of [ ... ] / 2, up to and including its ']' and '/ 2'."""
-    for i, (s, n, name, t, x) in it:
-        if not (name or x):
-            raise _Fail("unterminated quadratic bracket", i)
-        if name:  # nearly always the whole "[signs] [number] x ^ 2" or "... x * y"
+    for s, n, v, r in it:
+        if v:  # nearly always the whole "[signs] [number] x ^ 2" or "... x * y"
             coef = float(n) if n else 1.0
-            if s and s.count("-") % 2:
+            if s and (s == "-" or s != "+" and s.count("-") % 2):
                 coef = -coef
-            if t == ":":
-                raise _Fail("quadratic term must be 'x ^ 2' or 'x * y'", i, "t")
+            if r[:1] in (":", "<", ">", "="):
+                raise _Fail("quadratic term must be 'x ^ 2' or 'x * y'", 0, "r")
         else:  # else the first variable is a keyword, an item of its own
-            kind = _kind(x)
+            kind = _kind(r)
+            if kind == "end":
+                raise _Fail("unterminated quadratic bracket", 0)
             if kind == "close":
-                slash = x[1:].lstrip()
+                slash = r[1:].lstrip()
                 if not slash:
-                    raise _Fail("quadratic bracket must be followed by '/ 2'", i + 1)
+                    raise _Fail("quadratic bracket must be followed by '/ 2'", 1)
                 number = slash[1:].strip()
                 if not number:
-                    raise _Fail("quadratic bracket must be divided by exactly 2", i + 1)
+                    raise _Fail("quadratic bracket must be divided by exactly 2", 1)
                 if float(number) != 2.0:
-                    raise _Fail("quadratic bracket must be divided by exactly 2", i, "last")
+                    raise _Fail("quadratic bracket must be divided by exactly 2", 0, "last")
                 return
             coef = 1.0
             if kind in ("signs", "const"):
-                coef = _number(x) if kind == "const" else -1.0 if x.count("-") % 2 else 1.0
-                i, (_, _, _, _, x) = next(it)
-                if _kind(x) != "kw":
-                    raise _Fail("expected a variable inside the quadratic bracket", i)
+                coef = _number(r) if kind == "const" else -1.0 if r.count("-") % 2 else 1.0
+                _, _, v, r = next(it)
+                if v or _kind(r) != "kw":
+                    raise _Fail("expected a variable inside the quadratic bracket", 0)
             elif kind != "kw":
-                raise _Fail("expected a variable inside the quadratic bracket", i, "signs")
-            name = x
-        if not t:  # the operator is the next item
-            i, (_, _, _, _, t) = next(it)
-            if t[:1] not in ("^", "*"):
-                raise _Fail("quadratic term must be 'x ^ 2' or 'x * y'", i)
-        if t in ("^", "*"):
-            raise _Fail("only squares are allowed after '^'" if t == "^" else "expected a variable after '*'", i + 1)
-        elif t[0] == "^":
-            if float(t[1:].strip()) != 2.0:
-                raise _Fail("only squares are allowed after '^'", i, "last")
-            other = name
+                raise _Fail("expected a variable inside the quadratic bracket", 0, "signs")
+            v, r = r, ""
+        if not r:  # the operator is the next item
+            _, _, w, r = next(it)
+            if w or r[:1] not in ("^", "*"):
+                raise _Fail("quadratic term must be 'x ^ 2' or 'x * y'", 0)
+        if r in ("^", "*"):
+            raise _Fail("only squares are allowed after '^'" if r == "^" else "expected a variable after '*'", 1)
+        if r[0] == "^":
+            if float(r[1:].strip()) != 2.0:
+                raise _Fail("only squares are allowed after '^'", 0, "last")
+            other = v
         else:
-            other = t[1:].strip()
-        key = (name, other) if name <= other else (other, name)
+            other = r[1:].strip()
+        key = (v, other) if v <= other else (other, v)
         quad[key] = quad.get(key, 0.0) + outer * coef
 
 
 def _names(it, target: set) -> tuple:
-    """A Binary or General list; returns the (index, item) that ends it."""
-    for i, item in it:
-        s, n, name, t, _ = item
-        if not name or s or n:
-            return i, item
-        target.add(name)
-        if t:
-            raise _Fail("expected a term, found {found}", i, "t")
+    """A Binary or General list; returns the item that ends it."""
+    for item in it:
+        s, n, v, r = item
+        if not v or s or n:
+            return item
+        target.add(v)
+        if r[:1] in _CMP_START:
+            return "", "", "", r  # the comparison after the name ends the list
+        if r:
+            raise _Fail("expected a term, found {found}", 0, "r")
 
 
 def _bounds(items: list, it, bounds: dict) -> tuple:
     """x free | x <= b | x >= b | x = b | a <= x [<= b] entries, up to a
-    keyword or the end; returns the (index, item) that ends them."""
-    for i, item in it:
-        s, n, name, t, x = item
-        if name and not (s or n):  # x free | x <sense> b
-            if t:
-                raise _Fail(f"malformed bound for {name!r}", i, "t")
-            i, (s, n, word, t, x) = next(it)
-            if word.lower() == "free" and not (s or n):
-                bounds[name] = (None, None)
-                if t:
-                    raise _Fail("expected a number in bound", i, "t")
-            elif _kind(x) == "rhs":
-                sense, value = _rhs(x)
-                lo, hi = bounds.get(name, (0.0, None))
-                bounds[name] = (lo, value) if sense == "<=" else (value, hi) if sense == ">=" else (value, value)
-            elif x in _SENSES:
-                raise _Fail("expected a number in bound", i + 1, "signs")
-            else:
-                raise _Fail(f"malformed bound for {name!r}", i)
+    keyword or the end; returns the item that ends them."""
+    for item in it:
+        s, n, v, r = item
+        if v and not (s or n):  # x free | x <sense> b
+            if r[:1] in _TAIL:
+                raise _Fail(f"malformed bound for {v!r}", 0, "r")
+            if r:
+                sense, value = _rhs(r)
+                lo, hi = bounds.get(v, (0.0, None))
+                bounds[v] = (lo, value) if sense == "<=" else (value, hi) if sense == ">=" else (value, value)
+                continue
+            s, n, word, r = next(it)
+            if word.lower() != "free" or s or n:
+                if r in _SENSES:
+                    raise _Fail("expected a number in bound", 1, "signs")
+                raise _Fail(f"malformed bound for {v!r}", 0)
+            bounds[v] = (None, None)
+            if r:
+                raise _Fail("expected a number in bound", 0, "r")
             continue
-        kind = _kind(x)
-        if not name and kind in ("kw", "end"):
-            return i, item
 
         # a <= x [<= b], where a is a number or a signed inf
-        if name and n:
-            raise _Fail("expected '<=' after a bound value", i, "v")
-        if name and name.lower() not in ("inf", "infinity"):
-            raise _Fail("expected a number in bound", i, "v")
-        if name and t:
-            raise _Fail("expected '<=' after a bound value", i, "t")
-        if not (name or kind == "const"):
-            raise _Fail("expected a number in bound", i, "signs")
-        value = _number(s + name if name else x)
-        i, (_, _, _, _, x) = next(it)
-        if _kind(x) not in ("cmp", "rhs") or _comparison(x)[0] != "<=":
-            raise _Fail("expected '<=' after a bound value", i)
-        if x not in _SENSES:  # what follows '<=' is the variable, named inf or infinity
-            name = _comparison(x)[1]
-            if not name[0].isalpha():
-                raise _Fail("expected a variable in bound", i, "operand")
+        if v:
+            if n:
+                raise _Fail("expected '<=' after a bound value", 0, "v")
+            if v.lower() not in ("inf", "infinity"):
+                raise _Fail("expected a number in bound", 0, "v")
+            if r[:1] in _TAIL:
+                raise _Fail("expected '<=' after a bound value", 0, "r")
+            value, w = _number(s + v), ""
+            if not r:  # else r is the comparison after the value
+                _, _, w, r = next(it)
         else:
-            i, (s, n, name, t, x) = next(it)
-            if _kind(x) == "kw":
-                name = x
+            kind = _kind(r)
+            if kind in ("kw", "end"):
+                return item
+            if kind != "const":
+                raise _Fail("expected a number in bound", 0, "signs")
+            value = _number(r)
+            _, _, w, r = next(it)
+        if w or _kind(r) not in ("cmp", "rhs") or _comparison(r)[0] != "<=":
+            raise _Fail("expected '<=' after a bound value", 0, None if w else "r")
+        if r not in _SENSES:  # what follows '<=' is the variable, named inf or infinity
+            name = _comparison(r)[1]
+            if not name[0].isalpha():
+                raise _Fail("expected a variable in bound", 0, "operand")
+            r = ""
+        else:
+            s, n, name, r = next(it)
+            if not name and _kind(r) == "kw":
+                name, r = r, ""
             elif not name or s or n:
-                raise _Fail("expected a variable in bound", i)
-            elif t:
-                raise _Fail("expected a number in bound", i, "t")
+                raise _Fail("expected a variable in bound", 0)
+            elif r[:1] in _TAIL:
+                raise _Fail("expected a number in bound", 0, "r")
         hi = bounds.get(name, (0.0, None))[1]
-        x = items[i + 1][_X]
-        if _kind(x) in ("cmp", "rhs"):
-            if _comparison(x)[0] != "<=":
-                raise _Fail("expected '<=' in a range bound", i + 1)
-            if x in _SENSES:
-                raise _Fail("expected a number in bound", i + 2, "signs")
-            hi = _rhs(x)[1]
-            next(it)
+        ahead = 0  # a range's upper bound is r, or else the next item if that is no term
+        if not r:
+            _, _, w, r = items[len(items) - operator.length_hint(it)]
+            ahead, r = 1, "" if w else r
+        if _kind(r) in ("cmp", "rhs"):
+            if _comparison(r)[0] != "<=":
+                raise _Fail("expected '<=' in a range bound", ahead, "r")
+            if r in _SENSES:
+                raise _Fail("expected a number in bound", ahead + 1, "signs")
+            hi = _rhs(r)[1]
+            if ahead:
+                next(it)
         bounds[name] = (None if value == -float("inf") else value, hi)
 
 
@@ -514,20 +544,21 @@ def _error(text: str, body: str, items: list, message: str, index, at=None) -> L
     A character that starts no token is the error wherever it is, as in a
     parse that reads all tokens first.
     """
-    bad = next((j for j, item in enumerate(items) if _kind(item[_X]) == "bad"), None)
+    bad = next((j for j, item in enumerate(items) if _kind(item[3]) == "bad"), None)
     if bad is not None:
-        message, index, at = f"illegal character {items[bad][_X]!r}", bad, None
+        message, index, at = f"illegal character {items[bad][3]!r}", bad, None
     if index is None:
         return LpFormatError(message)
     for m in itertools.islice(_ITEM.finditer(body), index, None):
         pos = m.end() - len(m.group().lstrip())  # the item's first token
-        if at in ("t", "v"):
+        if at in ("r", "v"):
             pos = m.start(at)
         elif at == "last":
-            pos = m.end()
+            pos = m.end("r")
             while not (body[pos - 1].isspace() or body[pos - 1] in "^*]/"):
                 pos -= 1
-        elif at == "operand":
+        elif at == "operand":  # after the comparison that starts r
+            pos = m.start("r")
             pos += 2 if body[pos : pos + 2] in _SENSES else 1
             pos += len(body[pos : m.end()]) - len(body[pos : m.end()].lstrip())
         elif at == "signs":
@@ -550,7 +581,8 @@ def validate_lp_file(path: str) -> LpModel:
     # Names and senses need no check: the parser stores only values of _SENSES,
     # and every variable it records matches _NAME (group v, a "* name" tail, a
     # _KEYWORD word, or "inf" after a range's "<=").
-    # Coefficients such as 1e400 parse as inf; bounds alone may be infinite.
+    # Coefficients such as 1e400 parse as inf; bounds alone may be infinite,
+    # but not on the side that leaves no value (lower +inf, upper -inf).
     objective = model.objective_name
     if not (all(map(math.isfinite, model.linear.values())) and all(map(math.isfinite, model.quadratic.values()))):
         raise LpFormatError(f"objective {objective!r} has a non-finite coefficient")
@@ -561,6 +593,9 @@ def validate_lp_file(path: str) -> LpModel:
             raise LpFormatError(f"constraint {con.name!r} has a non-finite right-hand side")
         if not all(map(math.isfinite, con.coefs.values())):
             raise LpFormatError(f"constraint {con.name!r} has a non-finite coefficient")
+    for name, (lo, hi) in model.bounds.items():
+        if lo == math.inf or hi == -math.inf:
+            raise LpFormatError(f"variable {name!r} has an empty domain: bounds ({lo}, {hi})")
     return model
 
 

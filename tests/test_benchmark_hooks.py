@@ -9,7 +9,7 @@ benchmark run.
 import importlib.util
 from pathlib import Path
 
-from priceopt import GenConfig, generate
+from priceopt import GenConfig, generate, lpformat
 from priceopt.cli import run
 from priceopt.storage import write_instance
 
@@ -53,5 +53,28 @@ def test_tracer_records_solver_spans(tmp_path):
     # distances only where they count: it never runs the full-length score
     assert not any(
         name == "projection.score" and parent >= 0 and tracer.spans[parent][0] == "solver.certify_stationary"
+        for name, _, _, parent, *_ in tracer.spans
+    )
+
+
+def test_tracer_records_lp_spans(tmp_path):
+    # lp-roundtrip's per-layer metrics come from these spans: the parse must
+    # stay a call of the module's parse_lp, made by validate_lp_file.
+    path, lp = tmp_path / "inst.txt", tmp_path / "model.lp"
+    write_instance(generate(GenConfig(n=30, seed=5)), str(path))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = run(["export-mip", "--instance", str(path), "--out", str(lp)])
+        model = lpformat.validate_lp_file(str(lp))
+        lpformat.eval_lp_objective(model, {})
+    finally:
+        tracer.restore()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"lpformat.export_mip_lp", "lpformat.eval_lp_objective"} <= names
+    assert any(
+        name == "lpformat.parse_lp" and parent >= 0 and tracer.spans[parent][0] == "lpformat.validate_lp_file"
         for name, _, _, parent, *_ in tracer.spans
     )

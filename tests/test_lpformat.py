@@ -223,7 +223,8 @@ _LP_TOKENS = [
 _lp_texts = st.lists(
     st.tuples(
         st.one_of(st.sampled_from(_LP_TOKENS), st.text(max_size=2)),
-        st.sampled_from([" ", "\n", "", "\t"]),
+        # whitespace, among it line breaks of str.splitlines other than "\n"
+        st.sampled_from([" ", "\n", "", "\t", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\xa0", "\u3000"]),
     ),
     max_size=40,
 ).map(lambda parts: "".join(token + sep for token, sep in parts))
@@ -432,6 +433,17 @@ class TestNonFiniteCoefficients:
             tmp_path, "Minimize\n obj: x\nSubject To\n c: x + y >= 1\nBounds\n -inf <= x <= inf\n y <= 1e400\nEnd\n"
         )
         assert model.bounds == {"x": (None, float("inf")), "y": (0.0, float("inf"))}
+
+    @pytest.mark.parametrize(
+        "bound, name",
+        [("x >= 1e400", "x"), ("y = inf", "y"), ("-inf <= z <= -inf", "z")],
+        ids=["lower-overflow", "fixed-inf", "upper-minus-inf"],
+    )
+    def test_empty_domain_bounds_rejected(self, tmp_path, bound, name):
+        # A lower bound of +inf or an upper bound of -inf leaves no value.
+        text = f"Minimize\n obj: x\nSubject To\n c: x + y + z >= 1\nBounds\n {bound}\nEnd\n"
+        with pytest.raises(LpFormatError, match=f"variable '{name}' has an empty domain"):
+            self._validate(tmp_path, text)
 
 
 class TestVariableNames:
