@@ -206,7 +206,7 @@ def _cmd_oracle(args) -> int:
     text = (
         f"q_value {storage.format_float(q_star)}\n"
         f"profit {storage.format_float(z_star)}\n"
-        "p " + " ".join(storage.format_float(v) for v in p_star) + "\n"
+        f"p {storage.format_floats(p_star)}\n"
     )
     storage.atomic_write_text(args.out, text)
     print(f"global optimum: profit {z_star:.6g}")
@@ -226,7 +226,7 @@ def _cmd_project(args) -> int:
         f"in_H {int(ok)}\n"
         f"dist_sq {storage.format_float(dist_sq)}\n"
         f"changed {int(np.count_nonzero(p != instance.p0))}\n"
-        "p " + " ".join(storage.format_float(v) for v in p) + "\n"
+        f"p {storage.format_floats(p)}\n"
     )
     storage.atomic_write_text(args.out, text)
     print(f"projected query: {int(np.count_nonzero(p != instance.p0))} changes, dist_sq {dist_sq:.6g}")

@@ -28,16 +28,26 @@ write/read is lossless.  Lines starting with ``#`` are comments, except
 inside the entry list, which is exactly the count's lines after ``D``.
 
 The writer streams the entries straight from the canonical CSR arrays of
-``Instance.D`` (row-major, sorted columns).  The reader parses each vector
-and the whole entry list in one bulk call each, and checks ranges, zeros and
-duplicates with array operations; when a bulk parse fails it parses again
-one token or line at a time to name the offending line.
+``Instance.D`` (row-major, sorted columns), in blocks of at most
+``_FORMAT_CHUNK`` values.  Each number's text is exactly ``repr``'s, made
+for a whole block at once by ``format_floats``: Schubfach (R. Giulietti,
+"The Schubfach way to render doubles", 2020; the digits Ryu gives) finds
+every value's shortest decimal with 64-bit integer arithmetic on NumPy
+arrays, from one exact 192-bit product per value, and the layout writes
+sign, integer digits, point and fraction digits into a byte matrix that one
+boolean mask compresses to text.  Values ``repr`` writes in exponent
+notation (below 1e-4 or from 1e16 up), zeros, subnormals, inf and nan take
+``repr`` one by one.  The reader parses each vector and the whole entry
+list in one bulk call each, and checks ranges, zeros and duplicates with
+array operations; when a bulk parse fails it parses again one token or line
+at a time to name the offending line.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import math
 import os
@@ -61,6 +71,7 @@ __all__ = [
     "write_vector",
     "atomic_write_text",
     "format_float",
+    "format_floats",
 ]
 
 _MAGIC = "# priceopt instance v1"
@@ -85,7 +96,6 @@ _VECTORS = ("a", "c", "p0", "delta", "l", "u")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INDEX_LIMIT = 2**63  # row and column indices must fit in int64
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
-_WRITE_CHUNK = 65_536  # matrix entries formatted per write
 
 
 def format_float(x: float) -> str:
@@ -114,8 +124,242 @@ def atomic_write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _float_line(values: np.ndarray) -> str:
-    return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+# Shortest decimals for whole float64 blocks.  The digits come from
+# Giulietti's Schubfach ("The Schubfach way to render doubles", 2020): for
+# v = c 2^q it scales the rounding interval of v by 10^-k, with k fixed by q,
+# and picks the shortest decimal in it, the one closest to v on a tie of
+# lengths, as Python's repr does.  It needs only exact integer products, so
+# it runs over uint64 arrays.  All kernel arithmetic stays in uint64 with
+# np.uint64 scalars and exponents in int64, never mixed: uint64 with int64
+# gives float64, and NumPy < 2 promotes Python scalars by value.
+
+_ONE = np.uint64(1)
+_TWO = np.uint64(2)
+_TEN = np.uint64(10)
+_U32 = np.uint64(32)
+_U63 = np.uint64(63)
+_MASK32 = np.uint64(2**32 - 1)
+_MASK63 = np.uint64(2**63 - 1)
+_HIDDEN = np.uint64(2**52)
+_POW10 = np.array([10**j for j in range(20)], dtype=np.uint64)  # every power below 2^64
+_FORMAT_CHUNK = 8_192  # values per block, which keeps the kernel's arrays in cache
+
+
+def _scale(k: int) -> tuple[int, int]:
+    """``(g, r)``: ``10^-k = beta 2^r`` with ``2^125 <= beta < 2^126``, and ``g = floor(beta) + 1``."""
+    if k <= 0:
+        p = 10**-k
+        r = p.bit_length() - 126
+        return (p >> r if r >= 0 else p << -r) + 1, r
+    shift = (10**k).bit_length() + 125
+    return (1 << shift) // 10**k + 1, -shift
+
+
+@functools.cache
+def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
+    """Per-binade constants of ``_shortest``, built on first use.
+
+    Column ``b + 2048 * irregular`` serves biased exponent b; ``irregular``
+    marks ``c = 2^52`` above the lowest binade, whose lower neighbour is half
+    as far.  Returns the decimal exponent k (int64) and five uint64 rows: the
+    shift h and, in four 32-bit limbs, g of ``_scale(k)``, k in [-324, 292].
+    """
+    col = np.arange(4096, dtype=np.int64)
+    q = col % 2048 - 1075
+    irregular = (col >= 2048) & (col % 2048 > 1)
+    # floor(log10(2^q)) and floor(log10(3/4 2^q)), in Schubfach's fixed-point form
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    scales = [_scale(j) for j in range(int(k.min()), int(k.max()) + 1)]
+    g, r = (np.array(v, dtype=object)[k - k.min()] for v in zip(*scales))
+    limbs = [(g >> (32 * i)) & (2**32 - 1) for i in range(4)]
+    return k, np.array([q + r + 127, *limbs], dtype=np.uint64)
+
+
+def _shifted_round_to_odd(top, mid, low, g_lo, g_hi, shift, sign: int) -> np.ndarray:
+    """Round to odd of (product + sign g 2^shift) / 2^127, for 2 <= shift <= 6.
+
+    The product is split at bits 64 and 127, g at bit 64; sums wrap mod 2^64
+    and the results fit.  Bits 64..126 decide the odd bit, as for the product.
+    """
+    off_low = g_lo << shift
+    off_mid = ((g_hi << shift) | (g_lo >> (np.uint64(64) - shift))) & _MASK63
+    off_top = g_hi >> (_U63 - shift)
+    if sign > 0:
+        m = mid + off_mid + (low + off_low < low)
+        return (top + off_top + (m >> _U63)) | ((m & _MASK63) != 0)
+    # mid - off_mid - borrow lies in (-2^63, 2^63): carry it shifted up by 2^63
+    m = mid + np.uint64(2**63) - off_mid - (low < off_low)
+    return (top + (m >> _U63) - off_top - _ONE) | ((m & _MASK63) != 0)
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, e)`` with ``f 10^e`` the shortest decimal that reads back as each value.
+
+    ``bits`` are the uint64 bit patterns of positive normal doubles.  ``f``
+    (uint64) has no trailing zeros; ``e`` is int64.  Among shortest decimals
+    the one closest to the value wins, an even ``f`` on a tie.
+    """
+    k_of, consts = _schubfach_table()
+    frac = bits & (_HIDDEN - _ONE)
+    biased = bits >> np.uint64(52)
+    irregular = (frac == 0) & (biased > _ONE)
+    col = (biased + irregular * np.uint64(2048)).astype(np.intp)
+    k = k_of[col]
+    h, g0, g1, g2, g3 = np.take(consts, col, axis=1)
+    c = frac | _HIDDEN
+    odd = c & _ONE
+    cp = c << (h + _TWO)  # 4c 2^h
+
+    # g cp exactly, as 32-bit column sums (each at most five parts below 2^32)
+    cols: list = [0] * 6
+    for j, cj in enumerate((cp & _MASK32, cp >> _U32)):
+        for i, gi in enumerate((g0, g1, g2, g3)):
+            part = gi * cj
+            cols[i + j] = cols[i + j] + (part & _MASK32)
+            cols[i + j + 1] = cols[i + j + 1] + (part >> _U32)
+    for i in range(5):
+        cols[i + 1] += cols[i] >> _U32
+        cols[i] &= _MASK32
+    # the product / 2^127 as top + mid / 2^63 + low / 2^127
+    top = (cols[5] << np.uint64(33)) | (cols[4] << _ONE) | (cols[3] >> np.uint64(31))
+    mid = ((cols[3] << _U32) & _MASK63) | cols[2]
+    low = (cols[1] << _U32) | cols[0]
+
+    # Round to odd: the low bit marks a non-integer.  g exceeds the exact
+    # scale by less than 1, so an integer leaves a remainder below cp < 2^64,
+    # and Schubfach bounds every other remainder away from 0 and 2^127 by
+    # more than that: bits 64..126 decide.
+    vb = top | (mid != 0)
+    # the neighbours: 4c +- 2 (4c - 1 below a power of two) times g 2^h
+    g_lo, g_hi = g0 | (g1 << _U32), g2 | (g3 << _U32)
+    vbr = _shifted_round_to_odd(top, mid, low, g_lo, g_hi, h + _ONE, +1)
+    vbl = _shifted_round_to_odd(top, mid, low, g_lo, g_hi, h + _ONE - irregular, -1)
+    vbl += odd  # an odd c leaves the interval's ends out
+
+    s = vb >> _TWO
+    sp10 = s // _TEN * _TEN
+    upin = vbl <= sp10 << _TWO
+    wpin = ((sp10 + _TEN) << _TWO) + odd <= vbr
+    uin = vbl <= s << _TWO
+    win = ((s + _ONE) << _TWO) + odd <= vbr
+    # s and s + 1 both in the interval: the closer, s on a tie when even (4v - 4s = vb & 3)
+    rest = vb & np.uint64(3)
+    closer_s = (rest < _TWO) | ((rest == _TWO) & ((s & _ONE) == 0))
+    take_s = np.where(uin != win, uin, closer_s)
+    f = np.where(upin != wpin, sp10 + _TEN * wpin, s + _ONE - take_s)
+
+    zeros = np.flatnonzero(f // _TEN * _TEN == f)
+    if zeros.size:
+        fz, ez = f[zeros], k[zeros]
+        for d in (16, 8, 4, 2, 1):
+            cut = fz // _POW10[d]
+            hit = cut * _POW10[d] == fz
+            fz = np.where(hit, cut, fz)
+            ez += hit * d
+        f[zeros], k[zeros] = fz, ez
+    return f, k
+
+
+def _digit_count(x: np.ndarray) -> np.ndarray:
+    return np.searchsorted(_POW10[1:], x, side="right") + 1
+
+
+def _eight_digits(y: np.ndarray) -> np.ndarray:
+    """y < 10^8 as eight ASCII digits packed in a little-endian uint64, first digit lowest.
+
+    Splits y into 4-, 2- and 1-digit lanes of one word: ``x // 100`` is
+    ``x * 10486 >> 20`` for x < 10^4 and ``x // 10`` is ``x * 103 >> 10`` for x < 100.
+    """
+    hi = y // np.uint64(10_000)
+    v = hi | ((y - hi * np.uint64(10_000)) << _U32)
+    hi = ((v * np.uint64(10_486)) >> np.uint64(20)) & np.uint64(0x7F_0000_007F)
+    v = hi | ((v - hi * np.uint64(100)) << np.uint64(16))
+    hi = ((v * np.uint64(103)) >> _TEN) & np.uint64(0x000F_000F_000F_000F)
+    v = hi | ((v - hi * _TEN) << np.uint64(8))
+    return v | np.uint64(0x3030_3030_3030_3030)
+
+
+def _digit_cells(x: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 ``x`` as right-aligned ASCII digits, as wide as the block's largest ``count``.
+
+    Returns the digits, zero-padded, and the mask of each row's last ``count`` of them.
+    """
+    width = int(count.max(initial=1))
+    groups = -(-width // 8)
+    words = np.empty((x.size, groups), dtype="<u8")
+    for j in range(groups - 1, 0, -1):
+        q = x // _POW10[8]
+        words[:, j] = _eight_digits(x - q * _POW10[8])
+        x = q
+    words[:, 0] = _eight_digits(x)
+    cells = words.view(np.uint8)[:, 8 * groups - width :]
+    return cells, np.arange(width) >= (width - count)[:, None]
+
+
+def _column(char: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.full((n, 1), ord(char), dtype=np.uint8), np.ones((n, 1), dtype=bool)
+
+
+def _fixed_cells(x: np.ndarray) -> list:
+    """``repr`` of doubles with 1e-4 <= |x| < 1e16 as ``[sign | int | '.' | frac]`` cell blocks."""
+    f, e = _shortest(np.abs(x).view(np.uint64))
+    places = np.maximum(-e, 0)
+    unit = _POW10[np.minimum(places, 19)]  # f < 10^18, so 10^19 moves all of it behind the point
+    whole = f // unit
+    part = f - whole * unit
+    whole *= _POW10[np.maximum(e, 0)]
+    return [
+        (np.full((x.size, 1), ord("-"), dtype=np.uint8), (x < 0)[:, None]),
+        _digit_cells(whole, _digit_count(whole)),
+        _column(".", x.size),
+        _digit_cells(part, np.maximum(places, 1)),
+    ]
+
+
+def _float_cells(x: np.ndarray) -> list:
+    """``repr`` of each float64 as rows of ASCII cell blocks with masks of the text.
+
+    Python writes decimal point positions -4 < p <= 16 in fixed notation;
+    those rows are laid out here.  The rest (exponent notation, zeros,
+    subnormals, inf and nan) take ``repr`` one by one.
+    """
+    magnitude = np.abs(x)
+    fixed = (magnitude >= 1e-4) & (magnitude < 1e16)
+    if fixed.all():
+        return _fixed_cells(x)
+    fixed_cells, fixed_keep = _side_by_side(_fixed_cells(x[fixed]))
+    texts = [repr(v) for v in x[~fixed].tolist()]
+    width = max(fixed_cells.shape[1], max(map(len, texts)))
+    cells = np.zeros((x.size, width), dtype=np.uint8)
+    keep = np.zeros((x.size, width), dtype=bool)
+    cells[fixed, width - fixed_cells.shape[1] :] = fixed_cells
+    keep[fixed, width - fixed_keep.shape[1] :] = fixed_keep
+    padded = "".join(t.rjust(width) for t in texts).encode("ascii")
+    cells[~fixed] = np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
+    keep[~fixed] = np.arange(width) >= width - np.array([len(t) for t in texts])[:, None]
+    return [(cells, keep)]
+
+
+def _side_by_side(blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    return np.hstack([b[0] for b in blocks]), np.hstack([b[1] for b in blocks])
+
+
+def _text(blocks: list) -> str:
+    """The kept cells of (cells, keep) blocks laid side by side, row after row."""
+    cells, keep = _side_by_side(blocks)
+    return cells[keep].tobytes().decode("ascii")
+
+
+def format_floats(values: np.ndarray | Sequence[float]) -> str:
+    """``" ".join(map(repr, values))`` for a float64 vector, built block by block in NumPy."""
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    chunks = (x[lo : lo + _FORMAT_CHUNK] for lo in range(0, x.size, _FORMAT_CHUNK))
+    return "".join(_text([*_float_cells(v), _column(" ", v.size)]) for v in chunks)[:-1]
+
+
+def _index_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = x.astype(np.uint64)
+    return _digit_cells(x, _digit_count(x))
 
 
 def write_instance(instance: Instance, path: str) -> None:
@@ -123,21 +367,22 @@ def write_instance(instance: Instance, path: str) -> None:
     D = instance.D  # canonical CSR: entries in (row, col) order
     header = [_MAGIC, f"n {instance.n}", f"k {instance.k}"]
     for name in ("a", "c", "p0", "delta"):
-        header.append(f"{name} {_float_line(getattr(instance, name))}")
+        header.append(f"{name} {format_floats(getattr(instance, name))}")
     if instance.bounds is not None:
-        header.append(f"l {_float_line(instance.lower)}")
-        header.append(f"u {_float_line(instance.upper)}")
+        header.append(f"l {format_floats(instance.lower)}")
+        header.append(f"u {format_floats(instance.upper)}")
     header.append(f"D {D.nnz}")
     rows = np.repeat(np.arange(instance.n), np.diff(D.indptr))
     with _atomic_open(path) as fh:
         fh.write("\n".join(header) + "\n")
-        for lo in range(0, D.nnz, _WRITE_CHUNK):
-            hi = min(D.nnz, lo + _WRITE_CHUNK)
-            fields: list = [None] * (3 * (hi - lo))
-            fields[0::3] = rows[lo:hi].tolist()
-            fields[1::3] = D.indices[lo:hi].tolist()
-            fields[2::3] = D.data[lo:hi].tolist()
-            fh.write(("%d %d %r\n" * (hi - lo)) % tuple(fields))
+        for lo in range(0, D.nnz, _FORMAT_CHUNK):
+            hi = min(D.nnz, lo + _FORMAT_CHUNK)
+            space = _column(" ", hi - lo)
+            fh.write(_text([
+                _index_cells(rows[lo:hi]), space,
+                _index_cells(D.indices[lo:hi]), space,
+                *_float_cells(D.data[lo:hi]), _column("\n", hi - lo),
+            ]))
 
 
 def _parse_float(token: str, line_no: int | None, field: str) -> float:
@@ -155,9 +400,9 @@ def _parse_int(token: str, line_no: int | None, field: str) -> int:
 
 
 def _parse_floats(tokens: list[str], line_no: int | None, field: str) -> np.ndarray:
-    """Whitespace-split tokens as a float vector; NumPy's string cast follows ``float``."""
+    """Whitespace-split tokens as a float vector, each read by ``float``; ParseError names a bad one."""
     try:
-        return np.array(tokens, dtype=np.float64)
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     except ValueError:
         return np.array([_parse_float(t, line_no, field) for t in tokens], dtype=np.float64)
 
@@ -306,7 +551,7 @@ def read_vector(path: str, n: int | None = None) -> np.ndarray:
 
 
 def write_vector(vec: np.ndarray, path: str) -> None:
-    atomic_write_text(path, _float_line(vec) + "\n")
+    atomic_write_text(path, format_floats(vec) + "\n")
 
 
 def _report_row(r: SolveReport) -> list[str]:

@@ -21,7 +21,7 @@ from priceopt import (
     write_instance,
     write_report,
 )
-from priceopt.storage import read_vector, write_vector
+from priceopt.storage import _FORMAT_CHUNK, _shortest, format_floats, read_vector, write_vector
 from conftest import two_product_instance
 
 
@@ -79,6 +79,143 @@ class TestWriterPins:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _repr_join(values) -> str:
+    return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def _assert_same(got, want) -> None:
+    """``got == want``, else fail at the first differing token (pytest's diff of long texts is slow)."""
+    if got != want:
+        for at, (g, w) in enumerate(zip(got.split(), want.split())):
+            if g != w:
+                pytest.fail(f"token {at}: {g!r} != {w!r}")
+        pytest.fail("the texts differ in spacing or length")
+
+
+def _reference_bytes(instance) -> bytes:
+    """The instance file as the writer made it with ``repr`` per value: the format's reference."""
+    D = instance.D
+    header = ["# priceopt instance v1", f"n {instance.n}", f"k {instance.k}"]
+    for name in ("a", "c", "p0", "delta"):
+        header.append(f"{name} {_repr_join(getattr(instance, name))}")
+    if instance.bounds is not None:
+        header.append(f"l {_repr_join(instance.lower)}")
+        header.append(f"u {_repr_join(instance.upper)}")
+    header.append(f"D {D.nnz}")
+    rows = np.repeat(np.arange(instance.n), np.diff(D.indptr))
+    lines = ["%d %d %r\n" % e for e in zip(rows.tolist(), D.indices.tolist(), D.data.tolist())]
+    return ("\n".join(header) + "\n" + "".join(lines)).encode("utf-8")
+
+
+class TestFormatFloats:
+    """format_floats against ``" ".join(map(repr, x))``, character for character."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=30))
+    def test_bit_patterns_match_repr(self, bits):
+        # nan, infinities, subnormals and -0.0 included
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        _assert_same(format_floats(x), _repr_join(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e16, 1e16)), max_size=30,
+    ))
+    def test_finite_floats_match_repr(self, values):
+        _assert_same(format_floats(values), _repr_join(values))
+
+    def test_edge_values_match_repr(self):
+        pow2 = np.ldexp(1.0, np.arange(-1074, 1024))
+        pow10 = np.array([float(f"1e{e}") for e in range(-30, 31)])
+        switch = np.array([1e16, 1e-4, 2.0**53 - 1, 2.0**53, 2.0**53 + 1, 2.0**53 + 2])
+        # N.25 and N.75 lie halfway between two 17-digit decimals: repr takes the even one
+        halfway = 2.0**50 + np.arange(40.0)[:, None] + [0.25, 0.75]
+        x = np.concatenate([
+            pow2, -pow2, halfway.ravel(),
+            pow10, np.nextafter(pow10, 0.0), np.nextafter(pow10, np.inf),
+            switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf),
+            [9999999999999998.0, 5e-324, -5e-324, 0.0, -0.0],
+        ])
+        _assert_same(format_floats(x), _repr_join(x))
+
+    @pytest.mark.parametrize("size", [_FORMAT_CHUNK, _FORMAT_CHUNK + 1, 2 * _FORMAT_CHUNK + 1])
+    def test_blocks_join_across_chunks(self, size):
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 18, size)
+        _assert_same(format_floats(x), _repr_join(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(2**52, 0x7FEF_FFFF_FFFF_FFFF), min_size=1, max_size=30))
+    # 1e23 is the midpoint of two doubles: the one with even c takes it, the odd one may not
+    @example(bits=_bits([1e23, np.nextafter(1e23, np.inf), np.nextafter(1e23, 0.0)]).tolist())
+    def test_digits_of_every_binade(self, bits):
+        # the digit kernel covers all normal doubles, exponent-notation ones included
+        bits = np.array(bits, dtype=np.uint64)
+        f, e = _shortest(bits)
+        for v, digits, exp in zip(bits.view(np.float64).tolist(), f.tolist(), e.tolist()):
+            mantissa, _, power = repr(v).partition("e")
+            whole, _, frac = mantissa.partition(".")
+            kept = (whole + frac).rstrip("0")
+            assert (int(kept), int(power or 0) + len(whole) - len(kept)) == (digits, exp)
+
+
+def _entries_instance(n: int, extra: int) -> Instance:
+    """n products, a diagonal and a cyclic superdiagonal, plus ``extra`` more entries in row 0."""
+    rng = np.random.default_rng(n + extra)
+    D = np.diag(rng.uniform(1.0, 10.0, n))
+    D[np.arange(n), (np.arange(n) + 1) % n] = rng.standard_normal(n)
+    D[0, 2 : 2 + extra] = rng.standard_normal(extra)
+    return Instance(
+        n=n, k=1, a=rng.uniform(1, 9, n), D=D, c=rng.uniform(1, 3, n),
+        p0=rng.uniform(5, 15, n), delta=np.full(n, 0.5),
+    )
+
+
+class TestWriterMatchesReference:
+    """write_instance output equals the per-value repr writer's, byte for byte."""
+
+    def _check(self, tmp_path, inst):
+        path = tmp_path / "inst.txt"
+        write_instance(inst, str(path))
+        _assert_same(path.read_bytes(), _reference_bytes(inst))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GenConfig(n=500, seed=11),
+            GenConfig(n=500, seed=12, bounds_mode=(1, 5, 8, 14)),
+            GenConfig(n=500, seed=13, diag_range=(0.01, 10.0), offdiag_rel_mag=0.9),
+            GenConfig(n=500, seed=14, allow_mixed_signs=True, delta_mode=("fraction", 0.1)),
+            GenConfig(n=1, seed=15),
+        ],
+    )
+    def test_generated_instances(self, tmp_path, config):
+        self._check(tmp_path, generate(config))
+
+    def test_exponent_notation_and_zero_rows(self, tmp_path):
+        # values at or past 1e16, below 1e-4, zeros and subnormals take repr one by one
+        p0 = np.array([0.0, 1e17, 2e-5, 123.0, -0.0])
+        delta = np.array([1e-300, 1e5, 1e-6, 2.5e-7, 5e-324])
+        D = np.diag([1e-5, 2e16, 1.0, -7e-300, 3.5])
+        D[0, 3], D[2, 1], D[4, 0] = 0.25, -1e20, 5e-324
+        inst = Instance(
+            n=5, k=2, a=[0.0, 1e16, 1e-5, -3e20, 9999999999999998.0], D=D,
+            c=[-0.0, 5e-324, 1e300, 1.5, 1e-4], p0=p0, delta=delta,
+            bounds=(p0 - delta - 1e20, p0 + 2 * delta),
+        )
+        self._check(tmp_path, inst)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_entry_count_at_chunk_boundary(self, tmp_path, extra):
+        inst = _entries_instance(_FORMAT_CHUNK // 2, extra)
+        assert inst.D.nnz == _FORMAT_CHUNK + extra
+        self._check(tmp_path, inst)
+
+
 _awkward = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100),
     st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 0.1, 1e-17, 2.0**52 + 1, np.nextafter(1.0, 2.0)]),
@@ -106,10 +243,6 @@ def _instances(draw):
         n=n, k=draw(st.integers(1, n)), a=draw(vec), D=D, c=draw(vec),
         p0=p0, delta=delta, bounds=bounds,
     )
-
-
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 class TestRoundTripProperty:
