@@ -15,7 +15,23 @@ over the disjunctive price set encoded with one binary triple per product:
 
 with the big-M replaced by the actual bounds l_i / u_i when present.  The
 objective drops the constant ``-c^T a`` (solvers ignore constants); the file
-header states the dropped value so profits can be reconstructed.
+header states the dropped value so profits can be reconstructed.  A number
+of the model that is not finite (``S = D + D^T`` or ``f`` can overflow for a
+finite ``D``) is a NumericError before anything is written.
+
+The exporter writes each number as ``format(v, ".12g")`` does, and builds
+the text as the instance writer in ``storage`` does: each section is laid
+out in blocks of at most ``_FORMAT_CHUNK`` rows (terms, or products), as
+side-by-side ``(cells, keep)`` blocks of ASCII bytes with masks that
+``storage._text`` compresses to text; each block is written as soon as it
+is built.  Names take their indices from ``storage._digit_cells``.
+Magnitudes come from ``storage._rounded``, which rounds the exact scaled
+product of the shortest-decimal kernel to 12 digits; rows that print in
+exponent notation (decimal exponent below -4 or from 12 up after rounding)
+take ``format`` one by one.  Masks drop what the text leaves out: a term with
+a zero coefficient, a magnitude that prints as ``1`` (with its space), and
+the ``+ `` of an expression's first term.  ``tests/test_lpformat.py`` keeps
+the earlier string-by-string exporter as the byte-for-byte reference.
 
 ``parse_lp`` reads the LP subset the exporter writes, and a little more:
 ``Maximize``/``Minimize`` with an optional ``name:``, terms, constants and
@@ -29,12 +45,17 @@ in the rest.  One loop over the items reads the objective and every row; the
 Bounds, Binary and General lists have short loops of their own.  An error
 names the line of its token, computed from the item's offset only then, or the
 last line if the input ends early.  ``tests/test_lpformat.py`` keeps the
-earlier token-by-token parser as the reference this one must match.
+earlier token-by-token parser as the reference this one must match.  The
+parse runs with the cyclic garbage collector paused (the caller's setting
+comes back afterwards): it allocates hundreds of thousands of tuples and
+strings, which would set off many collections, yet it builds no reference
+cycles for them to find.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -45,9 +66,21 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .errors import ParseError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
 from .instance import Instance
-from .storage import _read_text, atomic_write_text
+from .storage import (
+    _FORMAT_CHUNK,
+    _POW10,
+    _atomic_open,
+    _column,
+    _digit_cells,
+    _digit_count,
+    _index_cells,
+    _read_text,
+    _rounded,
+    _spliced,
+    _text,
+)
 
 __all__ = [
     "export_mip_lp",
@@ -60,8 +93,11 @@ __all__ = [
     "eval_lp_objective",
 ]
 
-_NUM_FMT = ".12g"
+_DIGITS = 12  # significant digits of every number written
+_NUM_FMT = f".{_DIGITS}g"
 _TERMS_PER_LINE = 8
+_NAMES_PER_LINE = 9  # in Binary: three products
+_TINY = np.finfo(np.float64).tiny  # the least normal double
 
 
 class LpFormatError(ParseError):
@@ -72,27 +108,143 @@ def default_big_m(instance: Instance) -> float:
     return 10.0 * float(np.max(np.abs(instance.p0) + instance.delta))
 
 
-def _emit_terms(terms: list[str]) -> list[str]:
-    """Join sign-prefixed terms into wrapped expression lines."""
-    return [" ".join(terms[i : i + _TERMS_PER_LINE]) for i in range(0, len(terms), _TERMS_PER_LINE)]
+def _masked(blocks: list, rows: np.ndarray) -> list:
+    """The blocks with only the given rows kept."""
+    return [(cells, keep & rows[:, None]) for cells, keep in blocks]
 
 
-def _signed_terms(coefs: np.ndarray, monomials: list[str]) -> list[str]:
-    """Signed terms ("+ 2 x", "- x") of coefficients and monomials; "" for a zero."""
-    mags = [format(x, _NUM_FMT) for x in np.abs(coefs).tolist()]
-    signs = ["-" if x < 0 else "+" for x in coefs.tolist()]
+def _number_cells(x: np.ndarray) -> tuple[list, np.ndarray]:
+    """``format(v, ".12g")`` of each finite v >= 0 as cell blocks, and the mask of the "1"s.
+
+    Rows whose decimal exponent after rounding lies in [-4, 12) print in
+    fixed notation, laid out from the digits of ``_rounded``; zeros,
+    subnormals and the rest take ``format`` one by one.
+    """
+    normal = x >= _TINY
+    f, e = _rounded(np.where(normal, x, 1.0).view(np.uint64), _DIGITS)
+    point = e + _digit_count(f)  # the digits before the decimal point
+    fixed = normal & (point > -4) & (point <= _DIGITS)
+    one = fixed & (f == 1) & (e == 0)
+    if not fixed.all():
+        f, e = f[fixed], e[fixed]
+    places = np.maximum(-e, 0)
+    unit = _POW10[places]
+    whole = f // unit
+    part = f - whole * unit
+    whole *= _POW10[np.maximum(e, 0)]
+    blocks = [
+        _digit_cells(whole, _digit_count(whole)),
+        _column(".", f.size, places > 0),
+        _digit_cells(part, places),
+    ]
+    if f.size < x.size:
+        blocks = [_spliced(blocks, fixed, [format(v, _NUM_FMT) for v in x[~fixed].tolist()])]
+    return blocks, one
+
+
+def _term_cells(coef: np.ndarray, drop_plus) -> list:
+    """"+ mag " / "- mag " of each coefficient: no magnitude where it prints as 1,
+    and no "+ " where ``drop_plus`` (a scalar or one flag per row)."""
+    mag, one = _number_cells(np.abs(coef))
+    negative = coef < 0
     return [
-        "" if mag == "0" else f"{sign} {mono}" if mag == "1" else f"{sign} {mag} {mono}"
-        for sign, mag, mono in zip(signs, mags, monomials)
+        _column("- ", coef.size, negative),
+        _column("+ ", coef.size, ~(negative | drop_plus)),
+        *_masked(mag, ~one),
+        _column(" ", coef.size, ~one),
     ]
 
 
-def _leading(terms: list[str]) -> list[str]:
-    """The nonzero terms of an expression; the first one drops its '+'."""
-    terms = [t for t in terms if t]
-    if terms and terms[0][0] == "+":
-        terms[0] = terms[0][2:]
-    return terms
+def _expression(coef: np.ndarray, monomials):
+    """Text blocks of the nonzero terms ``sign mag monomial``, _TERMS_PER_LINE to a line.
+
+    The first term drops its "+ " and follows what the caller wrote; each
+    later line starts with six spaces.  ``monomials(at)`` gives the cell
+    blocks of the monomials of the terms at 0-based positions ``at``.
+    """
+    nonzero = np.flatnonzero(coef)
+    for lo in range(0, nonzero.size, _FORMAT_CHUNK):
+        at = nonzero[lo : lo + _FORMAT_CHUNK]
+        rank = np.arange(lo, lo + at.size)
+        first, wrap = rank == 0, rank % _TERMS_PER_LINE == 0
+        yield _text([
+            _column("\n      ", at.size, wrap & ~first),
+            _column(" ", at.size, ~wrap),
+            *_term_cells(coef[at], first),
+            *monomials(at),
+        ])
+
+
+def _bracket_terms(rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
+    def monomials(at):
+        square = rows[at] == cols[at]
+        return [
+            _column("p_", at.size),
+            _index_cells(rows[at] + 1),
+            _column(" ^ 2", at.size, square),
+            _column(" * p_", at.size, ~square),
+            *_masked([_index_cells(cols[at] + 1)], ~square),
+        ]
+
+    return _expression(coef, monomials)
+
+
+def _row_terms(coef: np.ndarray, name: str, ids: tuple) -> list:
+    """" sign mag name_i" of each row's term, or nothing for a zero coefficient."""
+    n = coef.size
+    return _masked([_column(" ", n), *_term_cells(coef, False), _column(name, n), ids], coef != 0)
+
+
+def _rows(p0, delta, lo, hi):
+    """Text blocks of the lb_i, ub_i and pick_i rows, product by product."""
+    n = p0.size
+    for start in range(0, n, _FORMAT_CHUNK):
+        sl = slice(start, min(n, start + _FORMAT_CHUNK))
+        m = sl.stop - start
+        ids = _index_cells(np.arange(start + 1, sl.stop + 1))
+        keep = _row_terms(-p0[sl], "zP_", ids)
+        yield _text([
+            _column(" lb_", m), ids, _column(": p_", m), ids, *keep,
+            *_row_terms(-lo[sl], "zL_", ids), *_row_terms(-(p0[sl] + delta[sl]), "zR_", ids),
+            _column(" >= 0\n ub_", m), ids, _column(": p_", m), ids, *keep,
+            *_row_terms(-(p0[sl] - delta[sl]), "zL_", ids), *_row_terms(-hi[sl], "zR_", ids),
+            _column(" <= 0\n pick_", m), ids, _column(": zP_", m), ids,
+            _column(" + zL_", m), ids, _column(" + zR_", m), ids, _column(" = 1\n", m),
+        ])
+
+
+def _lists(n: int, k: int):
+    """Text blocks of the card row and the Bounds and Binary sections."""
+    pairs = _TERMS_PER_LINE // 2  # products per line of the card row
+    triples = _NAMES_PER_LINE // 3  # products per line of Binary
+    parts = [
+        lambda i, ids: [  # card, after " card: "
+            _column("\n      ", i.size, (i % pairs == 0) & (i > 0)),
+            _column(" ", i.size, i % pairs != 0),
+            _column("+ ", i.size, i > 0),
+            _column("zL_", i.size), ids, _column(" + zR_", i.size), ids,
+        ],
+        lambda i, ids: [_column(" p_", i.size), ids, _column(" free\n", i.size)],
+        lambda i, ids: [
+            _column(" zP_", i.size), ids, _column(" zL_", i.size), ids, _column(" zR_", i.size), ids,
+            _column("\n", i.size, (i % triples == triples - 1) | (i == n - 1)),
+        ],
+    ]
+    heads = [" card: ", f" <= {k}\nBounds\n", "Binary\n"]
+    for head, part in zip(heads, parts):
+        yield head
+        for start in range(0, n, _FORMAT_CHUNK):
+            i = np.arange(start, min(n, start + _FORMAT_CHUNK))
+            yield _text(part(i, _index_cells(i + 1)))
+    yield "End\n"
+
+
+def _require_finite(values: np.ndarray, what) -> None:
+    """NumericError naming ``what(j)`` for the first non-finite value j."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        j = int(bad[0])
+        raise NumericError(f"{what(j)} is not finite ({values[j]}); the LP model cannot be written")
 
 
 def export_mip_lp(instance: Instance, path: str, big_m: Optional[float] = None) -> None:
@@ -102,6 +254,8 @@ def export_mip_lp(instance: Instance, path: str, big_m: Optional[float] = None) 
     ``zP_i``, ``zL_i``, ``zR_i``; prices are declared free (the constraint
     rows bound them).  big_m must be finite and at least
     ``max_i(|p0_i| + delta_i)``, or a raised or lowered branch is empty.
+    A coefficient or dropped constant that is not finite (``S = D + D^T``
+    or ``f`` can overflow) is a NumericError, and nothing is written.
     """
     n, k = instance.n, instance.k
     p0, delta = instance.p0, instance.delta
@@ -115,64 +269,46 @@ def export_mip_lp(instance: Instance, path: str, big_m: Optional[float] = None) 
             f"big-M must be finite and at least max(|p0| + delta) = {reach:g}, got {big_m:g}"
         )
 
-    const = float(instance.c @ instance.a)
-    out: list[str] = [
-        "\\ priceopt MIP export",
-        f"\\ products: {n}, change budget: {k}, bounds: {'explicit' if bounded else f'big-M {format(big_m, _NUM_FMT)}'}",
-        f"\\ the objective omits the constant -c'a = {format(-const, _NUM_FMT)};",
-        "\\ profit Z(p) = objective value - c'a",
-        "Maximize",
-    ]
-
-    ids = range(1, n + 1)
-    prices = [f"p_{i}" for i in ids]
-    lin_terms = _leading(_signed_terms(f, prices))
     # The bracket is [ -sum s_ij p_i p_j ] / 2 with merged monomials: s_ii on
     # the diagonal and 2 s_ij for i < j, read from the upper triangle of the
     # (exactly) symmetric S in row-major order.
     upper = sparse.triu(instance.S, format="coo")
-    rows, cols = (upper.row + 1).tolist(), (upper.col + 1).tolist()
-    quad_terms = _leading(
-        _signed_terms(
-            np.where(upper.row == upper.col, -upper.data, -2.0 * upper.data),
-            [f"p_{r} ^ 2" if r == c else f"p_{r} * p_{c}" for r, c in zip(rows, cols)],
-        )
-    )
+    with np.errstate(over="ignore"):
+        const = float(instance.c @ instance.a)
+        quad = np.where(upper.row == upper.col, -upper.data, -2.0 * upper.data)
+    # The row coefficients are finite: Instance rejects an overflowing
+    # p0 +- delta and non-finite bounds, and big-M is checked above.
+    _require_finite(np.array([const]), lambda j: "the dropped constant c'a")
+    _require_finite(f, lambda j: f"the objective coefficient of p_{j + 1}")
+    _require_finite(quad, lambda j: (
+        f"the bracket coefficient of p_{upper.row[j] + 1} "
+        + ("^ 2" if upper.row[j] == upper.col[j] else f"* p_{upper.col[j] + 1}")
+    ))
 
-    obj_lines = _emit_terms(lin_terms) or ["0 p_1"]
-    out.append(" obj: " + obj_lines[0])
-    out.extend("      " + ln for ln in obj_lines[1:])
-    if quad_terms:
-        qlines = _emit_terms(quad_terms)
-        out.append("      + [ " + qlines[0])
-        out.extend("      " + ln for ln in qlines[1:])
-        out.append("      ] / 2")
-
-    out.append("Subject To")
+    bound_note = "explicit" if bounded else f"big-M {format(big_m, _NUM_FMT)}"
+    header = "\n".join([
+        "\\ priceopt MIP export",
+        f"\\ products: {n}, change budget: {k}, bounds: {bound_note}",
+        f"\\ the objective omits the constant -c'a = {format(-const, _NUM_FMT)};",
+        "\\ profit Z(p) = objective value - c'a",
+        "Maximize",
+        " obj: ",
+    ])
     lo = instance.lower if bounded else np.full(n, -big_m)
     hi = instance.upper if bounded else np.full(n, big_m)
-    keep = _signed_terms(-p0, [f"zP_{i}" for i in ids])
-    lowered, raised = [f"zL_{i}" for i in ids], [f"zR_{i}" for i in ids]
-    lb = zip(keep, _signed_terms(-lo, lowered), _signed_terms(-(p0 + delta), raised))
-    ub = zip(keep, _signed_terms(-(p0 - delta), lowered), _signed_terms(-hi, raised))
-    for i, lb_terms, ub_terms in zip(ids, lb, ub):
-        out.append(" ".join(filter(None, (f" lb_{i}: p_{i}", *lb_terms, ">= 0"))))
-        out.append(" ".join(filter(None, (f" ub_{i}: p_{i}", *ub_terms, "<= 0"))))
-        out.append(f" pick_{i}: zP_{i} + zL_{i} + zR_{i} = 1")
-
-    card_terms = [term for i in ids for term in (f"+ zL_{i}", f"+ zR_{i}")]
-    card_lines = _emit_terms(_leading(card_terms))
-    out.append(" card: " + card_lines[0])
-    out.extend("      " + ln for ln in card_lines[1:])
-    out[-1] = out[-1] + f" <= {k}"
-
-    out.append("Bounds")
-    out.extend(f" {p} free" for p in prices)
-    out.append("Binary")
-    names = [f"{z}_{i}" for i in ids for z in ("zP", "zL", "zR")]
-    out.extend(" " + " ".join(names[j : j + 9]) for j in range(0, len(names), 9))
-    out.append("End")
-    atomic_write_text(path, "\n".join(out) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(header)
+        if np.any(f):
+            fh.writelines(_expression(f, lambda at: [_column("p_", at.size), _index_cells(at + 1)]))
+        else:
+            fh.write("0 p_1")
+        if np.any(quad):
+            fh.write("\n      + [ ")
+            fh.writelines(_bracket_terms(upper.row, upper.col, quad))
+            fh.write("\n      ] / 2")
+        fh.write("\nSubject To\n")
+        fh.writelines(_rows(p0, delta, lo, hi))
+        fh.writelines(_lists(n, k))
 
 
 # --------------------------------------------------------------------------
@@ -302,16 +438,22 @@ def _rhs(r: str) -> tuple[str, float]:
 
 def parse_lp_text(text: str) -> LpModel:
     """Parse LP text into a structured model; raises LpFormatError on errors."""
-    body = _COMMENT.sub(" ", text)  # not "": "\r" + comment + "\n" stays two line breaks
-    items = _ITEM.findall(body)
-    items.append(_EOF)
-    it = iter(items)
+    enabled = gc.isenabled()
+    gc.disable()  # the parse builds no cycles, only many young objects
     try:
-        return _parse_items(items, it)
-    except _Fail as fail:
-        message, ahead, *at = fail.args
-        read = len(items) - operator.length_hint(it) - 1  # the index of the item read last
-        raise _error(text, body, items, message, None if ahead is None else read + ahead, *at) from None
+        body = _COMMENT.sub(" ", text)  # not "": "\r" + comment + "\n" stays two line breaks
+        items = _ITEM.findall(body)
+        items.append(_EOF)
+        it = iter(items)
+        try:
+            return _parse_items(items, it)
+        except _Fail as fail:
+            message, ahead, *at = fail.args
+            read = len(items) - operator.length_hint(it) - 1  # the index of the item read last
+            raise _error(text, body, items, message, None if ahead is None else read + ahead, *at) from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _parse_items(items: list, it) -> LpModel:

@@ -37,10 +37,12 @@ arrays, from one exact 192-bit product per value, and the layout writes
 sign, integer digits, point and fraction digits into a byte matrix that one
 boolean mask compresses to text.  Values ``repr`` writes in exponent
 notation (below 1e-4 or from 1e16 up), zeros, subnormals, inf and nan take
-``repr`` one by one.  The reader parses each vector and the whole entry
-list in one bulk call each, and checks ranges, zeros and duplicates with
-array operations; when a bulk parse fails it parses again one token or line
-at a time to name the offending line.
+``repr`` one by one.  ``_rounded`` rounds the same exact product to a fixed
+number of significant digits, as ``format`` does; the MIP exporter in
+``lpformat`` writes its 12-digit numbers with it.  The reader parses each
+vector and the whole entry list in one bulk call each, and checks ranges,
+zeros and duplicates with array operations; when a bulk parse fails it
+parses again one token or line at a time to name the offending line.
 """
 
 from __future__ import annotations
@@ -192,12 +194,19 @@ def _shifted_round_to_odd(top, mid, low, g_lo, g_hi, shift, sign: int) -> np.nda
     return (top + (m >> _U63) - off_top - _ONE) | ((m & _MASK63) != 0)
 
 
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(f, e)`` with ``f 10^e`` the shortest decimal that reads back as each value.
+def _scaled_product(bits: np.ndarray) -> tuple:
+    """The exact product ``4 v 10^-k`` of each value, with what its neighbours need.
 
-    ``bits`` are the uint64 bit patterns of positive normal doubles.  ``f``
-    (uint64) has no trailing zeros; ``e`` is int64.  Among shortest decimals
-    the one closest to the value wins, an even ``f`` on a tie.
+    ``bits`` are the uint64 bit patterns of positive normal doubles.  Returns
+    ``(k, irregular, h, g_lo, g_hi, top, mid, low)``: Schubfach's decimal
+    exponent k (int64), the power-of-two flag, the shift h and the two 64-bit
+    halves of g, and ``g 4c 2^h / 2^127`` as ``top + mid / 2^63 + low / 2^127``.
+
+    Round to odd, ``vb = top | (mid != 0)``, is ``4 v 10^-k`` with its low bit
+    marking a non-integer.  g exceeds the exact scale by less than 1, so an
+    integer leaves a remainder below ``4c 2^h < 2^64``, and Schubfach bounds
+    every other remainder away from 0 and 2^127 by more than that: bits
+    64..126 decide, and ``vb >> 2`` is ``floor(v 10^-k)``.
     """
     k_of, consts = _schubfach_table()
     frac = bits & (_HIDDEN - _ONE)
@@ -206,9 +215,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     col = (biased + irregular * np.uint64(2048)).astype(np.intp)
     k = k_of[col]
     h, g0, g1, g2, g3 = np.take(consts, col, axis=1)
-    c = frac | _HIDDEN
-    odd = c & _ONE
-    cp = c << (h + _TWO)  # 4c 2^h
+    cp = (frac | _HIDDEN) << (h + _TWO)  # 4c 2^h
 
     # g cp exactly, as 32-bit column sums (each at most five parts below 2^32)
     cols: list = [0] * 6
@@ -220,18 +227,36 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in range(5):
         cols[i + 1] += cols[i] >> _U32
         cols[i] &= _MASK32
-    # the product / 2^127 as top + mid / 2^63 + low / 2^127
     top = (cols[5] << np.uint64(33)) | (cols[4] << _ONE) | (cols[3] >> np.uint64(31))
     mid = ((cols[3] << _U32) & _MASK63) | cols[2]
     low = (cols[1] << _U32) | cols[0]
+    return k, irregular, h, g0 | (g1 << _U32), g2 | (g3 << _U32), top, mid, low
 
-    # Round to odd: the low bit marks a non-integer.  g exceeds the exact
-    # scale by less than 1, so an integer leaves a remainder below cp < 2^64,
-    # and Schubfach bounds every other remainder away from 0 and 2^127 by
-    # more than that: bits 64..126 decide.
+
+def _strip_zeros(f: np.ndarray, e: np.ndarray) -> None:
+    """Move the trailing zeros of each ``f`` (below 10^17) into ``e``, in place."""
+    zeros = np.flatnonzero(f // _TEN * _TEN == f)
+    if zeros.size:
+        fz, ez = f[zeros], e[zeros]
+        for d in (16, 8, 4, 2, 1):
+            cut = fz // _POW10[d]
+            hit = cut * _POW10[d] == fz
+            fz = np.where(hit, cut, fz)
+            ez += hit * d
+        f[zeros], e[zeros] = fz, ez
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, e)`` with ``f 10^e`` the shortest decimal that reads back as each value.
+
+    ``bits`` are the uint64 bit patterns of positive normal doubles.  ``f``
+    (uint64) has no trailing zeros; ``e`` is int64.  Among shortest decimals
+    the one closest to the value wins, an even ``f`` on a tie.
+    """
+    k, irregular, h, g_lo, g_hi, top, mid, low = _scaled_product(bits)
+    odd = bits & _ONE  # the low bit of c
     vb = top | (mid != 0)
     # the neighbours: 4c +- 2 (4c - 1 below a power of two) times g 2^h
-    g_lo, g_hi = g0 | (g1 << _U32), g2 | (g3 << _U32)
     vbr = _shifted_round_to_odd(top, mid, low, g_lo, g_hi, h + _ONE, +1)
     vbl = _shifted_round_to_odd(top, mid, low, g_lo, g_hi, h + _ONE - irregular, -1)
     vbl += odd  # an odd c leaves the interval's ends out
@@ -247,17 +272,32 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     closer_s = (rest < _TWO) | ((rest == _TWO) & ((s & _ONE) == 0))
     take_s = np.where(uin != win, uin, closer_s)
     f = np.where(upin != wpin, sp10 + _TEN * wpin, s + _ONE - take_s)
-
-    zeros = np.flatnonzero(f // _TEN * _TEN == f)
-    if zeros.size:
-        fz, ez = f[zeros], k[zeros]
-        for d in (16, 8, 4, 2, 1):
-            cut = fz // _POW10[d]
-            hit = cut * _POW10[d] == fz
-            fz = np.where(hit, cut, fz)
-            ez += hit * d
-        f[zeros], k[zeros] = fz, ez
+    _strip_zeros(f, k)
     return f, k
+
+
+def _rounded(bits: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, e)`` with ``f 10^e`` each value rounded to ``digits`` <= 15 significant digits.
+
+    ``bits`` are the uint64 bit patterns of positive normal doubles.  The
+    digits are ``format``'s: the exact value rounded half to even.  ``f``
+    (uint64) has no trailing zeros; ``e`` is int64.
+    """
+    k, *_, top, mid, _ = _scaled_product(bits)
+    s = top >> _TWO  # floor(v 10^-k): 16 or 17 digits
+    exact = ((top & np.uint64(3)) == 0) & (mid == 0)  # v 10^-k is s
+    drop = _digit_count(s) - digits
+    unit = _POW10[drop]
+    f = s // unit
+    rest = s - f * unit
+    half = unit >> _ONE
+    # a tie only when the dropped digits are 5000... and nothing follows them
+    f += (rest > half) | ((rest == half) & ~(exact & ((f & _ONE) == 0)))
+    carry = f == _POW10[digits]  # 99...9 rounded up to 10^digits
+    f[carry] = _POW10[digits - 1]
+    e = k + drop + carry
+    _strip_zeros(f, e)
+    return f, e
 
 
 def _digit_count(x: np.ndarray) -> np.ndarray:
@@ -296,8 +336,10 @@ def _digit_cells(x: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return cells, np.arange(width) >= (width - count)[:, None]
 
 
-def _column(char: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.full((n, 1), ord(char), dtype=np.uint8), np.ones((n, 1), dtype=bool)
+def _column(text: str, n: int, keep=True) -> tuple[np.ndarray, np.ndarray]:
+    """``text`` in each of n rows, kept where ``keep`` (a scalar or one flag per row)."""
+    row = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.broadcast_to(row, (n, row.size)), np.broadcast_to(np.reshape(keep, (-1, 1)), (n, row.size))
 
 
 def _fixed_cells(x: np.ndarray) -> list:
@@ -309,7 +351,7 @@ def _fixed_cells(x: np.ndarray) -> list:
     part = f - whole * unit
     whole *= _POW10[np.maximum(e, 0)]
     return [
-        (np.full((x.size, 1), ord("-"), dtype=np.uint8), (x < 0)[:, None]),
+        _column("-", x.size, x < 0),
         _digit_cells(whole, _digit_count(whole)),
         _column(".", x.size),
         _digit_cells(part, np.maximum(places, 1)),
@@ -327,17 +369,21 @@ def _float_cells(x: np.ndarray) -> list:
     fixed = (magnitude >= 1e-4) & (magnitude < 1e16)
     if fixed.all():
         return _fixed_cells(x)
-    fixed_cells, fixed_keep = _side_by_side(_fixed_cells(x[fixed]))
-    texts = [repr(v) for v in x[~fixed].tolist()]
+    return [_spliced(_fixed_cells(x[fixed]), fixed, [repr(v) for v in x[~fixed].tolist()])]
+
+
+def _spliced(blocks: list, fixed: np.ndarray, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """One block: the rows of ``blocks`` where ``fixed``, and ``texts`` right-aligned in the others."""
+    fixed_cells, fixed_keep = _side_by_side(blocks)
     width = max(fixed_cells.shape[1], max(map(len, texts)))
-    cells = np.zeros((x.size, width), dtype=np.uint8)
-    keep = np.zeros((x.size, width), dtype=bool)
+    cells = np.zeros((fixed.size, width), dtype=np.uint8)
+    keep = np.zeros((fixed.size, width), dtype=bool)
     cells[fixed, width - fixed_cells.shape[1] :] = fixed_cells
     keep[fixed, width - fixed_keep.shape[1] :] = fixed_keep
     padded = "".join(t.rjust(width) for t in texts).encode("ascii")
     cells[~fixed] = np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
     keep[~fixed] = np.arange(width) >= width - np.array([len(t) for t in texts])[:, None]
-    return [(cells, keep)]
+    return cells, keep
 
 
 def _side_by_side(blocks: list) -> tuple[np.ndarray, np.ndarray]:

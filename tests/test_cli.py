@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priceopt import GenConfig
+from priceopt import GenConfig, Instance
 from priceopt.cli import run
 from priceopt.storage import read_instance, write_instance, write_vector
 from conftest import two_product_instance
@@ -233,6 +233,16 @@ class TestExportCmd:
         out = tmp_path / "m.lp"
         assert run(["export-mip", "--instance", str(inst_path), "--big-m", big_m, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_non_finite_coefficient_is_numeric_error(self, tmp_path, capsys):
+        # every entry of D is finite, but S = D + D^T doubles 1e308 to inf
+        inst_path = tmp_path / "inst.txt"
+        write_instance(Instance(n=2, k=1, a=np.ones(2), D=np.diag([1e308, 1e308]), c=np.ones(2),
+                                p0=np.full(2, 5.0), delta=np.ones(2)), str(inst_path))
+        out = tmp_path / "m.lp"
+        assert run(["export-mip", "--instance", str(inst_path), "--out", str(out)]) == 4
+        assert "the bracket coefficient of p_1 ^ 2 is not finite (-inf)" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["inst.txt"]
 
 
 class TestSweepCmd:

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import re
 import tempfile
@@ -7,12 +8,14 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from priceopt import (
     GenConfig,
     Instance,
+    NumericError,
     ParseError,
     eval_lp_objective,
     export_mip_lp,
@@ -22,7 +25,9 @@ from priceopt import (
     validate_lp_file,
     with_k,
 )
-from priceopt.lpformat import LpConstraint, LpFormatError, LpModel, default_big_m, parse_lp_text
+from priceopt import lpformat
+from priceopt.lpformat import LpConstraint, LpFormatError, LpModel, _number_cells, default_big_m, parse_lp_text
+from priceopt.storage import _FORMAT_CHUNK, _column, _rounded, _text
 from conftest import two_product_instance
 
 
@@ -470,6 +475,234 @@ class TestVariableNames:
 
 
 # --------------------------------------------------------------------------
+# The block exporter against the string-by-string reference (end of this module).
+
+
+_EDGES = [0.99999999999996, 999999999999.6, 9.99999999999995e-05, 1e-5, 1e15]
+
+
+def _edge_instance() -> Instance:
+    """f, the bracket and p0 take the values at the edges of the 12-digit
+    layout, with both signs: one that rounds to 1, one that rounds up to 1e+12
+    (exponent notation), one that rounds up to 0.0001 (fixed notation), and
+    two that print in exponent notation as they are."""
+    edges = np.array(_EDGES)
+    values = np.concatenate([edges, -edges, [1.0, 2.5, 0.1]])
+    n = values.size
+    # D's diagonal is half of S's, so the bracket's s_ii are the values; the
+    # first superdiagonal makes -2 s_ij the values too
+    diag = np.abs(values) / 2.0
+    D = np.diag(diag) + np.diag(np.roll(diag, 1)[1:], 1)
+    delta = np.maximum(np.abs(values) * 1e-3, 1e-6)
+    return Instance(n=n, k=2, a=values, D=D, c=np.zeros(n), p0=values, delta=delta)  # f = a
+
+
+def _zero_objective() -> Instance:
+    inst = generate(GenConfig(n=6, seed=4))
+    return Instance(n=6, k=2, a=-(inst.D.T @ inst.c), D=inst.D, c=inst.c, p0=inst.p0, delta=inst.delta)
+
+
+def _mixed_baseline() -> Instance:
+    inst = generate(GenConfig(n=12, seed=6, bounds_mode=(1, 5, 5, 10)))
+    p0 = inst.p0.copy()
+    p0[::3] = 0.0
+    p0[1::3] *= -1.0
+    return Instance(n=12, k=4, a=inst.a, D=inst.D, c=inst.c, p0=p0, delta=inst.delta,
+                    bounds=(p0 - inst.delta - 1.0, p0 + inst.delta + 1.0))
+
+
+class TestExportMatchesReference:
+    """export_mip_lp against the exporter that built each string in Python."""
+
+    @pytest.mark.parametrize(
+        "make, big_m",
+        [
+            (lambda: generate(GenConfig(n=40, seed=7, bounds_mode=(1, 5, 5, 10))), None),
+            (lambda: generate(GenConfig(n=40, seed=8)), None),
+            (lambda: generate(GenConfig(n=40, seed=8)), 1234.56789012345),
+            (lambda: generate(GenConfig(n=30, seed=9, delta_mode=("fraction", 0.05))), None),
+            (lambda: generate(GenConfig(n=30, seed=10, allow_mixed_signs=True)), None),
+            (lambda: generate(GenConfig(n=1, seed=11)), None),
+            (_zero_objective, None),
+            (_mixed_baseline, None),
+            (_negative_baseline, None),
+            (_edge_instance, None),
+            (two_product_instance, 0.5),
+            (two_product_instance, 0.99999999999996),  # the big-M terms print as "zL_1"
+            (two_product_instance, 999999999999.6),
+            # every section crosses a block boundary
+            (lambda: generate(GenConfig(n=_FORMAT_CHUNK + 1, seed=12)), None),
+        ],
+        ids=["bounded", "unbounded", "big-m", "delta-fraction", "mixed-signs", "n1", "zero-objective",
+             "zero-and-negative-p0", "negative-p0", "edge-magnitudes", "two-product", "big-m-1", "big-m-1e12", "chunk"],
+    )
+    def test_same_bytes(self, make, big_m, tmp_path):
+        inst = make()
+        export_mip_lp(inst, str(tmp_path / "new.lp"), big_m=big_m)
+        _reference_export(inst, str(tmp_path / "ref.lp"), big_m=big_m)
+        assert (tmp_path / "new.lp").read_bytes() == (tmp_path / "ref.lp").read_bytes()
+        validate_lp_file(str(tmp_path / "new.lp"))
+
+    def test_zero_objective_writes_placeholder(self, tmp_path):
+        assert " obj: 0 p_1\n" in _export_text(_zero_objective(), tmp_path)
+
+
+@st.composite
+def _ties(draw) -> float:
+    """A double with exactly 13 significant digits, the last a 5: odd / 2^j."""
+    j = draw(st.integers(1, 16))
+    lo = -(-(2**j) * 10**12 // 10**j)  # ceil(10^(12 - j) 2^j)
+    hi = -(-(2**j) * 10**13 // 10**j)
+    return (2 * draw(st.integers(lo // 2, (hi - 2) // 2)) + 1) / 2**j
+
+
+@st.composite
+def _near_ties(draw) -> float:
+    """A double nearest to a 13-digit decimal ending in 5, or a neighbour of it.
+
+    Most such decimals are no double, so the nearest one misses the tie by less
+    than the last of the kernel's 16 or 17 digits: only the exactness of the
+    scaled product tells it from a tie."""
+    v = float(f"{draw(st.integers(10**11, 10**12 - 1))}5e{draw(st.integers(-17, -1))}")
+    return draw(st.sampled_from([v, float(np.nextafter(v, 0.0)), float(np.nextafter(v, np.inf))]))
+
+
+def _cells_text(x: np.ndarray) -> str:
+    blocks, _ = _number_cells(x)
+    return _text([*blocks, _column(" ", x.size)])[:-1]
+
+
+class TestNumberCells:
+    """The exporter's 12-digit cells against format(x, ".12g"), character for character."""
+
+    @staticmethod
+    def _check(x):
+        x = np.asarray(x, dtype=np.float64)
+        want = [format(v, ".12g") for v in x.tolist()]
+        assert _cells_text(x) == " ".join(want)
+        assert _number_cells(x)[1].tolist() == [w == "1" for w in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(
+        st.one_of(
+            st.integers(1, 0x7FEF_FFFF_FFFF_FFFF),  # every finite positive double
+            st.integers(*np.array([9e-6, 2e12]).view(np.uint64).tolist()),  # the fixed-notation range
+        ),
+        min_size=1, max_size=30,
+    ))
+    def test_bit_patterns_match_format(self, bits):
+        self._check(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(_ties(), _near_ties()), min_size=1, max_size=30))
+    @example(values=[12345678901.25, 12345678901.75, 0.1000000000005, 0.5000000000005, 2.5])
+    def test_ties_round_half_to_even(self, values):
+        self._check(values)
+
+    def test_edge_values(self):
+        x = np.array([*_EDGES, 0.0, 5e-324, 1e-4, 1e12, 1.0, 1.5, 100.0])
+        self._check(np.concatenate([x, np.nextafter(x, 0.0)[x > 0], np.nextafter(x, np.inf)]))
+        assert _cells_text(np.array(_EDGES)) == "1 1e+12 0.0001 1e-05 1e+15"
+
+    @pytest.mark.parametrize("size", [_FORMAT_CHUNK, _FORMAT_CHUNK + 1])
+    def test_whole_blocks(self, size):
+        rng = np.random.default_rng(size)
+        self._check(rng.random(size) * 10.0 ** rng.integers(-6, 14, size))
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(2**52, 0x7FEF_FFFF_FFFF_FFFF), min_size=1, max_size=30))
+    @example(bits=np.array([0.99999999999996, 999999999999.6, 1e23]).view(np.uint64).tolist())
+    def test_rounded_digits_of_every_binade(self, bits):
+        # the kernel covers all normal doubles, exponent-notation ones included
+        bits = np.array(bits, dtype=np.uint64)
+        f, e = _rounded(bits, 12)
+        for v, digits, exp in zip(bits.view(np.float64).tolist(), f.tolist(), e.tolist()):
+            mantissa, _, power = format(v, ".11e").partition("e")
+            kept = mantissa.replace(".", "").rstrip("0")
+            assert (int(kept), int(power) - len(kept) + 1) == (digits, exp)
+
+
+def _overflowing(case: str) -> Instance:
+    """A valid instance (finite D) whose exported model has a non-finite number."""
+    a, c = np.array([3.0, 4.0]), np.array([1.0, 1.0])
+    D = np.diag([1.0, 2.0])
+    if case == "diagonal":  # S = D + D^T doubles 1e308
+        D = np.diag([1.0, 1e308])
+    elif case == "off-diagonal":  # the bracket writes 2 s_ij
+        D = np.array([[1.0, 1e308], [0.0, 2.0]])
+    elif case == "objective":  # f = a + D^T c
+        D, c = np.diag([1e308, 2.0]), np.array([2.0, 1.0])
+    elif case == "constant":
+        a, c = np.array([1e308, 1e308]), np.array([1.0, 1.0])
+    return Instance(n=2, k=1, a=a, D=D, c=c, p0=np.array([5.0, 6.0]), delta=np.array([1.0, 1.0]))
+
+
+_OVERFLOWS = {
+    "diagonal": "the bracket coefficient of p_2 ^ 2 is not finite (-inf)",
+    "off-diagonal": "the bracket coefficient of p_1 * p_2 is not finite (-inf)",
+    "objective": "the objective coefficient of p_1 is not finite (inf)",
+    "constant": "the dropped constant c'a is not finite (inf)",
+}
+
+
+class TestExportNonFinite:
+    @pytest.mark.parametrize("case", list(_OVERFLOWS))
+    def test_numeric_error_and_no_file(self, case, tmp_path):
+        with pytest.raises(NumericError, match=re.escape(_OVERFLOWS[case])):
+            export_mip_lp(_overflowing(case), str(tmp_path / "m.lp"))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParseGcState:
+    """parse_lp_text pauses the cyclic collector and restores the caller's setting."""
+
+    _GOOD = "Maximize\n obj: x\nSubject To\n c: x <= 1\nEnd\n"
+    _BAD = "Maximize\n obj: x\nSubject To\n c: x <=\nEnd\n"
+
+    def test_restored(self, monkeypatch):
+        seen = []
+        parse_items = lpformat._parse_items
+        monkeypatch.setattr(lpformat, "_parse_items", lambda *a: seen.append(gc.isenabled()) or parse_items(*a))
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            parse_lp_text(self._GOOD)
+            assert gc.isenabled()
+            with pytest.raises(LpFormatError):
+                parse_lp_text(self._BAD)
+            assert gc.isenabled()
+            gc.disable()
+            parse_lp_text(self._GOOD)
+            with pytest.raises(LpFormatError):
+                parse_lp_text(self._BAD)
+            assert not gc.isenabled()
+        finally:
+            if was:
+                gc.enable()
+            else:
+                gc.disable()
+        assert seen == [False] * 4
+
+    def test_builds_no_cycles(self, tmp_path):
+        text = _export_text(with_k(generate(GenConfig(n=40, seed=7, bounds_mode=(1, 5, 5, 10))), 6), tmp_path)
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            model = parse_lp_text(text)
+            for bad in (self._BAD, text.replace("Subject To", "Subject")):
+                try:
+                    parse_lp_text(bad)
+                except LpFormatError:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
+        assert len(model.constraints) == 3 * 40 + 1
+
+
+# --------------------------------------------------------------------------
 # Reference parser: the token-by-token parser that lpformat used before it
 # read whole terms in bulk, kept here (with end-of-input errors naming the
 # last line instead of line -1) as the oracle for the differential tests.
@@ -803,3 +1036,94 @@ def _parse_bounds(cur: _Cursor, model: LpModel) -> None:
             hi = _parse_number(cur, "bound")
         model.bounds[name] = (lo, hi)
 
+
+
+# --------------------------------------------------------------------------
+# Reference exporter: the exporter as it was before it laid numbers out in
+# NumPy cell blocks, one Python string per term, kept as the byte-for-byte
+# reference of TestExportMatchesReference.
+
+_FMT = ".12g"
+
+def _emit_terms(terms: list[str]) -> list[str]:
+    return [" ".join(terms[i : i + 8]) for i in range(0, len(terms), 8)]
+
+
+def _signed_terms(coefs: np.ndarray, monomials: list[str]) -> list[str]:
+    mags = [format(x, _FMT) for x in np.abs(coefs).tolist()]
+    signs = ["-" if x < 0 else "+" for x in coefs.tolist()]
+    return [
+        "" if mag == "0" else f"{sign} {mono}" if mag == "1" else f"{sign} {mag} {mono}"
+        for sign, mag, mono in zip(signs, mags, monomials)
+    ]
+
+
+def _leading(terms: list[str]) -> list[str]:
+    terms = [t for t in terms if t]
+    if terms and terms[0][0] == "+":
+        terms[0] = terms[0][2:]
+    return terms
+
+
+def _reference_export(instance: Instance, path: str, big_m: Optional[float] = None) -> None:
+    n, k = instance.n, instance.k
+    p0, delta = instance.p0, instance.delta
+    f = np.asarray(instance.f)
+    bounded = instance.bounds is not None
+    if big_m is None:
+        big_m = default_big_m(instance)
+    const = float(instance.c @ instance.a)
+    out: list[str] = [
+        "\\ priceopt MIP export",
+        f"\\ products: {n}, change budget: {k}, bounds: {'explicit' if bounded else f'big-M {format(big_m, _FMT)}'}",
+        f"\\ the objective omits the constant -c'a = {format(-const, _FMT)};",
+        "\\ profit Z(p) = objective value - c'a",
+        "Maximize",
+    ]
+
+    ids = range(1, n + 1)
+    prices = [f"p_{i}" for i in ids]
+    lin_terms = _leading(_signed_terms(f, prices))
+    upper = sparse.triu(instance.S, format="coo")
+    rows, cols = (upper.row + 1).tolist(), (upper.col + 1).tolist()
+    quad_terms = _leading(
+        _signed_terms(
+            np.where(upper.row == upper.col, -upper.data, -2.0 * upper.data),
+            [f"p_{r} ^ 2" if r == c else f"p_{r} * p_{c}" for r, c in zip(rows, cols)],
+        )
+    )
+
+    obj_lines = _emit_terms(lin_terms) or ["0 p_1"]
+    out.append(" obj: " + obj_lines[0])
+    out.extend("      " + ln for ln in obj_lines[1:])
+    if quad_terms:
+        qlines = _emit_terms(quad_terms)
+        out.append("      + [ " + qlines[0])
+        out.extend("      " + ln for ln in qlines[1:])
+        out.append("      ] / 2")
+
+    out.append("Subject To")
+    lo = instance.lower if bounded else np.full(n, -big_m)
+    hi = instance.upper if bounded else np.full(n, big_m)
+    keep = _signed_terms(-p0, [f"zP_{i}" for i in ids])
+    lowered, raised = [f"zL_{i}" for i in ids], [f"zR_{i}" for i in ids]
+    lb = zip(keep, _signed_terms(-lo, lowered), _signed_terms(-(p0 + delta), raised))
+    ub = zip(keep, _signed_terms(-(p0 - delta), lowered), _signed_terms(-hi, raised))
+    for i, lb_terms, ub_terms in zip(ids, lb, ub):
+        out.append(" ".join(filter(None, (f" lb_{i}: p_{i}", *lb_terms, ">= 0"))))
+        out.append(" ".join(filter(None, (f" ub_{i}: p_{i}", *ub_terms, "<= 0"))))
+        out.append(f" pick_{i}: zP_{i} + zL_{i} + zR_{i} = 1")
+
+    card_terms = [term for i in ids for term in (f"+ zL_{i}", f"+ zR_{i}")]
+    card_lines = _emit_terms(_leading(card_terms))
+    out.append(" card: " + card_lines[0])
+    out.extend("      " + ln for ln in card_lines[1:])
+    out[-1] = out[-1] + f" <= {k}"
+
+    out.append("Bounds")
+    out.extend(f" {p} free" for p in prices)
+    out.append("Binary")
+    names = [f"{z}_{i}" for i in ids for z in ("zP", "zL", "zR")]
+    out.extend(" " + " ".join(names[j : j + 9]) for j in range(0, len(names), 9))
+    out.append("End")
+    Path(path).write_bytes(("\n".join(out) + "\n").encode("utf-8"))
