@@ -39,10 +39,15 @@ boolean mask compresses to text.  Values ``repr`` writes in exponent
 notation (below 1e-4 or from 1e16 up), zeros, subnormals, inf and nan take
 ``repr`` one by one.  ``_rounded`` rounds the same exact product to a fixed
 number of significant digits, as ``format`` does; the MIP exporter in
-``lpformat`` writes its 12-digit numbers with it.  The reader parses each
-vector and the whole entry list in one bulk call each, and checks ranges,
-zeros and duplicates with array operations; when a bulk parse fails it
-parses again one token or line at a time to name the offending line.
+``lpformat`` writes its 12-digit numbers with it.  The reader reads the
+file ``_LINE_BLOCK`` characters at a time and hands the lines on one by one,
+so neither the whole text nor a list of all its lines is ever held.  It
+parses each vector and the whole entry list in one bulk call each, and
+checks ranges, zeros and duplicates with array operations; entries in the
+writer's (row, col) order are D's CSR arrays as they stand, others are
+sorted.  When a bulk parse fails it reads the lines again and parses them
+one token or line at a time to name the offending line.  A byte that is not
+UTF-8 is reported first, wherever it lies in the file.
 """
 
 from __future__ import annotations
@@ -51,11 +56,13 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 import re
+import sys
 import tempfile
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -145,6 +152,7 @@ _MASK63 = np.uint64(2**63 - 1)
 _HIDDEN = np.uint64(2**52)
 _POW10 = np.array([10**j for j in range(20)], dtype=np.uint64)  # every power below 2^64
 _FORMAT_CHUNK = 8_192  # values per block, which keeps the kernel's arrays in cache
+_LINE_BLOCK = 1 << 16  # characters the instance reader reads and splits at a time
 
 
 def _scale(k: int) -> tuple[int, int]:
@@ -453,22 +461,60 @@ def _parse_floats(tokens: list[str], line_no: int | None, field: str) -> np.ndar
         return np.array([_parse_float(t, line_no, field) for t in tokens], dtype=np.float64)
 
 
-def _parse_entries(lines: list[str], first_line_no: int) -> np.ndarray:
-    """The ``row col value`` lines of the D block as an array of ``_ENTRY`` records."""
-    if not lines:
+def _lines(path: str) -> Iterator[str]:
+    """The file's lines as ``_read_text(path).splitlines()`` gives them, read a block at a time.
+
+    Blocks of ``_LINE_BLOCK`` characters are split after their last ``"\n"``
+    (a line that spans blocks is joined first), so no line break is cut in
+    two and no copy of the whole file is held.  Raises UnicodeDecodeError
+    where the file stops being UTF-8.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        head: list[str] = []  # the start of a line that continues in the next block
+        for block in iter(functools.partial(fh.read, _LINE_BLOCK), ""):
+            cut = block.rfind("\n") + 1
+            if cut == 0:
+                head.append(block)
+                continue
+            head.append(block[:cut])
+            yield from "".join(head).splitlines()
+            head = [block[cut:]]
+        yield from "".join(head).splitlines()
+
+
+def _utf8_error(exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"file is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} {exc.reason}")
+
+
+def _parse_entries(path: str, lines: Iterator[str], nnz: int, first_line_no: int) -> np.ndarray:
+    """The ``row col value`` lines of the D block as an array of ``_ENTRY`` records.
+
+    ``lines`` yields the lines of the file at ``path`` from ``first_line_no``
+    on; it is left just after the block.
+    """
+    if nnz == 0:
         return np.empty(0, dtype=_ENTRY)
+    count = min(nnz, sys.maxsize - first_line_no)  # no file has that many lines
+    block = itertools.islice(lines, count)
     # loadtxt skips blank lines, which are errors here, and warns when it
     # finds nothing else; a blank first line goes to the per-line path
+    first = next(block, "")
     try:
-        if lines[0].strip():
-            entries = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
-            if entries.size == len(lines):
+        if first.strip():
+            entries = np.loadtxt(itertools.chain((first,), block), dtype=_ENTRY, comments=None, ndmin=1)
+            if entries.size == nnz:
                 return entries
     except (ValueError, OverflowError):
         pass
     # loadtxt refused the block: one line at a time, to name the offending one
-    entries = np.empty(len(lines), dtype=_ENTRY)
-    for j, line in enumerate(lines):
+    for _ in block:
+        pass
+    start = first_line_no - 1
+    rows = list(itertools.islice(_lines(path), start, start + count))
+    if len(rows) < nnz:
+        raise ParseError("file ends inside the D entry list", line=start + len(rows), field="D")
+    entries = np.empty(nnz, dtype=_ENTRY)
+    for j, line in enumerate(rows):
         line_no = first_line_no + j
         toks = line.split()
         if len(toks) != 3:
@@ -480,18 +526,23 @@ def _parse_entries(lines: list[str], first_line_no: int) -> np.ndarray:
     return entries
 
 
-def _check_entries(entries: np.ndarray, n: int, first_line_no: int) -> None:
-    """Reject the first entry that is out of range, zero, or a repeat of an earlier one."""
+def _check_entries(entries: np.ndarray, n: int, first_line_no: int) -> bool:
+    """Reject the first entry that is out of range, zero, or a repeat of an earlier one.
+
+    Returns whether the entries are in strictly increasing (row, col) order.
+    """
     rows, cols, vals = entries["row"], entries["col"], entries["val"]
     outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
     zero = vals == 0.0
     keys = rows * n + cols
-    order = np.argsort(keys, kind="stable")
+    ordered = bool(np.all(keys[1:] > keys[:-1]))
     repeat = np.zeros(keys.size, dtype=bool)
-    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    if not ordered:  # increasing keys repeat none
+        order = np.argsort(keys, kind="stable")
+        repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
     bad = np.flatnonzero(outside | zero | repeat)
     if bad.size == 0:
-        return
+        return ordered
     e = int(bad[0])
     at, line_no = f"({rows[e]}, {cols[e]})", first_line_no + e
     if outside[e]:
@@ -507,22 +558,18 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"file is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} {exc.reason}") from None
+        raise _utf8_error(exc) from None
 
 
-def read_instance(path: str) -> Instance:
-    """Parse an instance file; raises ParseError with line/field context."""
-    raw = _read_text(path).splitlines()
-
+def _parse_fields(path: str, lines: Iterator[str]) -> tuple[dict, int]:
+    """The fields of an instance file, and the line number of its first D entry."""
     fields: dict = {}
     d_line = 0  # line number of the first D entry
 
-    i = 0
-    total = len(raw)
-    while i < total:
-        line_no = i + 1
-        line = raw[i].strip()
-        i += 1
+    line_no = 0
+    for line in lines:
+        line_no += 1
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         name, _, rest = line.partition(" ")
@@ -536,14 +583,31 @@ def read_instance(path: str) -> Instance:
             nnz = _parse_int(rest, line_no, "D")
             if nnz < 0:
                 raise ParseError(f"negative entry count {nnz}", line=line_no, field="D")
-            if i + nnz > total:
-                raise ParseError("file ends inside the D entry list", line=total, field="D")
-            d_line = i + 1
-            fields["D"] = _parse_entries(raw[i : i + nnz], d_line)
-            i += nnz
+            d_line = line_no + 1
+            fields["D"] = _parse_entries(path, lines, nnz, d_line)
+            line_no += nnz
         else:
             raise ParseError(f"unknown field {name!r}", line=line_no, field=name)
-    del raw
+    return fields, d_line
+
+
+def read_instance(path: str) -> Instance:
+    """Parse an instance file; raises ParseError with line/field context."""
+    lines = _lines(path)
+    try:
+        fields, d_line = _parse_fields(path, lines)
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(exc) from None
+    except ParseError:
+        # a file that is not UTF-8 reports that first, wherever the bad byte is
+        try:
+            for _ in lines:
+                pass
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(exc) from None
+        raise
+    finally:
+        lines.close()
 
     for name in ("n", "k"):
         if name not in fields:
@@ -559,11 +623,16 @@ def read_instance(path: str) -> Instance:
     if "D" not in fields:
         raise ParseError("missing required field", field="D")
 
-    entries = fields["D"]
-    _check_entries(entries, n, d_line)
-    D = sparse.csr_array(
-        sparse.coo_array((entries["val"], (entries["row"], entries["col"])), shape=(n, n))
-    )
+    entries = fields.pop("D")
+    if _check_entries(entries, n, d_line):
+        # in write_instance's order the records are D's CSR arrays already
+        indptr = np.searchsorted(entries["row"], np.arange(n + 1))
+        D = sparse.csr_array((entries["val"], entries["col"], indptr), shape=(n, n), copy=True)
+    else:
+        D = sparse.csr_array(
+            sparse.coo_array((entries["val"], (entries["row"], entries["col"])), shape=(n, n))
+        )
+    del entries  # before Instance copies D
 
     bounds = (fields["l"], fields["u"]) if "l" in fields else None
     return Instance(

@@ -1,5 +1,6 @@
 import hashlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from priceopt import (
     write_instance,
     write_report,
 )
+from priceopt import storage
 from priceopt.storage import _FORMAT_CHUNK, _shortest, format_floats, read_vector, write_vector
 from conftest import two_product_instance
 
@@ -555,3 +557,65 @@ class TestReaderFuzz:
             read_instance(str(path))
         except PriceOptError:
             pass
+
+
+def _outcome(path: str):
+    """What read_instance makes of a file: the instance's data, or the error and its message."""
+    try:
+        inst = read_instance(path)
+    except PriceOptError as exc:
+        return type(exc).__name__, str(exc)
+    return inst.n, inst.k, inst.D.toarray().tobytes(), inst.a.tobytes(), inst.p0.tobytes()
+
+
+class TestStreamingReader:
+    """read_instance reads the file a block at a time; the block size changes nothing."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        text=st.lists(st.sampled_from(["a", "b ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])).map("".join),
+        block=st.integers(1, 5),
+    )
+    def test_lines_are_the_texts_splitlines(self, tmp_path, text, block):
+        path = tmp_path / "lines.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            want = fh.read().splitlines()
+        with mock.patch.object(storage, "_LINE_BLOCK", block):
+            assert list(storage._lines(str(path))) == want
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_instance_texts, block=st.integers(1, 4))
+    @example(text="n 1\nk 1\na 1\nc 1\np0 2\ndelta 1\nD 1\n0 0 1_0\nl 0\nu 9\n", block=2)
+    def test_small_blocks_read_the_same(self, tmp_path, text, block):
+        path = tmp_path / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        want = _outcome(str(path))
+        with mock.patch.object(storage, "_LINE_BLOCK", block):
+            assert _outcome(str(path)) == want
+
+    def test_generated_instance_with_small_blocks(self, tmp_path):
+        inst = generate(GenConfig(n=300, seed=21, bounds_mode=(1, 5, 8, 14)))
+        path = tmp_path / "inst.txt"
+        write_instance(inst, str(path))
+        with mock.patch.object(storage, "_LINE_BLOCK", 7):
+            assert read_instance(str(path)).same_data(inst)
+
+    def test_entries_in_any_order(self, tmp_path):
+        inst = _entries_instance(40, 5)
+        path = tmp_path / "inst.txt"
+        write_instance(inst, str(path))
+        head, _, block = path.read_text().partition(f"D {inst.D.nnz}\n")
+        rows = block.splitlines()
+        np.random.default_rng(3).shuffle(rows)
+        path.write_text(f"{head}D {inst.D.nnz}\n" + "".join(r + "\n" for r in rows))
+        back = read_instance(str(path))
+        assert back.same_data(inst)
+        assert np.array_equal(_bits(back.D.data), _bits(inst.D.data))
+
+    def test_non_utf8_byte_after_a_parse_error_wins(self, tmp_path):
+        # the bad byte lies blocks past the first error, and is still what is reported
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"n x\n#" + b"-" * (3 * storage._LINE_BLOCK) + b"\n\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 text: byte 0xff"):
+            read_instance(str(path))
