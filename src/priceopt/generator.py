@@ -239,22 +239,21 @@ def _apply_dominance_fix(D: sparse.csr_array) -> sparse.csr_array:
     """
     n = D.shape[0]
     diag = D.diagonal()
-    S = sparse.coo_array(D + sparse.csr_array(D.T))
-    off = S.row != S.col
+    S = D + sparse.csr_array(D.T)
+    s_rows = np.repeat(np.arange(n), np.diff(S.indptr))
+    off = s_rows != S.indices
     if not np.any(off):
         return D
     row_sums = np.zeros(n)
-    np.add.at(row_sums, S.row[off], np.abs(S.data[off]))
+    np.add.at(row_sums, s_rows[off], np.abs(S.data[off]))  # in S's CSR order
     target = 2.0 * diag * (1.0 - _DOMINANCE_MARGIN) * (1.0 - 1e-6)
     rho = row_sums / target
     if np.all(rho <= 1.0):
         return D
-    coo = sparse.coo_array(D)
-    keep = coo.row != coo.col
-    scale = 1.0 / np.maximum(1.0, np.maximum(rho[coo.row], rho[coo.col]))
-    data = np.where(keep, coo.data * scale, coo.data)
-    fixed = sparse.coo_array((data, (coo.row, coo.col)), shape=(n, n))
-    return sparse.csr_array(fixed)
+    rows, cols = np.repeat(np.arange(n), np.diff(D.indptr)), D.indices
+    scale = 1.0 / np.maximum(1.0, np.maximum(rho[rows], rho[cols]))
+    data = np.where(rows != cols, D.data * scale, D.data)
+    return sparse.csr_array((data, cols, D.indptr), shape=(n, n))
 
 
 def generate(config: GenConfig) -> Instance:

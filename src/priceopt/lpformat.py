@@ -24,14 +24,14 @@ the text as the instance writer in ``storage`` does: each section is laid
 out in blocks of at most ``_FORMAT_CHUNK`` rows (terms, or products), as
 side-by-side ``(cells, keep)`` blocks of ASCII bytes with masks that
 ``storage._text`` compresses to text; each block is written as soon as it
-is built.  Names take their indices from ``storage._digit_cells``.
-Magnitudes come from ``storage._rounded``, which rounds the exact scaled
-product of the shortest-decimal kernel to 12 digits; rows that print in
-exponent notation (decimal exponent below -4 or from 12 up after rounding)
-take ``format`` one by one.  Masks drop what the text leaves out: a term with
-a zero coefficient, a magnitude that prints as ``1`` (with its space), and
-the ``+ `` of an expression's first term.  ``tests/test_lpformat.py`` keeps
-the earlier string-by-string exporter as the byte-for-byte reference.
+is built.  Names take their indices from ``storage._index_cells``, and
+magnitudes take the instance writer's layout, ``storage._decimal_cells``,
+with the exact decimal kernel's digits rounded to 12 places; rows that
+print in exponent notation take ``format`` one by one.  Masks drop what the
+text leaves out: a term with a zero coefficient, a magnitude that prints as
+``1`` (with its space), and the ``+ `` of an expression's first term.
+``tests/test_lpformat.py`` keeps the earlier string-by-string exporter as
+the byte-for-byte reference.
 
 ``parse_lp`` reads the LP subset the exporter writes, and a little more:
 ``Maximize``/``Minimize`` with an optional ``name:``, terms, constants and
@@ -60,6 +60,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,19 +69,7 @@ from scipy import sparse
 
 from .errors import NumericError, ParseError, ValidationError
 from .instance import Instance
-from .storage import (
-    _FORMAT_CHUNK,
-    _POW10,
-    _atomic_open,
-    _column,
-    _digit_cells,
-    _digit_count,
-    _index_cells,
-    _read_text,
-    _rounded,
-    _spliced,
-    _text,
-)
+from .storage import _FORMAT_CHUNK, _atomic_open, _column, _decimal_cells, _index_cells, _read_text, _text
 
 __all__ = [
     "export_mip_lp",
@@ -97,7 +86,6 @@ _DIGITS = 12  # significant digits of every number written
 _NUM_FMT = f".{_DIGITS}g"
 _TERMS_PER_LINE = 8
 _NAMES_PER_LINE = 9  # in Binary: three products
-_TINY = np.finfo(np.float64).tiny  # the least normal double
 
 
 class LpFormatError(ParseError):
@@ -105,7 +93,9 @@ class LpFormatError(ParseError):
 
 
 def default_big_m(instance: Instance) -> float:
-    return 10.0 * float(np.max(np.abs(instance.p0) + instance.delta))
+    """10 max_i(|p0_i| + delta_i), capped at the largest double: ``Instance``
+    keeps p0 +- delta finite, so the cap is still at least that maximum."""
+    return min(10.0 * float(np.max(np.abs(instance.p0) + instance.delta)), sys.float_info.max)
 
 
 def _masked(blocks: list, rows: np.ndarray) -> list:
@@ -113,39 +103,10 @@ def _masked(blocks: list, rows: np.ndarray) -> list:
     return [(cells, keep & rows[:, None]) for cells, keep in blocks]
 
 
-def _number_cells(x: np.ndarray) -> tuple[list, np.ndarray]:
-    """``format(v, ".12g")`` of each finite v >= 0 as cell blocks, and the mask of the "1"s.
-
-    Rows whose decimal exponent after rounding lies in [-4, 12) print in
-    fixed notation, laid out from the digits of ``_rounded``; zeros,
-    subnormals and the rest take ``format`` one by one.
-    """
-    normal = x >= _TINY
-    f, e = _rounded(np.where(normal, x, 1.0).view(np.uint64), _DIGITS)
-    point = e + _digit_count(f)  # the digits before the decimal point
-    fixed = normal & (point > -4) & (point <= _DIGITS)
-    one = fixed & (f == 1) & (e == 0)
-    if not fixed.all():
-        f, e = f[fixed], e[fixed]
-    places = np.maximum(-e, 0)
-    unit = _POW10[places]
-    whole = f // unit
-    part = f - whole * unit
-    whole *= _POW10[np.maximum(e, 0)]
-    blocks = [
-        _digit_cells(whole, _digit_count(whole)),
-        _column(".", f.size, places > 0),
-        _digit_cells(part, places),
-    ]
-    if f.size < x.size:
-        blocks = [_spliced(blocks, fixed, [format(v, _NUM_FMT) for v in x[~fixed].tolist()])]
-    return blocks, one
-
-
 def _term_cells(coef: np.ndarray, drop_plus) -> list:
     """"+ mag " / "- mag " of each coefficient: no magnitude where it prints as 1,
     and no "+ " where ``drop_plus`` (a scalar or one flag per row)."""
-    mag, one = _number_cells(np.abs(coef))
+    mag, one = _decimal_cells(np.abs(coef), _DIGITS)
     negative = coef < 0
     return [
         _column("- ", coef.size, negative),

@@ -33,21 +33,22 @@ The writer streams the entries straight from the canonical CSR arrays of
 for a whole block at once by ``format_floats``: Schubfach (R. Giulietti,
 "The Schubfach way to render doubles", 2020; the digits Ryu gives) finds
 every value's shortest decimal with 64-bit integer arithmetic on NumPy
-arrays, from one exact 192-bit product per value, and the layout writes
-sign, integer digits, point and fraction digits into a byte matrix that one
-boolean mask compresses to text.  Values ``repr`` writes in exponent
-notation (below 1e-4 or from 1e16 up), zeros, subnormals, inf and nan take
-``repr`` one by one.  ``_rounded`` rounds the same exact product to a fixed
-number of significant digits, as ``format`` does; the MIP exporter in
-``lpformat`` writes its 12-digit numbers with it.  The reader reads the
-file ``_LINE_BLOCK`` characters at a time and hands the lines on one by one,
-so neither the whole text nor a list of all its lines is ever held.  It
-parses each vector and the whole entry list in one bulk call each, and
-checks ranges, zeros and duplicates with array operations; entries in the
-writer's (row, col) order are D's CSR arrays as they stand, others are
-sorted.  When a bulk parse fails it reads the lines again and parses them
-one token or line at a time to name the offending line.  A byte that is not
-UTF-8 is reported first, wherever it lies in the file.
+arrays, from one exact 192-bit product per value; ``_rounded`` rounds the
+same product to a fixed number of significant digits, as ``format`` does.
+One layout, ``_decimal_cells``, serves both ``repr`` and the MIP
+exporter's ``format(v, ".12g")``: it writes sign, integer digits, point and
+fraction digits into a byte matrix that one boolean mask compresses to
+text.  As in CPython, the position of the decimal point in the digits
+decides the notation; values written in exponent notation, zeros,
+subnormals, inf and nan take ``repr`` or ``format`` one by one.  The reader
+reads the file ``_LINE_BLOCK`` characters at a time and hands the lines on
+one by one, so neither the whole text nor a list of all its lines is ever
+held.  It parses each vector and the whole entry list in one bulk call
+each, and checks ranges, zeros and duplicates with array operations;
+entries in the writer's (row, col) order are D's CSR arrays as they stand,
+others are sorted.  When a bulk parse fails it reads the lines again and
+parses them one token or line at a time to name the offending line.  A byte
+that is not UTF-8 is reported first, wherever it lies in the file.
 """
 
 from __future__ import annotations
@@ -151,6 +152,7 @@ _MASK32 = np.uint64(2**32 - 1)
 _MASK63 = np.uint64(2**63 - 1)
 _HIDDEN = np.uint64(2**52)
 _POW10 = np.array([10**j for j in range(20)], dtype=np.uint64)  # every power below 2^64
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max  # the normal doubles' range
 _FORMAT_CHUNK = 8_192  # values per block, which keeps the kernel's arrays in cache
 _LINE_BLOCK = 1 << 16  # characters the instance reader reads and splits at a time
 
@@ -350,34 +352,47 @@ def _column(text: str, n: int, keep=True) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(row, (n, row.size)), np.broadcast_to(np.reshape(keep, (-1, 1)), (n, row.size))
 
 
-def _fixed_cells(x: np.ndarray) -> list:
-    """``repr`` of doubles with 1e-4 <= |x| < 1e16 as ``[sign | int | '.' | frac]`` cell blocks."""
-    f, e = _shortest(np.abs(x).view(np.uint64))
+def _decimal_cells(x: np.ndarray, digits: int | None = None) -> tuple[list, np.ndarray]:
+    """``repr`` of each float64, or ``format(v, f".{digits}g")`` for digits <= 15, as cell blocks.
+
+    Also returns the mask of the rows whose digits are exactly 1.  The digits
+    ``f 10^e`` are ``_shortest``'s for ``repr`` and ``_rounded``'s otherwise.
+    As in CPython's ``format_float_short``, the position p of the decimal
+    point in them decides the notation: rows with -4 < p <= P (P is 16 for
+    ``repr``, ``digits`` for ``g``) are laid out here as ``[sign | int | '.'
+    | frac]``, where ``repr`` keeps at least one fraction digit and ``g``
+    drops the point of a whole number.  The rest (exponent notation, zeros,
+    subnormals, inf and nan) take ``repr`` or ``format`` one by one.
+    """
+    magnitude = np.abs(x)
+    normal = (magnitude >= _TINY) & (magnitude <= _HUGE)
+    every = normal.all()
+    bits = (magnitude if every else np.where(normal, magnitude, 1.0)).view(np.uint64)
+    f, e = _shortest(bits) if digits is None else _rounded(bits, digits)
+    point = e + _digit_count(f)  # the digits before the decimal point
+    fixed = normal & (point > -4) & (point <= (16 if digits is None else digits))
+    one = fixed & (f == 1) & (e == 0)
+    negative = x < 0
+    some = not fixed.all()
+    if some:
+        f, e, point, negative = f[fixed], e[fixed], point[fixed], negative[fixed]
     places = np.maximum(-e, 0)
     unit = _POW10[np.minimum(places, 19)]  # f < 10^18, so 10^19 moves all of it behind the point
     whole = f // unit
     part = f - whole * unit
     whole *= _POW10[np.maximum(e, 0)]
-    return [
-        _column("-", x.size, x < 0),
-        _digit_cells(whole, _digit_count(whole)),
-        _column(".", x.size),
-        _digit_cells(part, np.maximum(places, 1)),
+    shown = np.maximum(places, 1 if digits is None else 0)  # the fraction digits written
+    blocks = [
+        _column("-", f.size, negative),
+        _digit_cells(whole, np.maximum(point, 1)),
+        _column(".", f.size, shown > 0),
+        _digit_cells(part, shown),
     ]
-
-
-def _float_cells(x: np.ndarray) -> list:
-    """``repr`` of each float64 as rows of ASCII cell blocks with masks of the text.
-
-    Python writes decimal point positions -4 < p <= 16 in fixed notation;
-    those rows are laid out here.  The rest (exponent notation, zeros,
-    subnormals, inf and nan) take ``repr`` one by one.
-    """
-    magnitude = np.abs(x)
-    fixed = (magnitude >= 1e-4) & (magnitude < 1e16)
-    if fixed.all():
-        return _fixed_cells(x)
-    return [_spliced(_fixed_cells(x[fixed]), fixed, [repr(v) for v in x[~fixed].tolist()])]
+    if some:
+        rest = x[~fixed].tolist()
+        texts = [repr(v) for v in rest] if digits is None else [format(v, f".{digits}g") for v in rest]
+        blocks = [_spliced(blocks, fixed, texts)]
+    return blocks, one
 
 
 def _spliced(blocks: list, fixed: np.ndarray, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -408,7 +423,7 @@ def format_floats(values: np.ndarray | Sequence[float]) -> str:
     """``" ".join(map(repr, values))`` for a float64 vector, built block by block in NumPy."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     chunks = (x[lo : lo + _FORMAT_CHUNK] for lo in range(0, x.size, _FORMAT_CHUNK))
-    return "".join(_text([*_float_cells(v), _column(" ", v.size)]) for v in chunks)[:-1]
+    return "".join(_text([*_decimal_cells(v)[0], _column(" ", v.size)]) for v in chunks)[:-1]
 
 
 def _index_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +450,7 @@ def write_instance(instance: Instance, path: str) -> None:
             fh.write(_text([
                 _index_cells(rows[lo:hi]), space,
                 _index_cells(D.indices[lo:hi]), space,
-                *_float_cells(D.data[lo:hi]), _column("\n", hi - lo),
+                *_decimal_cells(D.data[lo:hi])[0], _column("\n", hi - lo),
             ]))
 
 

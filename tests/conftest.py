@@ -19,6 +19,15 @@ def two_product_instance(coupling: float = 0.0, k: int = 1) -> Instance:
     )
 
 
+def huge_baseline_instance() -> Instance:
+    """Two products whose baseline p0 = [1e308, 5] (delta = [1e300, 1]) is
+    so large that 10 max(|p0| + delta) overflows."""
+    return Instance(
+        n=2, k=1, a=np.ones(2), D=np.eye(2), c=np.ones(2),
+        p0=np.array([1e308, 5.0]), delta=np.array([1e300, 1.0]),
+    )
+
+
 def random_instance(
     rng: np.random.Generator,
     n_lo: int = 2,

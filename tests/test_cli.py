@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from priceopt import GenConfig, Instance
 from priceopt.cli import run
 from priceopt.storage import read_instance, write_instance, write_vector
-from conftest import two_product_instance
+from conftest import huge_baseline_instance, two_product_instance
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -225,6 +225,17 @@ class TestExportCmd:
         write_instance(two_product_instance(), str(inst_path))  # max |p0| + delta = 0.5
         out = tmp_path / "m.lp"
         assert run(["export-mip", "--instance", str(inst_path), "--big-m", "0.5", "--out", str(out)]) == 0
+
+    def test_default_big_m_of_a_huge_baseline(self, tmp_path):
+        # 10 max(|p0| + delta) overflows, so the default is the largest double
+        inst_path = tmp_path / "inst.txt"
+        write_instance(huge_baseline_instance(), str(inst_path))
+        out = tmp_path / "m.lp"
+        assert run(["export-mip", "--instance", str(inst_path), "--out", str(out)]) == 0
+        from priceopt import validate_lp_file
+
+        validate_lp_file(str(out))
+        assert "big-M 1.79769313486e+308" in out.read_text()
 
     @pytest.mark.parametrize("big_m", ["nan", "inf", "-5", "0", "0.49"])
     def test_bad_big_m_is_data_error(self, tmp_path, big_m):

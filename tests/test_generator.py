@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from priceopt import ContractError, GenConfig, generate, generate_profitable, benchmark_suite, validate
-from priceopt.generator import _build_matrix
+from priceopt.generator import _DOMINANCE_MARGIN, _apply_dominance_fix, _build_matrix
 
 
 def _reference_row(rng, i, n, m, cap, mixed):
@@ -38,6 +38,27 @@ def _reference_build_matrix(rng, cfg):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
     return sparse.csr_array(coo)
+
+
+def _reference_dominance_fix(D):
+    """The dominance fix through COO copies of S and D, which the CSR version must match."""
+    n = D.shape[0]
+    diag = D.diagonal()
+    S = sparse.coo_array(D + sparse.csr_array(D.T))
+    off = S.row != S.col
+    if not np.any(off):
+        return D
+    row_sums = np.zeros(n)
+    np.add.at(row_sums, S.row[off], np.abs(S.data[off]))
+    target = 2.0 * diag * (1.0 - _DOMINANCE_MARGIN) * (1.0 - 1e-6)
+    rho = row_sums / target
+    if np.all(rho <= 1.0):
+        return D
+    coo = sparse.coo_array(D)
+    keep = coo.row != coo.col
+    scale = 1.0 / np.maximum(1.0, np.maximum(rho[coo.row], rho[coo.col]))
+    data = np.where(keep, coo.data * scale, coo.data)
+    return sparse.csr_array(sparse.coo_array((data, (coo.row, coo.col)), shape=(n, n)))
 
 
 class TestDeterminism:
@@ -209,6 +230,20 @@ class TestDominanceFix:
         assert np.all(self._row_margins(inst) > 0.0)
         sub = inst.S.tocsr()[:2000, :2000].toarray()
         np.linalg.cholesky(sub)
+
+
+    @pytest.mark.parametrize("config", [
+        GenConfig(n=2_000, seed=11, allow_mixed_signs=True),
+        GenConfig(n=5_000, seed=101, diag_range=(0.01, 10), offdiag_rel_mag=0.9),  # ill-conditioned
+        GenConfig(n=3_000, seed=90001, offdiag_max_count=40),
+        GenConfig(n=2, seed=1),
+        GenConfig(n=1, seed=1),
+    ])
+    def test_csr_fix_matches_coo_reference(self, config):
+        D = _build_matrix(np.random.default_rng(config.seed), config)
+        got, want = _apply_dominance_fix(D), _reference_dominance_fix(D)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestProfitableVariant:

@@ -26,9 +26,9 @@ from priceopt import (
     with_k,
 )
 from priceopt import lpformat
-from priceopt.lpformat import LpConstraint, LpFormatError, LpModel, _number_cells, default_big_m, parse_lp_text
-from priceopt.storage import _FORMAT_CHUNK, _column, _rounded, _text
-from conftest import two_product_instance
+from priceopt.lpformat import LpConstraint, LpFormatError, LpModel, default_big_m, parse_lp_text
+from priceopt.storage import _FORMAT_CHUNK, _column, _decimal_cells, _rounded, _text
+from conftest import huge_baseline_instance, two_product_instance
 
 
 def feasible_assignment(rng, inst, big_m):
@@ -97,6 +97,16 @@ class TestExport:
         model = validate_lp_file(str(path))
         lb1 = [c for c in model.constraints if c.name == "lb_1"][0]
         assert lb1.coefs["zL_1"] == pytest.approx(77.0)
+
+    def test_default_big_m_capped_at_largest_double(self, tmp_path):
+        # 10 max(|p0| + delta) overflows; the largest double still covers every branch
+        inst = huge_baseline_instance()
+        assert default_big_m(inst) == np.finfo(np.float64).max
+        path = tmp_path / "m.lp"
+        export_mip_lp(inst, str(path))
+        model = validate_lp_file(str(path))
+        assert "bounds: big-M 1.79769313486e+308\n" in path.read_text()
+        assert model.constraints[0].coefs["zL_1"] == 1.79769313486e308
 
     def test_prices_declared_free(self, tmp_path):
         inst = generate(GenConfig(n=4, seed=3))
@@ -568,7 +578,7 @@ def _near_ties(draw) -> float:
 
 
 def _cells_text(x: np.ndarray) -> str:
-    blocks, _ = _number_cells(x)
+    blocks, _ = _decimal_cells(x, 12)
     return _text([*blocks, _column(" ", x.size)])[:-1]
 
 
@@ -580,7 +590,7 @@ class TestNumberCells:
         x = np.asarray(x, dtype=np.float64)
         want = [format(v, ".12g") for v in x.tolist()]
         assert _cells_text(x) == " ".join(want)
-        assert _number_cells(x)[1].tolist() == [w == "1" for w in want]
+        assert _decimal_cells(x, 12)[1].tolist() == [w == "1" for w in want]
 
     @settings(max_examples=300, deadline=None)
     @given(bits=st.lists(

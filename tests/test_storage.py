@@ -23,7 +23,9 @@ from priceopt import (
     write_report,
 )
 from priceopt import storage
-from priceopt.storage import _FORMAT_CHUNK, _shortest, format_floats, read_vector, write_vector
+from priceopt.storage import (
+    _FORMAT_CHUNK, _column, _decimal_cells, _shortest, _text, format_floats, read_vector, write_vector,
+)
 from conftest import two_product_instance
 
 
@@ -163,6 +165,48 @@ class TestFormatFloats:
             whole, _, frac = mantissa.partition(".")
             kept = (whole + frac).rstrip("0")
             assert (int(kept), int(power or 0) + len(whole) - len(kept)) == (digits, exp)
+
+
+# Both sides of each switch between fixed and exponent notation: ".12g"
+# writes 9.99999999999995e-05 as 0.0001 and 999999999999.6 as 1e+12, and
+# repr switches between 9999999999999998.0 and 1e16.
+_SWITCHES = np.array([9.99999999999995e-05, 999999999999.6, 9999999999999998.0, 1e16])
+_SPECIAL = np.array([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, np.inf, np.nan, 1.0])
+
+
+class TestDecimalCells:
+    """_decimal_cells, the one layout of ``repr`` and ``format(v, ".12g")``, on any double."""
+
+    @staticmethod
+    def _check(x):
+        x = np.asarray(x, dtype=np.float64)
+        for digits, spell in ((None, repr), (12, lambda v: format(v, ".12g"))):
+            want = [spell(v) for v in x.tolist()]
+            blocks, one = _decimal_cells(x, digits)
+            _assert_same(_text([*blocks, _column(" ", x.size)])[:-1], " ".join(want))
+            assert one.tolist() == [abs(float(w)) == 1.0 for w in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(
+        st.one_of(
+            st.integers(0, 2**64 - 1),  # both signs, subnormals, infinities and nan
+            st.sampled_from(_bits(np.concatenate([_SPECIAL, -_SPECIAL])).tolist()),
+        ),
+        min_size=1, max_size=30,
+    ))
+    @example(bits=_bits(np.concatenate([
+        _SWITCHES, np.nextafter(_SWITCHES, 0.0), np.nextafter(_SWITCHES, np.inf), [1e-4, 1e12, 1e15], _SPECIAL,
+    ])).tolist())
+    def test_bit_patterns_match_repr_and_format(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        self._check(x)
+        self._check(-x)
+
+    def test_switch_points(self):
+        blocks, _ = _decimal_cells(_SWITCHES, 12)
+        assert _text([*blocks, _column(" ", 4)]) == "0.0001 1e+12 1e+16 1e+16 "
+        blocks, _ = _decimal_cells(_SWITCHES)
+        assert _text([*blocks, _column(" ", 4)]) == "9.99999999999995e-05 999999999999.6 9999999999999998.0 1e+16 "
 
 
 def _entries_instance(n: int, extra: int) -> Instance:
