@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from priceopt import (
     CapacityError,
     ContractError,
+    GenConfig,
     Partition,
     brute_projection,
     certify_stationary,
     count_partitions,
+    generate,
     global_optimum,
     is_feasible,
     objective_q,
@@ -180,3 +183,56 @@ class TestBruteProjection:
             d_brute = float(np.sum((brute_projection(inst, q) - q) ** 2))
             d_fast = float(np.sum((project_feasible(inst, q) - q) ** 2))
             assert d_brute <= d_fast + 1e-10
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for x in arrays:
+        h.update(np.asarray(x, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+class TestOraclePinned:
+    """sha256 of the oracle's output bits on fixed inputs; a change here means
+    the enumeration, its tie order or its arithmetic moved."""
+
+    def test_global_optimum(self):
+        out = []
+        for bounds_mode in (None, (1.0, 5.0, 8.0, 14.0)):
+            for seed in range(20):
+                inst = generate(GenConfig(n=10, k_fraction=0.2, bounds_mode=bounds_mode, seed=seed))
+                out.extend(global_optimum(inst))
+        assert _digest(out) == "ca00bdeaecbf7b4272d32a8645d14a1781724322d04145ac8a30ad23cc5bd9ea"
+
+    def test_solve_restricted_single_point_intervals(self):
+        # the bound repair sets u_0 = p0_0 + delta_0 and l_i = p0_i - delta_i
+        # for i in {2, 3, 6, 7}: single-point intervals on both branches
+        inst = generate(GenConfig(n=8, k_fraction=0.5, bounds_mode=(1, 5, 5, 10), seed=2))
+        assert inst.upper[0] == inst.p0[0] + inst.delta[0]
+        assert np.all(inst.lower[[2, 3, 6, 7]] == inst.p0[[2, 3, 6, 7]] - inst.delta[[2, 3, 6, 7]])
+        statuses = [np.eye(8, dtype=np.int8)[i] * code for i in range(8) for code in (1, 2)]
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            status = np.zeros(8, dtype=np.int8)
+            changed = rng.choice(8, size=int(rng.integers(2, inst.k + 1)), replace=False)
+            status[changed] = rng.integers(1, 3, size=changed.size)
+            statuses.append(status)
+        out = []
+        for status in statuses:
+            part = Partition(
+                alpha=np.flatnonzero(status == 0),
+                beta=np.flatnonzero(status == 1),
+                gamma=np.flatnonzero(status == 2),
+            )
+            out.extend(solve_restricted(inst, part))
+        assert _digest(out) == "09ac86732e10300076544bcb6133498dd90e618da31530b18ae301affe6cbf13"
+
+    def test_brute_projection_ties_and_far_queries(self):
+        out = []
+        for bounds_mode in (None, (1.0, 5.0, 5.0, 10.0)):
+            inst = generate(GenConfig(n=6, k_fraction=0.5, bounds_mode=bounds_mode, seed=3))
+            p0, delta = inst.p0, inst.delta
+            for q in (p0 + delta / 2, p0 - delta / 2, p0 + delta, p0 - delta,
+                      p0 + 1e150, p0 - 1e150, p0 + np.array([1, -1, 0.5, -0.5, 1e150, -1e150]) * delta):
+                out.append(brute_projection(inst, q))
+        assert _digest(out) == "67bdee91dd5edf78be151f2c0859836949ba90e1da23db02baba9693d84145f9"
