@@ -313,6 +313,7 @@ _COMMANDS = {
 
 
 def run(argv: Optional[list[str]] = None) -> int:
+    args = None
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -321,6 +322,10 @@ def run(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return CAPACITY_EXIT
+    except MemoryError:
+        # args is None when parsing itself ran out of memory
+        print(f"error: {'priceopt' if args is None else args.command}: out of memory", file=sys.stderr)
         return CAPACITY_EXIT
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

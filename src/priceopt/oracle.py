@@ -51,38 +51,33 @@ def _count_partitions_unchecked(n: int, k: int) -> int:
     return sum(math.comb(n, m) * 2**m for m in range(1, k + 1))
 
 
-def _dense_s(instance: Instance) -> np.ndarray:
-    return instance.S.toarray()
+def _intervals(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Branch intervals ``(lo, hi)``, each (2, n): row 0 is the raised interval
+    ``[p0 + delta, u]``, row 1 the lowered ``[l, p0 - delta]``; an instance
+    without bounds has infinite far ends."""
+    p0, delta = instance.p0, instance.delta
+    lower, upper = instance.bounds or (np.full(instance.n, -np.inf), np.full(instance.n, np.inf))
+    return np.stack([p0 + delta, lower]), np.stack([upper, p0 - delta])
 
 
-def _pattern_values(instance: Instance, i: int, raised: bool) -> list[tuple[float, int]]:
-    """Boundary values a changed coordinate may be pinned to.
+def _pattern_values(lo: float, hi: float, raised: bool) -> list[tuple[float, int]]:
+    """Boundary values a changed coordinate may be pinned to, threshold end first.
 
     Each entry is ``(value, sign)`` where sign is the required gradient sign
     for the pattern to be KKT-consistent: +1 means grad >= 0 (active at the
     interval's lower end), -1 means grad <= 0 (upper end), 0 means no
     requirement (a degenerate single-point interval acts as an equality).
     """
-    if raised:
-        inner = instance.p0[i] + instance.delta[i]
-        if instance.bounds is None:
-            return [(inner, +1)]
-        outer = instance.upper[i]
-        if outer == inner:
-            return [(inner, 0)]
-        return [(inner, +1), (outer, -1)]
-    inner = instance.p0[i] - instance.delta[i]
-    if instance.bounds is None:
-        return [(inner, -1)]
-    outer = instance.lower[i]
-    if outer == inner:
-        return [(inner, 0)]
-    return [(inner, -1), (outer, +1)]
+    ends = [(lo, +1), (hi, -1)] if raised else [(hi, -1), (lo, +1)]
+    if lo == hi:
+        return [(ends[0][0], 0)]
+    return [(value, sign) for value, sign in ends if math.isfinite(value)]
 
 
 def _solve_restricted_dense(
     instance: Instance,
     S: np.ndarray,
+    intervals: tuple[np.ndarray, np.ndarray],
     changed: list[int],
     raised_mask: list[bool],
 ) -> tuple[np.ndarray, float]:
@@ -97,11 +92,10 @@ def _solve_restricted_dense(
     """
     n = instance.n
     f = np.asarray(instance.f)
-    p0, delta = instance.p0, instance.delta
-
-    options: list[list[tuple[float, int] | None]] = []
-    for i, raised in zip(changed, raised_mask):
-        options.append([None] + _pattern_values(instance, i, raised))
+    p0 = instance.p0
+    lo, hi = intervals
+    ends = [(lo[0 if r else 1, i], hi[0 if r else 1, i]) for i, r in zip(changed, raised_mask)]
+    options = [[None] + _pattern_values(a, b, r) for (a, b), r in zip(ends, raised_mask)]
 
     best: tuple[float, np.ndarray] | None = None
     for assignment in itertools.product(*options):
@@ -119,38 +113,17 @@ def _solve_restricted_dense(
             except np.linalg.LinAlgError as exc:
                 raise PriceOptError(f"singular restricted system: {exc}") from exc
 
-        ok = True
-        for i, raised, v in zip(changed, raised_mask, assignment):
-            if v is None:
-                if raised:
-                    if p[i] < p0[i] + delta[i] - _FEAS_SLACK:
-                        ok = False
-                        break
-                    if instance.bounds is not None and p[i] > instance.upper[i] + _FEAS_SLACK:
-                        ok = False
-                        break
-                else:
-                    if p[i] > p0[i] - delta[i] + _FEAS_SLACK:
-                        ok = False
-                        break
-                    if instance.bounds is not None and p[i] < instance.lower[i] - _FEAS_SLACK:
-                        ok = False
-                        break
-        if not ok:
+        if not all(
+            v is not None or not (p[i] < a - _FEAS_SLACK or p[i] > b + _FEAS_SLACK)
+            for i, (a, b), v in zip(changed, ends, assignment)
+        ):
             continue
 
         grad = S @ p - f
-        for i, v in zip(changed, assignment):
-            if v is None:
-                continue
-            sign = v[1]
-            if sign > 0 and grad[i] < -_MULT_SLACK:
-                ok = False
-                break
-            if sign < 0 and grad[i] > _MULT_SLACK:
-                ok = False
-                break
-        if not ok:
+        if not all(
+            v is None or not (v[1] > 0 and grad[i] < -_MULT_SLACK or v[1] < 0 and grad[i] > _MULT_SLACK)
+            for i, v in zip(changed, assignment)
+        ):
             continue
 
         q_val = 0.5 * float(p @ (S @ p)) - float(f @ p)
@@ -171,7 +144,7 @@ def solve_restricted(instance: Instance, partition: Partition) -> tuple[np.ndarr
         raise CapacityError(f"solve_restricted supports n <= {MAX_ORACLE_N}, got n={instance.n}")
     changed = np.flatnonzero(partition.status)
     raised = partition.status[changed] == 1
-    return _solve_restricted_dense(instance, _dense_s(instance), list(changed), list(raised))
+    return _solve_restricted_dense(instance, instance.S.toarray(), _intervals(instance), list(changed), list(raised))
 
 
 def global_optimum(instance: Instance) -> tuple[np.ndarray, float]:
@@ -190,7 +163,8 @@ def global_optimum(instance: Instance) -> tuple[np.ndarray, float]:
             f"global_optimum would enumerate {n_parts} partitions (guard: {MAX_PARTITIONS})"
         )
 
-    S = _dense_s(instance)
+    S = instance.S.toarray()
+    intervals = _intervals(instance)
     best_p = instance.p0.copy()
     best_q = objective_q(instance, best_p)
     best_code = (0,) * n
@@ -198,7 +172,7 @@ def global_optimum(instance: Instance) -> tuple[np.ndarray, float]:
     for m in range(1, k + 1):
         for combo in itertools.combinations(range(n), m):
             for signs in itertools.product((True, False), repeat=m):
-                p, q_val = _solve_restricted_dense(instance, S, list(combo), list(signs))
+                p, q_val = _solve_restricted_dense(instance, S, intervals, list(combo), list(signs))
                 code = [0] * n
                 for i, raised in zip(combo, signs):
                     code[i] = 1 if raised else 2
@@ -223,16 +197,9 @@ def brute_projection(instance: Instance, q: np.ndarray) -> np.ndarray:
     if q.shape != (n,):
         raise ContractError(f"query must have length {n}")
 
-    p0, delta = instance.p0, instance.delta
-    if instance.bounds is None:
-        c_up = np.maximum(q, p0 + delta)
-        c_dn = np.minimum(q, p0 - delta)
-    else:
-        c_up = np.clip(q, p0 + delta, instance.upper)
-        c_dn = np.clip(q, instance.lower, p0 - delta)
-
+    p0 = instance.p0
     # Per coordinate: value and squared distance of the best change.
-    cand_vals = np.stack([c_up, c_dn, p0])
+    cand_vals = np.vstack([np.clip(q, *_intervals(instance)), p0])
     cand_d = (cand_vals - q) ** 2
     best_idx = np.argmin(cand_d, axis=0)
     moved_val = cand_vals[best_idx, np.arange(n)]

@@ -364,10 +364,12 @@ def gpa_solve(
 
     Infeasible starts are first projected onto the feasible set.  Iterates
     until the per-iteration decrease falls below the stopping threshold or
-    the iteration budget runs out; when refinement is enabled and the
-    partition has been stable for ``_STAB_WINDOW`` iterations while steps are
-    below ``delta_min^2 / 2``, the run finishes by solving the restricted
-    convex QP on the frozen piece.  ``on_iterate`` (if given) is called as
+    the iteration budget runs out; a step that raises the objective by more
+    than the threshold (``L`` below the curvature) is not taken and ends the
+    run unconverged.  When refinement is enabled and the partition has been
+    stable for ``_STAB_WINDOW`` iterations while steps are below
+    ``delta_min^2 / 2``, the run finishes by solving the restricted convex QP
+    on the frozen piece.  ``on_iterate`` (if given) is called as
     ``(t, p_t, p_{t+1}, Q_t, Q_{t+1}, step_sq)`` for every projection step.
 
     An explicit ``L`` overrides the spectral-bound choice (useful for
@@ -406,8 +408,10 @@ def gpa_solve(
         step_sq = float(np.sum((p_next - p) ** 2))
         if on_iterate is not None:
             on_iterate(iterations, p, p_next, q_val, q_next, step_sq)
-        trace.append(q_next)
         decrease = q_val - q_next
+        if decrease < -eps_abs:
+            break  # keep the point before the rise; the run has not converged
+        trace.append(q_next)
 
         status_next = _classify(instance, p_next)
         streak = streak + 1 if np.array_equal(status_next, status) else 1

@@ -63,6 +63,7 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -516,10 +517,14 @@ def _parse_entries(path: str, lines: Iterator[str], nnz: int, first_line_no: int
     first = next(block, "")
     try:
         if first.strip():
-            entries = np.loadtxt(itertools.chain((first,), block), dtype=_ENTRY, comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                # NumPy 1.23-1.26 read "1.5" or "1e3" in an integer column as a
+                # float, warn that this is deprecated, and truncate it
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+                entries = np.loadtxt(itertools.chain((first,), block), dtype=_ENTRY, comments=None, ndmin=1)
             if entries.size == nnz:
                 return entries
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, DeprecationWarning):
         pass
     # loadtxt refused the block: one line at a time, to name the offending one
     for _ in block:

@@ -54,6 +54,18 @@ class TestGen:
         assert "below the float spacing" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_memory_is_capacity_error(self, tmp_path, capsys, monkeypatch):
+        from priceopt import generator
+
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(generator, "generate", exhausted)
+        out = tmp_path / "inst.txt"
+        assert run(["gen", "--n", "20", "--seed", "1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: gen: out of memory\n"
+        assert not out.exists()
+
     def test_non_numeric_delta_is_data_error(self, tmp_path):
         code = run(["gen", "--n", "20", "--delta", "const:abc", "--out", str(tmp_path / "x.txt")])
         assert code == 2

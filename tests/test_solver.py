@@ -124,6 +124,18 @@ class TestGpaSolve:
             assert np.all(np.diff(report.objective_trace) <= 1e-9)
             assert all(d >= -1e-9 for d in seen)
 
+    def test_rising_step_stops_unconverged(self):
+        # L below the curvature: from p0 the second step raises Q by about
+        # 1.6e3, far above eps_abs; the run keeps the lower point before it
+        inst = generate(GenConfig(n=200, seed=0))
+        lam1 = spectral_bounds(inst, mode="power").lambda1_est
+        report = gpa_solve(inst, inst.p0, SolverParams(), L=0.6 * lam1)
+        assert report.iterations == 2
+        assert not report.converged
+        assert len(report.objective_trace) == 2
+        assert report.final_q_obj == report.objective_trace[-1] == report.objective_trace.min()
+        assert report.final_q_obj == objective_q(inst, report.final_p)
+
     def test_unconstrained_like_regime(self, rng):
         # k = n and tiny thresholds: behaves like plain gradient descent
         inst = random_instance(rng, 10, 10, k=10)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -325,6 +326,31 @@ class TestStrictIntegers:
         path = self._write(tmp_path, "n 2\nk 1\n" + self._BODY + "D 3\n0 0 1.0\n1 1.5 1.0\n1 1 1.0\n")
         with pytest.raises(ParseError, match="line 9") as err:
             read_instance(path)
+        assert err.value.field == "D"
+
+    def test_column_truncated_by_numpy_1x_rejected(self, tmp_path, monkeypatch):
+        # NumPy 1.23-1.26 warn (DeprecationWarning) and truncate "1.5" to 1 in
+        # an integer column; outside pytest that warning is hidden by default
+        real_loadtxt = np.loadtxt
+
+        def loadtxt_1x(lines, dtype, **kwargs):
+            fixed = []
+            for line in lines:
+                toks = line.split()
+                if any("." in t for t in toks[:2]):
+                    warnings.warn(
+                        "loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning
+                    )
+                    toks[:2] = [str(int(float(t))) for t in toks[:2]]
+                fixed.append(" ".join(toks))
+            return real_loadtxt(fixed, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_1x)
+        path = self._write(tmp_path, "n 2\nk 1\n" + self._BODY + "D 2\n0 0 1.0\n1 1.5 1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError, match="line 9") as err:
+                read_instance(path)
         assert err.value.field == "D"
 
     def test_nan_k_is_parse_error(self, tmp_path):
