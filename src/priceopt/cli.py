@@ -3,7 +3,7 @@
 Subcommands: gen, solve, oracle, project, compare, export-mip, sweep, suite.
 Exit codes: 0 success, 1 usage, 2 data/validation, 3 capacity guard,
 4 numeric failure.  The default seed can be overridden with the SOLVER_SEED
-environment variable.
+environment variable, which only a command that uses the default reads.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed`` if given, else ``SOLVER_SEED``, else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("SOLVER_SEED")
     if raw is None:
         return 0
@@ -81,7 +84,7 @@ def _solver_params(args) -> SolverParams:
         absolute_eps=args.absolute_eps,
         max_iters=args.max_iters,
         refine=args.refine,
-        seed=args.seed,
+        seed=_seed(args),
     )
 
 
@@ -91,7 +94,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--absolute-eps", action="store_true", help="treat --eps as an absolute decrease")
     p.add_argument("--max-iters", type=int, default=50_000)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> _Parser:
@@ -103,7 +106,7 @@ def build_parser() -> _Parser:
     g.add_argument("--k-frac", type=float, default=0.10)
     g.add_argument("--delta", default="const:1.0", help="const:X or frac:R")
     g.add_argument("--bounds", default="none", help="none or l_lo,l_hi,u_lo,u_hi")
-    g.add_argument("--seed", type=int, default=_default_seed())
+    g.add_argument("--seed", type=int)
     g.add_argument("--mixed-signs", action="store_true")
     g.add_argument("--no-dominance-fix", action="store_true")
     g.add_argument("--literal-sign", action="store_true")
@@ -145,7 +148,7 @@ def build_parser() -> _Parser:
     st = sub.add_parser("suite", help="generate and solve the benchmark grid end to end")
     st.add_argument("--scale", choices=("desk", "full"), default="desk")
     st.add_argument("--out-dir", required=True)
-    st.add_argument("--seed", type=int, default=_default_seed())
+    st.add_argument("--seed", type=int)
     st.add_argument(
         "--eps", type=float, default=1e-9, help="relative stopping threshold for the suite solves"
     )
@@ -167,7 +170,7 @@ def _cmd_gen(args) -> int:
         dominance_fix=not args.no_dominance_fix,
         allow_mixed_signs=args.mixed_signs,
         literal_sign=args.literal_sign,
-        seed=args.seed,
+        seed=_seed(args),
     )
     instance = generator.generate(config)
     storage.write_instance(instance, args.out)
@@ -279,7 +282,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    configs = generator.benchmark_suite(args.scale, base_seed=args.seed)
+    configs = generator.benchmark_suite(args.scale, base_seed=_seed(args))
     os.makedirs(args.out_dir, exist_ok=True)
     inst_dir = os.path.join(args.out_dir, "instances")
     os.makedirs(inst_dir, exist_ok=True)

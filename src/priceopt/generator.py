@@ -52,10 +52,7 @@ __all__ = ["GenConfig", "generate", "generate_profitable", "benchmark_suite"]
 
 _DOMINANCE_MARGIN = 1e-3
 
-# rows per block of the off-diagonal replay: the size doubles after a block
-# with no redrawn row and drops back to the minimum after one
-_MIN_BLOCK_ROWS = 64
-_MAX_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 1024  # rows per block of the off-diagonal replay
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53, NumPy's next_double scale
 
 
@@ -141,9 +138,9 @@ def _draw_offdiag_rows(rng: np.random.Generator, m: np.ndarray, caps: np.ndarray
     halves_per_entry = 1 if span > 1 else 0  # integers(0, 1) draws nothing
     words_per_entry = 2 if mixed else 1
     out_r, out_c, out_v = [], [], []
-    start, size = 0, _MIN_BLOCK_ROWS
+    start = 0
     while start < n:
-        stop = min(n, start + size)
+        stop = min(n, start + _BLOCK_ROWS)
         mb = m[start:stop]
         kb = mb * halves_per_entry
         snapshot = bitgen.state
@@ -199,13 +196,13 @@ def _draw_offdiag_rows(rng: np.random.Generator, m: np.ndarray, caps: np.ndarray
         state["uinteger"] = int(halves[has0 + 2 * drawn - 1]) if drawn else u0
         bitgen.state = state
         if first_bad == stop:
-            start, size = stop, min(2 * size, _MAX_BLOCK_ROWS)
+            start = stop
             continue
         c, v = _draw_offdiag_row(rng, first_bad, n, int(m[first_bad]), caps[first_bad], mixed)
         out_r.append(np.full(c.size, first_bad))
         out_c.append(c)
         out_v.append(v)
-        start, size = first_bad + 1, _MIN_BLOCK_ROWS
+        start = first_bad + 1
     return out_r, out_c, out_v
 
 
@@ -248,8 +245,6 @@ def _apply_dominance_fix(D: sparse.csr_array) -> sparse.csr_array:
     np.add.at(row_sums, s_rows[off], np.abs(S.data[off]))  # in S's CSR order
     target = 2.0 * diag * (1.0 - _DOMINANCE_MARGIN) * (1.0 - 1e-6)
     rho = row_sums / target
-    if np.all(rho <= 1.0):
-        return D
     rows, cols = np.repeat(np.arange(n), np.diff(D.indptr)), D.indices
     scale = 1.0 / np.maximum(1.0, np.maximum(rho[rows], rho[cols]))
     data = np.where(rows != cols, D.data * scale, D.data)

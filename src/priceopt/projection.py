@@ -94,6 +94,13 @@ def _project(p0, delta, bounds, q):
     return proj, c_up, c_dn
 
 
+def _distance_sq(proj, q):
+    """Squared distance from q to its projection: exactly 0 where q is in P_i,
+    an infinite q included, and inf where it overflows, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(proj == q, 0.0, np.subtract(proj, q) ** 2)
+
+
 def project_1d(
     p0_i: float,
     delta_i: float,
@@ -131,7 +138,7 @@ def distance_sq_1d(
 ) -> float:
     """Squared distance from q_i to P_i; at most delta_i^2/4 when unbounded."""
     primary, _ = project_1d(p0_i, delta_i, bounds_i, q_i)
-    return (primary - q_i) ** 2
+    return float(_distance_sq(primary, q_i))
 
 
 @dataclass(frozen=True)
@@ -220,10 +227,7 @@ def score(instance: Instance, q: np.ndarray) -> ProjectionScores:
     q = _check_length(instance, q)
     p0, half = instance.p0, 0.5 * instance.delta
     proj = _project(p0, instance.delta, instance.bounds, q)[0]
-    # exactly zero where q is already in P_i, an infinite q included; a far
-    # query's distance overflows to inf without a warning
-    with np.errstate(over="ignore"):
-        dist_sq = np.where(proj == q, 0.0, (proj - q) ** 2)
+    dist_sq = _distance_sq(proj, q)
     delta_score = _gains(instance, q)
     tie_flags = (q == p0 + half) | (q == p0 - half)
 

@@ -286,15 +286,13 @@ def refine_on_partition(
         raise ContractError("p must lie in the piece identified by the partition")
     p = np.clip(p, lo, hi)
 
-    if partition.n_changed == 0:
-        return RefineResult(p=instance.p0.copy(), converged=True, iterations=0)
-
     if L is None:
         L = spectral_bounds(instance).L
     if tol is None:
         tol = 1e-9 * L * max(1.0, float(np.max(np.abs(instance.p0))))
 
-    # C is empty when bounds pin every changed price at its threshold
+    # C is empty when nothing changes or bounds pin every changed price at
+    # its threshold; the loop then stops at once, converged
     C = np.flatnonzero(lo < hi)
     S_rows = instance.S[C]
     S_CC = S_rows[:, C]
@@ -421,7 +419,8 @@ def gpa_solve(
         if not (stabilized or decrease <= eps_abs):
             continue
         if params.refine:
-            # solve the restricted QP on the current piece; keep it unless worse
+            # solve the restricted QP on the current piece; keep it unless
+            # worse (it stays in the piece, so status still classifies p)
             result = refine_on_partition(instance, Partition.from_status(status), p, L=L)
             q_ref, g_ref = value_and_gradient(instance, result.p)
             if q_ref <= q_val:
@@ -440,14 +439,12 @@ def gpa_solve(
         certificate = None
         refine_attempts += 1
         stab_window *= 2
-        status = _classify(instance, p)
         streak = 1
 
     if certificate is None:
         certificate = certify_stationary(instance, p, L, STATIONARITY_TOL, grad)
     ok, residual = certificate
-    partition = Partition.from_status(_classify(instance, p))
-    kappa = int(np.count_nonzero(p != instance.p0))
+    partition = Partition.from_status(status)
     base_profit = _base_profit(instance)
 
     return SolveReport(
@@ -459,7 +456,7 @@ def gpa_solve(
         stationarity_residual=residual,
         stationary=ok,
         partition=partition,
-        kappa=kappa,
+        kappa=partition.n_changed,
         refined=refined,
         converged=converged,
         wall_time=time.perf_counter() - t0,

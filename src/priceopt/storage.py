@@ -367,8 +367,7 @@ def _decimal_cells(x: np.ndarray, digits: int | None = None) -> tuple[list, np.n
     """
     magnitude = np.abs(x)
     normal = (magnitude >= _TINY) & (magnitude <= _HUGE)
-    every = normal.all()
-    bits = (magnitude if every else np.where(normal, magnitude, 1.0)).view(np.uint64)
+    bits = np.where(normal, magnitude, 1.0).view(np.uint64)
     f, e = _shortest(bits) if digits is None else _rounded(bits, digits)
     point = e + _digit_count(f)  # the digits before the decimal point
     fixed = normal & (point > -4) & (point <= (16 if digits is None else digits))
@@ -546,23 +545,24 @@ def _parse_entries(path: str, lines: Iterator[str], nnz: int, first_line_no: int
     return entries
 
 
-def _check_entries(entries: np.ndarray, n: int, first_line_no: int) -> bool:
+def _check_entries(entries: np.ndarray, n: int, first_line_no: int) -> np.ndarray:
     """Reject the first entry that is out of range, zero, or a repeat of an earlier one.
 
-    Returns whether the entries are in strictly increasing (row, col) order.
+    Returns the entries in (row, col) order: as they are when already in it
+    (the writer's order), else sorted.
     """
     rows, cols, vals = entries["row"], entries["col"], entries["val"]
     outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
     zero = vals == 0.0
     keys = rows * n + cols
-    ordered = bool(np.all(keys[1:] > keys[:-1]))
+    order = None
     repeat = np.zeros(keys.size, dtype=bool)
-    if not ordered:  # increasing keys repeat none
+    if not np.all(keys[1:] > keys[:-1]):  # increasing keys repeat none
         order = np.argsort(keys, kind="stable")
         repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
     bad = np.flatnonzero(outside | zero | repeat)
     if bad.size == 0:
-        return ordered
+        return entries if order is None else entries[order]
     e = int(bad[0])
     at, line_no = f"({rows[e]}, {cols[e]})", first_line_no + e
     if outside[e]:
@@ -643,15 +643,10 @@ def read_instance(path: str) -> Instance:
     if "D" not in fields:
         raise ParseError("missing required field", field="D")
 
-    entries = fields.pop("D")
-    if _check_entries(entries, n, d_line):
-        # in write_instance's order the records are D's CSR arrays already
-        indptr = np.searchsorted(entries["row"], np.arange(n + 1))
-        D = sparse.csr_array((entries["val"], entries["col"], indptr), shape=(n, n), copy=True)
-    else:
-        D = sparse.csr_array(
-            sparse.coo_array((entries["val"], (entries["row"], entries["col"])), shape=(n, n))
-        )
+    # in (row, col) order the records are D's CSR arrays
+    entries = _check_entries(fields.pop("D"), n, d_line)
+    indptr = np.searchsorted(entries["row"], np.arange(n + 1))
+    D = sparse.csr_array((entries["val"], entries["col"], indptr), shape=(n, n), copy=True)
     del entries  # before Instance copies D
 
     bounds = (fields["l"], fields["u"]) if "l" in fields else None

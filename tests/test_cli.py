@@ -46,6 +46,13 @@ class TestGen:
         code = run(["gen", "--n", "20", "--delta", "wat:1", "--out", str(tmp_path / "x.txt")])
         assert code == 2
 
+    @pytest.mark.parametrize("bounds", ["1,5,10", "1,5,5,10,12", "1,,5,10", "nonsense"])
+    def test_malformed_bounds_flag(self, tmp_path, capsys, bounds):
+        out = tmp_path / "x.txt"
+        assert run(["gen", "--n", "20", "--bounds", bounds, "--out", str(out)]) == 2
+        assert "four comma-separated numbers" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("delta", ["const:1e-16", "const:1e-160", "frac:1e-300"])
     def test_threshold_below_baseline_spacing_is_data_error(self, tmp_path, capsys, delta):
         out = tmp_path / "inst.txt"
@@ -123,6 +130,14 @@ class TestSolve:
         rows = report.read_text().splitlines()[1:]
         bound_cells = [line.split(",")[11] for line in rows]
         assert any(cell not in ("", "0") for cell in bound_cells)
+
+    def test_bounds_report_on_bounded_instance(self, tmp_path, capsys):
+        inst = gen(tmp_path, n=20, extra=["--bounds", "1,5,5,10"])
+        report = tmp_path / "rep.csv"
+        assert run(["solve", "--instance", str(inst), "--bounds-report", "--report", str(report)]) == 0
+        assert "valid for the unbounded model only" in capsys.readouterr().out
+        rows = report.read_text().splitlines()[1:]
+        assert len(rows) == 5 and all(row.endswith(",") for row in rows)  # bound_ii left blank
 
     def test_bounds_report_finds_lambda_n(self, tmp_path, capsys):
         # the README's library instance: lambda_n = 1.829 lies within 1.3 %
@@ -440,6 +455,21 @@ class TestSeedEnvValidation:
         monkeypatch.setenv("SOLVER_SEED", "not-a-number")
         code = run(["gen", "--n", "5", "--out", str(tmp_path / "x.txt")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["help", "compare", "oracle", "gen"])
+    def test_garbage_seed_unread_without_the_default(self, tmp_path, monkeypatch, capsys, command):
+        # only a command that falls back on the default seed reads SOLVER_SEED
+        argv, code, message = {
+            "help": (["--help"], 0, ""),
+            "compare": (["compare", "--base-profit", "100", "--a", "90", "--b", "95"], 0, ""),
+            "oracle": (["oracle", "--instance", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "o.txt")],
+                       2, "instance file not found"),
+            "gen": (["gen", "--n", "5", "--seed", "5", "--out", str(tmp_path / "x.txt")], 0, ""),
+        }[command]
+        monkeypatch.setenv("SOLVER_SEED", "x")
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "SOLVER_SEED" not in err
 
     @pytest.mark.parametrize("command", ["gen", "solve", "sweep", "suite", "SOLVER_SEED"])
     def test_negative_seed_rejected(self, tmp_path, monkeypatch, command):

@@ -55,6 +55,13 @@ class TestConstruction:
                 bounds=([4.5], [10.0]),
             )
 
+    def test_upper_bound_below_raised_threshold_rejected(self):
+        with pytest.raises(ValidationError, match="u >= p0 \\+ delta"):
+            Instance(
+                n=1, k=1, a=[1.0], D=[[1.0]], c=[1.0], p0=[5.0], delta=[1.0],
+                bounds=([1.0], [5.5]),
+            )
+
     def test_k_range(self):
         with pytest.raises(StructuralError):
             Instance(n=2, k=3, a=[1, 1], D=np.eye(2), c=[1, 1], p0=[5, 5], delta=[1, 1])

@@ -220,6 +220,13 @@ class TestParserSections:
         )
         assert model.generals == {"z"}
 
+    def test_repeated_variable_adds_up(self):
+        text = "Maximize\n obj: x + 2 x - y\nSubject To\n c: x + x <= 1\nEnd\n"
+        model = parse_lp_text(text)
+        assert model.linear == {"x": 3.0, "y": -1.0}
+        assert model.constraints[0].coefs == {"x": 2.0}
+        assert _outcome(parse_lp_text, text) == _outcome(_reference_parse, text)
+
     def test_fixed_bound(self):
         model = parse_lp_text(
             "Minimize\n obj: x\nSubject To\n c: x >= 0\nBounds\n x = 2\nEnd\n"
@@ -245,12 +252,42 @@ _lp_texts = st.lists(
 ).map(lambda parts: "".join(token + sep for token, sep in parts))
 
 
+# Bodies of the Bounds section: names (inf and infinity among them), signed
+# infinities and numbers, every comparison, free, section keywords, the
+# symbols of other sections and line breaks, glued or apart.
+_BOUNDS_TOKENS = [
+    "x", "y", "p_1", "inf", "infinity", "-inf", "+inf", "- inf", "-infinity", "+ infinity", "Infinity",
+    "2", "-3.5", "+1", "- 4", "0", "1e400", "-1e400", ".5",
+    "<=", ">=", "=<", "=>", "<", ">", "=", "free", "FREE",
+    "Bounds", "General", "Binary", "End", "Subject To", "st",
+    ":", "^", "*", "[", "]", "/", "\n",
+]
+_bounds_bodies = st.lists(
+    st.tuples(st.sampled_from(_BOUNDS_TOKENS), st.sampled_from([" ", " ", "\n", ""])), min_size=1, max_size=9
+).map(lambda parts: "".join(token + sep for token, sep in parts))
+
+
 class TestParserFuzz:
     @settings(max_examples=300, deadline=None)
     @given(text=_lp_texts)
     def test_parses_or_raises_priceopt_error(self, text):
         # The same model, or an LpFormatError (a PriceOptError) on the same
         # line, as the token-by-token reference parser at the end of this module.
+        assert _outcome(parse_lp_text, text) == _outcome(_reference_parse, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(body=_bounds_bodies)
+    # rare errors that random bodies seldom reach: a row or a bracket after a
+    # General list, a name's tail, a number after free, a signed inf's tail,
+    # and a range that does not close with '<='
+    @example(body="General x <= 1")
+    @example(body="General [")
+    @example(body="x :")
+    @example(body="x free <= 3")
+    @example(body="-inf :")
+    @example(body="1 <= x >= 2")
+    def test_bounds_section_matches_reference(self, body):
+        text = f"Minimize\n obj: x\nSubject To\n c: x >= 0\nBounds\n{body}\nEnd\n"
         assert _outcome(parse_lp_text, text) == _outcome(_reference_parse, text)
 
 

@@ -81,6 +81,20 @@ class TestDistance:
     def test_quarter_delta_sq_cap(self, q):
         assert distance_sq_1d(0.0, 1.0, None, q) <= 0.25 + 1e-12
 
+    @pytest.mark.parametrize("q", [np.inf, -np.inf])
+    def test_infinite_query_lies_on_a_branch(self, q):
+        assert distance_sq_1d(0.0, 1.0, None, q) == 0.0
+
+    def test_far_query_overflows_to_inf(self):
+        assert distance_sq_1d(0.0, 1.0, (-5.0, 5.0), 1e200) == np.inf
+        assert distance_sq_1d(0.0, 1.0, (-5.0, 5.0), -1e200) == np.inf
+
+    def test_score_of_infinite_query_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sc = score(two_product_instance(), np.array([np.inf, -np.inf]))
+        assert np.array_equal(sc.dist_sq, [0.0, 0.0])
+
 
 class TestScore:
     def test_worked_example(self):
@@ -107,6 +121,9 @@ class TestScore:
         for _ in range(25):
             inst = random_instance(rng)
             q = inst.p0 + rng.normal(0, 2.0, inst.n)
+            # infinite queries, and far ones whose squared distance overflows
+            far = rng.random(inst.n) < 0.3
+            q[far] = rng.choice([np.inf, -np.inf, 1e200, -1e200], size=int(np.count_nonzero(far)))
             sc = score(inst, q)
             for i in range(inst.n):
                 b = None if inst.bounds is None else (inst.lower[i], inst.upper[i])

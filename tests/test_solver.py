@@ -111,6 +111,11 @@ class TestGpaSolve:
         assert np.allclose(report.final_p, [3.0, 0.0], atol=1e-8)
         assert report.converged and report.stationary
 
+    @pytest.mark.parametrize("delta_mode, label", [(("const", 0.5), "const:0.5"), (("fraction", 0.1), "varied")])
+    def test_report_names_the_delta_mode(self, delta_mode, label):
+        inst = generate(GenConfig(n=20, seed=4, delta_mode=delta_mode))
+        assert gpa_solve(inst, inst.p0, SolverParams()).delta_mode == label
+
     def test_trace_non_increasing_and_feasible(self, rng):
         for _ in range(10):
             inst = random_instance(rng, 5, 20)
@@ -541,6 +546,34 @@ class TestRefineOnPartition:
         part = Partition(alpha=[0], beta=[1], gamma=[])
         with pytest.raises(ContractError):
             refine_on_partition(inst, part, np.array([1.0, 0.7]))
+
+
+class TestRefineLineSearch:
+    """A bad CG direction forces the Armijo halving (an overshoot) or the 1/L
+    fallback step (an ascent direction, which no trial accepts)."""
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("scale", [3.0, -1.0], ids=["overshoot", "ascent"])
+    def test_bad_direction_never_raises_q(self, monkeypatch, bounded, scale):
+        from priceopt import solver
+
+        inst = generate(GenConfig(n=40, seed=11, bounds_mode=(1.0, 5.0, 8.0, 14.0) if bounded else None))
+        status = np.zeros(inst.n, dtype=np.int8)
+        status[: inst.k] = np.arange(inst.k) % 2 + 1  # raised and lowered in turn
+        part = Partition.from_status(status)
+        start = np.where(status == 1, inst.p0 + inst.delta, np.where(status == 2, inst.p0 - inst.delta, inst.p0))
+        pcg = solver._pcg
+        monkeypatch.setattr(solver, "_pcg", lambda *args: (scale * pcg(*args)[0], None))
+        lo, hi = _partition_box(inst, part)
+        q_prev = objective_q(inst, start)
+        for iterations in range(1, 6):  # the first iterates of one run
+            result = refine_on_partition(inst, part, start, max_iters=iterations)
+            assert np.all((lo <= result.p) & (result.p <= hi))
+            q = objective_q(inst, result.p)
+            assert q <= q_prev
+            q_prev = q
+        if scale > 0:  # one halving makes every step 1.5 Newton steps, which still converge
+            assert refine_on_partition(inst, part, start).converged
 
 
 def _random_piece(rng, inst):

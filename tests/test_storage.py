@@ -456,6 +456,18 @@ class TestReaderErrors:
         with pytest.raises(ParseError, match="D"):
             read_instance(path)
 
+    def test_negative_entry_count(self, tmp_path):
+        path = self._write(tmp_path, "n 1\nk 1\na 1.0\nc 1.0\np0 2.0\ndelta 1.0\nD -1\n")
+        with pytest.raises(ParseError, match="negative entry count -1") as info:
+            read_instance(path)
+        assert info.value.line == 7
+
+    def test_missing_matrix(self, tmp_path):
+        path = self._write(tmp_path, "n 1\nk 1\na 1.0\nc 1.0\np0 2.0\ndelta 1.0\n")
+        with pytest.raises(ParseError, match="missing required field") as info:
+            read_instance(path)
+        assert info.value.field == "D"
+
     def test_lone_bound_rejected(self, tmp_path):
         path = self._write(
             tmp_path,
