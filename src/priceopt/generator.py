@@ -39,6 +39,7 @@ on after it.  Such rows are rare (about ten per n = 100,000 instance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +52,7 @@ from .instance import Instance
 __all__ = ["GenConfig", "generate", "generate_profitable", "benchmark_suite"]
 
 _DOMINANCE_MARGIN = 1e-3
+_MAX_ROW_REDRAWS = 1e6  # expected draws of one full off-diagonal row that a config may need
 
 _BLOCK_ROWS = 1024  # rows per block of the off-diagonal replay
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53, NumPy's next_double scale
@@ -95,6 +97,18 @@ class GenConfig:
         if self.offdiag_max_count > 0 and not (self.offdiag_rel_mag > 0 and self.diag_range[0] > 0):
             # a zero cap makes every off-diagonal value zero, which is drawn again forever
             raise ContractError("off-diagonal entries need offdiag_rel_mag > 0 and diag_range[0] > 0")
+        if self.n > 1 and self.offdiag_max_count > 0:
+            # a row draws its m columns from the n - 1 others with replacement,
+            # again until they are distinct: 1 / P(distinct) draws expected,
+            # P = (n-1)! / ((n-1-m)! (n-1)^m)
+            m, others = min(self.offdiag_max_count, self.n - 1), self.n - 1
+            log_draws = m * math.log(others) - math.lgamma(others + 1) + math.lgamma(others - m + 1)
+            if log_draws > math.log(_MAX_ROW_REDRAWS):
+                raise ContractError(
+                    f"offdiag_max_count={self.offdiag_max_count} at n={self.n} needs about "
+                    f"10^{log_draws / math.log(10):.1f} draws of a full row to find {m} distinct "
+                    f"columns (at most {_MAX_ROW_REDRAWS:.0e}): lower offdiag_max_count"
+                )
         if self.seed < 0:
             raise ContractError(f"seed must be non-negative, got {self.seed}")
 

@@ -40,15 +40,28 @@ exporter's ``format(v, ".12g")``: it writes sign, integer digits, point and
 fraction digits into a byte matrix that one boolean mask compresses to
 text.  As in CPython, the position of the decimal point in the digits
 decides the notation; values written in exponent notation, zeros,
-subnormals, inf and nan take ``repr`` or ``format`` one by one.  The reader
-reads the file ``_LINE_BLOCK`` characters at a time and hands the lines on
-one by one, so neither the whole text nor a list of all its lines is ever
-held.  It parses each vector and the whole entry list in one bulk call
-each, and checks ranges, zeros and duplicates with array operations;
-entries in the writer's (row, col) order are D's CSR arrays as they stand,
-others are sorted.  When a bulk parse fails it reads the lines again and
-parses them one token or line at a time to name the offending line.  A byte
-that is not UTF-8 is reported first, wherever it lies in the file.
+subnormals, inf and nan take ``repr`` or ``format`` one by one.
+
+The reader is the writer's inverse.  It reads the file ``_LINE_BLOCK``
+characters at a time, so neither the whole text nor a list of all its lines
+is ever held, and parses numbers in bulk on ASCII bytes, about a block at a
+time: the whole entry lines of a block, or a block's length of a vector
+line.  A separator mask splits a run into tokens, unaligned 8-byte loads
+gather each token's digits eight per word, a SWAR step checks and folds
+them, and Eisel-Lemire rounds them to the nearest double (see the kernel
+below).  The strict grammar is at most 18 ``digits`` for indices and
+``[-]digits[.digits]`` for reals, at most 24 digits that spell a number
+below 10^19 (19 significant digits) once the point is dropped; any other
+token (exponent notation, more digits, ``+``, ``_``, inf, nan, non-ASCII
+digits) goes to ``int`` or ``float`` on its own, so every value is the one
+``float`` reads.  An entry run laid out any other way (a byte outside ASCII,
+a tab or other control character, two separators in a row, a line of other
+than three tokens, or a token that ``int`` or ``float`` refuses) is read one
+line at a time, and a vector line spaced any other way token by token; both
+name the offending line and token.  Ranges, zeros and duplicates are checked
+with array operations; entries in the writer's (row, col) order are D's CSR
+arrays as they stand, others are sorted.  A byte that is not UTF-8 is
+reported first, wherever it lies in the file.
 """
 
 from __future__ import annotations
@@ -63,8 +76,7 @@ import os
 import re
 import sys
 import tempfile
-import warnings
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -106,7 +118,6 @@ REPORT_COLUMNS = [
 _VECTORS = ("a", "c", "p0", "delta", "l", "u")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INDEX_LIMIT = 2**63  # row and column indices must fit in int64
-_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
 
 def format_float(x: float) -> str:
@@ -155,7 +166,8 @@ _HIDDEN = np.uint64(2**52)
 _POW10 = np.array([10**j for j in range(20)], dtype=np.uint64)  # every power below 2^64
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max  # the normal doubles' range
 _FORMAT_CHUNK = 8_192  # values per block, which keeps the kernel's arrays in cache
-_LINE_BLOCK = 1 << 16  # characters the instance reader reads and splits at a time
+_LINE_BLOCK = 1 << 18  # characters the instance reader reads, and its number kernel parses, at a time
+_ENTRY_ROOM = 1 << 20  # D entries the reader makes room for before it has read them
 
 
 def _scale(k: int) -> tuple[int, int]:
@@ -468,90 +480,364 @@ def _parse_int(token: str, line_no: int | None, field: str) -> int:
     return int(token)
 
 
-def _parse_floats(tokens: list[str], line_no: int | None, field: str) -> np.ndarray:
-    """Whitespace-split tokens as a float vector, each read by ``float``; ParseError names a bad one."""
-    try:
-        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    except ValueError:
-        return np.array([_parse_float(t, line_no, field) for t in tokens], dtype=np.float64)
+# Numbers in bulk, the reader's inverse of format_floats.  A run of ASCII text
+# is padded and viewed as one uint64 word per byte offset, so that a token's
+# digits come in unaligned 8-byte loads, eight per word; the lanes left of a
+# decimal point come from the load one byte earlier, which drops the point.
+# Each word is checked to hold digits only and folded to its value with three
+# multiplies.  Eisel-Lemire then rounds w 10^-f to the nearest double from
+# one 64x128-bit product with a truncated 5^-f (D. Lemire, "Number parsing at
+# a gigabyte per second", Softw. Pract. Exp. 51(8), 2021); N. Mushtak and
+# D. Lemire ("Fast number parsing without fallback", Softw. Pract. Exp.
+# 53(6), 2023) prove that product always decides, for every w < 2^64.  The
+# strict grammar (see the module docstring) keeps f <= _MAX_DIGITS and
+# w < 10^19, so no value is subnormal or overflows; the callers read every
+# other token with int() or float().  The arithmetic is uint64 with np.uint64
+# scalars, as in the writer's kernel.
+
+_MAX_DIGITS = 24  # three words of digits
+_PAD = _MAX_DIGITS + 8  # bytes before a run of text, so that every load stays inside it
+_ASCII_ZEROS = np.uint64(0x3030_3030_3030_3030)
+_ENTRY_SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)  # after row, col and value
+# _LANES[k, j]: the lanes of word k (word 0 ends where the token ends) that
+# hold its last j characters
+_LANES = np.array(
+    [[2**64 - 2 ** (64 - 8 * min(max(j - 8 * k, 0), 8)) for j in range(_MAX_DIGITS + 1)] for k in range(3)],
+    dtype=np.uint64,
+)
 
 
-def _lines(path: str) -> Iterator[str]:
-    """The file's lines as ``_read_text(path).splitlines()`` gives them, read a block at a time.
+def _padded(text: str) -> np.ndarray:
+    """ASCII ``text`` as bytes after ``_PAD`` spaces, ending in a "\n" (one is added if it has none)."""
+    end = "" if text.endswith("\n") else "\n"
+    return np.frombuffer(f"{' ' * _PAD}{text}{end}".encode("ascii"), dtype=np.uint8)
 
-    Blocks of ``_LINE_BLOCK`` characters are split after their last ``"\n"``
-    (a line that spans blocks is joined first), so no line break is cut in
-    two and no copy of the whole file is held.  Raises UnicodeDecodeError
-    where the file stops being UTF-8.
+
+def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the tokens of a padded text start and end, and the separator (byte <= 32) that ends each."""
+    ends = np.flatnonzero(buf[_PAD:] <= 32) + _PAD
+    starts = np.empty_like(ends)
+    starts[:1] = _PAD
+    starts[1:] = ends[:-1] + 1
+    return starts, ends, buf[ends]
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """``buf`` as little-endian uint64 words at every byte offset: word o holds bytes o..o+7."""
+    return np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
+def _fold_digits(x: np.ndarray) -> np.ndarray:
+    """Eight digits 0..9, one per byte and the first lowest, as one number: ``_eight_digits`` undone.
+
+    ``x * 10 + (x >> 8)`` puts each pair of digits in one byte; the two
+    products then weigh the pairs by 10^6 and 10^2 and by 10^4 and 1 and sum
+    them in the high 32 bits.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        head: list[str] = []  # the start of a line that continues in the next block
-        for block in iter(functools.partial(fh.read, _LINE_BLOCK), ""):
+    x = x * _TEN + (x >> np.uint64(8))
+    pairs = np.uint64(0x0000_00FF_0000_00FF)
+    first = (x & pairs) * np.uint64(100 + (10**6 << 32))
+    return (first + ((x >> np.uint64(16)) & pairs) * np.uint64(1 + (10**4 << 32))) >> _U32
+
+
+def _digit_words(words, ends, count, frac=None) -> tuple[np.ndarray, np.ndarray]:
+    """The integer w that the ``count`` digits before each of ``ends`` spell, and the rows read.
+
+    With ``frac``, a point precedes the last ``frac`` characters and is left
+    out (``frac >= count``: no point): the lanes left of it come from the
+    load one byte earlier, which the next word's top byte completes.
+    A row is read when its characters are digits, 1 <= count <= 8 words and
+    w < 10^19.
+    """
+    groups = -(-min(int(count.max(initial=1)), _MAX_DIGITS) // 8)
+    ok = (count > 0) & (count <= 8 * groups)
+    count = np.minimum(count, _MAX_DIGITS)
+    loads = [words[ends - (8 * k + 8)] for k in range(groups)]
+    w = bad = np.uint64(0)
+    for k in range(groups - 1, -1, -1):  # the word of the leading digits first
+        x = loads[k]
+        if frac is not None:
+            earlier = x << np.uint64(8)
+            if k + 1 < groups:
+                earlier |= loads[k + 1] >> np.uint64(56)
+            x = earlier ^ ((x ^ earlier) & _LANES[k][frac])
+        x = (x ^ _ASCII_ZEROS) & _LANES[k][count]  # digit values; 0 before the first digit
+        bad |= (x + np.uint64(0x7676_7676_7676_7676)) & np.uint64(0x8080_8080_8080_8080)  # a lane above 9
+        digits = _fold_digits(x)
+        if k == 2:
+            ok &= digits < np.uint64(1000)  # w < 10^19
+        w = w * _POW10[8] + digits
+    return w, ok & (bad == 0)
+
+
+@functools.cache
+def _powers_of_five() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """5^-f for 0 <= f <= ``_MAX_DIGITS`` as Eisel-Lemire needs it, built on first use.
+
+    As in the table of Lemire's fast_float, 5^0 is 2^127 and 5^-f is
+    ``floor(2^b / 5^f) + 1``, b the bit length of 5^f plus 127: 128 bits,
+    returned as the two 32-bit limbs of the high word and the low word.
+    Also returns ``floor(log2 10^-f) + 63 + 1022`` (217706 / 2^16 stands
+    for log2 10), the biased exponent of a product less its hidden bit.
+    """
+    table = [1 << 127] + [(1 << ((5**f).bit_length() + 127)) // 5**f + 1 for f in range(1, _MAX_DIGITS + 1)]
+    exponent = [((-217_706 * f) >> 16) + 63 + 1022 for f in range(_MAX_DIGITS + 1)]
+    columns = ([t >> 64 & 2**32 - 1 for t in table], [t >> 96 for t in table], [t % 2**64 for t in table], exponent)
+    return tuple(np.array(c, dtype=np.uint64) for c in columns)
+
+
+def _wide_product(a: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of each 128-bit product ``a b``, b given as its 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> _U32
+    low, across, down = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> _U32) + (across & _MASK32) + (down & _MASK32)
+    return a1 * b1 + (across >> _U32) + (down >> _U32) + (mid >> _U32), (mid << _U32) | (low & _MASK32)
+
+
+def _nearest_doubles(w: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """The bits of the double nearest each ``w 10^-frac``, ties to even (Eisel-Lemire).
+
+    For w < 2^64 and 0 <= frac <= ``_MAX_DIGITS``; the results are normal.
+    """
+    high0, high1, low5, exponent = _powers_of_five()
+    v = np.maximum(w, _ONE)
+    # 63 - floor(log2 v), one less where float(v) rounded up to a power of two
+    lz = np.uint64(1086) - (v.astype(np.float64).view(np.uint64) >> np.uint64(52))
+    v <<= lz
+    short = (v >> _U63) ^ _ONE
+    v <<= short
+    lz += short
+    high, low = _wide_product(v, high0[frac], high1[frac])
+    # the bits of high below the 55 kept are all ones: the low word of 5^-f may carry into them
+    more = np.flatnonzero((high & np.uint64(0x1FF)) == np.uint64(0x1FF))
+    if more.size:
+        low_more = low5[frac[more]]
+        carry = _wide_product(v[more], low_more & _MASK32, low_more >> _U32)[0]
+        low[more] += carry
+        high[more] += low[more] < carry
+    upper = high >> _U63
+    shift = upper + np.uint64(9)
+    m = high >> shift  # 54 bits: the double's 53 and one to round on
+    # exactly halfway between two doubles (the product is exact, as it can be for
+    # f <= 4, and drops only zeros): round down to even
+    exact = np.flatnonzero(low <= _ONE)
+    if exact.size:
+        mx = m[exact]
+        m[exact] -= (frac[exact] <= 4) & ((mx & np.uint64(3)) == _ONE) & ((mx << shift[exact]) == high[exact])
+    m = (m + (m & _ONE)) >> _ONE  # 2^52 <= m <= 2^53: the hidden bit lands in the exponent
+    bits = m + ((exponent[frac] + upper - lz) << np.uint64(52))
+    return np.where(w == 0, np.uint64(0), bits)
+
+
+def _points(ends: np.ndarray, dots: np.ndarray) -> np.ndarray:
+    """Where the decimal point of each token ending at ``ends`` is, or -1 where it has none.
+
+    ``dots`` are the sorted positions of the "." in the tokens, every one
+    inside a token.  Of a token with several, any one is taken: the others
+    stay among its digits, which the digit check then refuses.
+    """
+    point = np.full(ends.size, -1, dtype=np.int64)
+    point[np.searchsorted(ends, dots)] = dots
+    return point
+
+
+def _read_reals(buf: np.ndarray, starts, ends, point) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens ``buf[starts:ends]`` of the strict grammar as float64, and the mask of those read.
+
+    ``point`` is where each token's decimal point is, -1 where it has none.
+    """
+    negative = buf[starts] == ord("-")
+    first = starts + negative
+    dotted = point >= 0
+    frac = np.minimum(np.where(dotted, ends - 1 - point, _MAX_DIGITS), _MAX_DIGITS)
+    w, ok = _digit_words(_words(buf), ends, ends - first - dotted, frac)
+    bits = _nearest_doubles(w, np.where(dotted, frac, 0))
+    return (bits | (negative.astype(np.uint64) << _U63)).view(np.float64), ok
+
+
+def _parse_floats(text: str, line_no: int | None, field: str) -> np.ndarray:
+    """The numbers of one line as ``float`` reads each: ``[float(t) for t in text.split()]``.
+
+    One space between ASCII tokens is read in bulk, about ``_LINE_BLOCK``
+    characters at a time as the entry list is, and the tokens outside the
+    strict grammar one by one; other spacing reads them all one by one.
+    ParseError names the first token that ``float`` refuses.
+    """
+    if text.isascii():
+        buf = _padded(text)
+        starts, ends, separators = _tokens(buf)
+        if np.all(starts < ends) and np.all(separators[:-1] == ord(" ")):
+            point = _points(ends, np.flatnonzero(buf == ord(".")))
+            values = np.empty(ends.size)
+            cuts = [*np.searchsorted(ends, np.arange(0, buf.size, _LINE_BLOCK)).tolist(), ends.size]
+            for lo, hi in zip(cuts, cuts[1:]):
+                values[lo:hi], ok = _read_reals(buf, starts[lo:hi], ends[lo:hi], point[lo:hi])
+                for j in np.flatnonzero(~ok).tolist():
+                    values[lo + j] = _parse_float(text[starts[lo + j] - _PAD : ends[lo + j] - _PAD], line_no, field)
+            return values
+    return np.array([_parse_float(t, line_no, field) for t in text.split()], dtype=np.float64)
+
+
+def _entry_block(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The rows, columns and values of a run of ``row col value`` lines, or None.
+
+    None sends the run to the per-line path: a byte outside ASCII, a tab or
+    other control character, separators other than one space between the
+    three tokens and a "\n" after them, or a token that the kernel leaves and
+    ``int`` (indices) or ``float`` (values) refuses.
+    """
+    if not text.isascii():
+        return None
+    buf = _padded(text)
+    starts, ends, separators = _tokens(buf)
+    if ends.size % 3 or np.any(separators.reshape(-1, 3) != _ENTRY_SEPARATORS) or np.any(starts == ends):
+        return None
+    index_starts, index_ends = starts.reshape(-1, 3)[:, :2].ravel(), ends.reshape(-1, 3)[:, :2].ravel()
+    count = index_ends - index_starts
+    indices, ok = _digit_words(_words(buf), index_ends, count)
+    indices, ok = indices.astype(np.int64), ok & (count <= 18)  # below 10^18, inside int64
+    for j in np.flatnonzero(~ok).tolist():
+        token = text[index_starts[j] - _PAD : index_ends[j] - _PAD]
+        if not (_INTEGER.fullmatch(token) and -_INDEX_LIMIT <= int(token) < _INDEX_LIMIT):
+            return None
+        indices[j] = int(token)
+    # every index was read, so every "." lies in a value
+    point = _points(ends[2::3], np.flatnonzero(buf == ord(".")))
+    values, ok = _read_reals(buf, starts[2::3], ends[2::3], point)
+    for j in np.flatnonzero(~ok).tolist():
+        try:
+            values[j] = float(text[starts[2 + 3 * j] - _PAD : ends[2 + 3 * j] - _PAD])
+        except ValueError:
+            return None
+    return indices[0::2], indices[1::2], values
+
+
+class _Lines:
+    """The lines of a text file as ``splitlines`` gives them, read ``_LINE_BLOCK`` characters at a time.
+
+    Blocks are split after their last "\n" (a line that spans blocks is
+    joined first), so no line break is cut in two and neither the whole text
+    nor a list of all its lines is held.  ``take`` hands out the next lines
+    as one text instead, for the entry kernel, and ``give_back`` returns such
+    a text unread.  Raises UnicodeDecodeError where the file stops being UTF-8.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._lines: list[str] = []  # split off and not handed out yet, the next one last
+        self._text = ""  # whole lines read and not split yet
+        self._head = ""  # the start of a line that continues in the next block
+
+    def _read(self) -> str:
+        """The next whole lines of the file: up to the last "\n" of a block, or its rest at the end."""
+        parts = [self._head]
+        while block := self._fh.read(_LINE_BLOCK):
             cut = block.rfind("\n") + 1
-            if cut == 0:
-                head.append(block)
-                continue
-            head.append(block[:cut])
-            yield from "".join(head).splitlines()
-            head = [block[cut:]]
-        yield from "".join(head).splitlines()
+            if cut:
+                parts.append(block[:cut])
+                self._head = block[cut:]
+                return "".join(parts)
+            parts.append(block)
+        self._head = ""
+        return "".join(parts)
+
+    def __iter__(self) -> _Lines:
+        return self
+
+    def __next__(self) -> str:
+        if not self._lines:
+            text, self._text = self._text or self._read(), ""
+            if not text:
+                raise StopIteration
+            self._lines = text.splitlines()[::-1]
+        return self._lines.pop()
+
+    def take(self, count: int) -> str:
+        """The next lines, at most ``count`` of them and about a block, as one text; "" at the end.
+
+        Each line ends in "\n", except perhaps the file's last.  Counts "\n"
+        only: a text with other line breaks must be given back.
+        """
+        if self._lines:
+            lines = self._lines[: -count - 1 : -1]
+            del self._lines[-count:]
+            return "\n".join(lines) + "\n"
+        text, self._text = self._text or self._read(), ""
+        if text.count("\n") > count:
+            self._text = text.split("\n", count)[count]
+            return text[: len(text) - len(self._text)]
+        return text
+
+    def give_back(self, text: str) -> None:
+        """Put back a text that ``take`` returned last; its lines come next."""
+        self._lines += text.splitlines()[::-1]
+
+
+def _parse_entries(lines: _Lines, nnz: int, first_line_no: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, columns and values of the D block's ``row col value`` lines.
+
+    ``lines`` is left just after the block.  Runs of lines go to the entry
+    kernel, and a run it refuses is read one line at a time, to name the
+    offending line.  Each run is copied into the three arrays as it is read,
+    so that no run's arrays outlive it.
+    """
+    # room for the count the file states, up to _ENTRY_ROOM until the lines are there
+    columns = [np.empty(min(nnz, _ENTRY_ROOM), dtype=dtype) for dtype in (np.int64, np.int64, np.float64)]
+    done = 0
+    while done < nnz:
+        text = lines.take(nnz - done)
+        if not text:
+            raise ParseError("file ends inside the D entry list", line=first_line_no - 1 + done, field="D")
+        block = _entry_block(text)
+        if block is None:
+            lines.give_back(text)
+            block = _entry_lines(lines, min(len(text.splitlines()), nnz - done), first_line_no + done, nnz - done)
+        end = done + block[0].size
+        if end > columns[0].size:
+            columns = [np.concatenate((c[:done], np.empty(min(nnz, 2 * end) - done, dtype=c.dtype))) for c in columns]
+        for column, part in zip(columns, block):
+            column[done:end] = part
+        done = end
+    return tuple(columns)
+
+
+def _entry_lines(lines: _Lines, count: int, first_line_no: int, left: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next ``count`` entry lines, read one at a time.
+
+    ParseError names the first bad one, unless the file ends before the
+    ``left`` lines of the list that start here: then it names the end.
+    """
+    texts = list(itertools.islice(lines, count))
+    rows, cols, vals = [], [], []
+    try:
+        for line_no, line in enumerate(texts, start=first_line_no):
+            toks = line.split()
+            if len(toks) != 3:
+                raise ParseError(f"expected 'row col value', got {line.strip()!r}", line=line_no, field="D")
+            r, c = (_parse_int(t, line_no, "D") for t in toks[:2])
+            if not (-_INDEX_LIMIT <= r < _INDEX_LIMIT and -_INDEX_LIMIT <= c < _INDEX_LIMIT):
+                raise ParseError(f"index does not fit in 64 bits: {line.strip()!r}", line=line_no, field="D")
+            rows.append(r)
+            cols.append(c)
+            vals.append(_parse_float(toks[2], line_no, "D"))
+    except ParseError:
+        read = count + sum(1 for _ in itertools.islice(lines, min(left - count, sys.maxsize)))
+        if read < left:
+            raise ParseError("file ends inside the D entry list", line=first_line_no - 1 + read, field="D") from None
+        raise
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals, dtype=np.float64)
 
 
 def _utf8_error(exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"file is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} {exc.reason}")
 
 
-def _parse_entries(path: str, lines: Iterator[str], nnz: int, first_line_no: int) -> np.ndarray:
-    """The ``row col value`` lines of the D block as an array of ``_ENTRY`` records.
-
-    ``lines`` yields the lines of the file at ``path`` from ``first_line_no``
-    on; it is left just after the block.
-    """
-    if nnz == 0:
-        return np.empty(0, dtype=_ENTRY)
-    count = min(nnz, sys.maxsize - first_line_no)  # no file has that many lines
-    block = itertools.islice(lines, count)
-    # loadtxt skips blank lines, which are errors here, and warns when it
-    # finds nothing else; a blank first line goes to the per-line path
-    first = next(block, "")
-    try:
-        if first.strip():
-            with warnings.catch_warnings():
-                # NumPy 1.23-1.26 read "1.5" or "1e3" in an integer column as a
-                # float, warn that this is deprecated, and truncate it
-                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-                entries = np.loadtxt(itertools.chain((first,), block), dtype=_ENTRY, comments=None, ndmin=1)
-            if entries.size == nnz:
-                return entries
-    except (ValueError, OverflowError, DeprecationWarning):
-        pass
-    # loadtxt refused the block: one line at a time, to name the offending one
-    for _ in block:
-        pass
-    start = first_line_no - 1
-    rows = list(itertools.islice(_lines(path), start, start + count))
-    if len(rows) < nnz:
-        raise ParseError("file ends inside the D entry list", line=start + len(rows), field="D")
-    entries = np.empty(nnz, dtype=_ENTRY)
-    for j, line in enumerate(rows):
-        line_no = first_line_no + j
-        toks = line.split()
-        if len(toks) != 3:
-            raise ParseError(f"expected 'row col value', got {line.strip()!r}", line=line_no, field="D")
-        r, c = (_parse_int(t, line_no, "D") for t in toks[:2])
-        if not (-_INDEX_LIMIT <= r < _INDEX_LIMIT and -_INDEX_LIMIT <= c < _INDEX_LIMIT):
-            raise ParseError(f"index does not fit in 64 bits: {line.strip()!r}", line=line_no, field="D")
-        entries[j] = (r, c, _parse_float(toks[2], line_no, "D"))
-    return entries
-
-
-def _check_entries(entries: np.ndarray, n: int, first_line_no: int) -> np.ndarray:
+def _check_entries(rows, cols, vals, n: int, first_line_no: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reject the first entry that is out of range, zero, or a repeat of an earlier one.
 
     Returns the entries in (row, col) order: as they are when already in it
     (the writer's order), else sorted.
     """
-    rows, cols, vals = entries["row"], entries["col"], entries["val"]
     outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
     zero = vals == 0.0
     keys = rows * n + cols
@@ -562,7 +848,7 @@ def _check_entries(entries: np.ndarray, n: int, first_line_no: int) -> np.ndarra
         repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
     bad = np.flatnonzero(outside | zero | repeat)
     if bad.size == 0:
-        return entries if order is None else entries[order]
+        return (rows, cols, vals) if order is None else (rows[order], cols[order], vals[order])
     e = int(bad[0])
     at, line_no = f"({rows[e]}, {cols[e]})", first_line_no + e
     if outside[e]:
@@ -581,7 +867,7 @@ def _read_text(path: str) -> str:
         raise _utf8_error(exc) from None
 
 
-def _parse_fields(path: str, lines: Iterator[str]) -> tuple[dict, int]:
+def _parse_fields(lines: _Lines) -> tuple[dict, int]:
     """The fields of an instance file, and the line number of its first D entry."""
     fields: dict = {}
     d_line = 0  # line number of the first D entry
@@ -598,13 +884,13 @@ def _parse_fields(path: str, lines: Iterator[str]) -> tuple[dict, int]:
         if name in ("n", "k"):
             fields[name] = _parse_int(rest, line_no, name)
         elif name in _VECTORS:
-            fields[name] = _parse_floats(rest.split(), line_no, name)
+            fields[name] = _parse_floats(rest, line_no, name)
         elif name == "D":
             nnz = _parse_int(rest, line_no, "D")
             if nnz < 0:
                 raise ParseError(f"negative entry count {nnz}", line=line_no, field="D")
             d_line = line_no + 1
-            fields["D"] = _parse_entries(path, lines, nnz, d_line)
+            fields["D"] = _parse_entries(lines, nnz, d_line)
             line_no += nnz
         else:
             raise ParseError(f"unknown field {name!r}", line=line_no, field=name)
@@ -613,21 +899,19 @@ def _parse_fields(path: str, lines: Iterator[str]) -> tuple[dict, int]:
 
 def read_instance(path: str) -> Instance:
     """Parse an instance file; raises ParseError with line/field context."""
-    lines = _lines(path)
-    try:
-        fields, d_line = _parse_fields(path, lines)
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(exc) from None
-    except ParseError:
-        # a file that is not UTF-8 reports that first, wherever the bad byte is
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            for _ in lines:
-                pass
+            fields, d_line = _parse_fields(_Lines(fh))
         except UnicodeDecodeError as exc:
             raise _utf8_error(exc) from None
-        raise
-    finally:
-        lines.close()
+        except ParseError:
+            # a file that is not UTF-8 reports that first, wherever the bad byte is
+            try:
+                while fh.read(_LINE_BLOCK):
+                    pass
+            except UnicodeDecodeError as exc:
+                raise _utf8_error(exc) from None
+            raise
 
     for name in ("n", "k"):
         if name not in fields:
@@ -643,11 +927,12 @@ def read_instance(path: str) -> Instance:
     if "D" not in fields:
         raise ParseError("missing required field", field="D")
 
-    # in (row, col) order the records are D's CSR arrays
-    entries = _check_entries(fields.pop("D"), n, d_line)
-    indptr = np.searchsorted(entries["row"], np.arange(n + 1))
-    D = sparse.csr_array((entries["val"], entries["col"], indptr), shape=(n, n), copy=True)
-    del entries  # before Instance copies D
+    # in (row, col) order the entries are D's CSR arrays
+    rows, cols, vals = _check_entries(*fields.pop("D"), n, d_line)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    del rows
+    D = sparse.csr_array((vals, cols, indptr), shape=(n, n))
+    del cols, vals  # before Instance copies D
 
     bounds = (fields["l"], fields["u"]) if "l" in fields else None
     return Instance(
@@ -669,7 +954,7 @@ def read_vector(path: str, n: int | None = None) -> np.ndarray:
     for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         if line.lstrip().startswith("#"):
             continue
-        values = _parse_floats(line.split(), line_no, "vector")
+        values = _parse_floats(line, line_no, "vector")
         if not np.all(np.isfinite(values)):
             bad = line.split()[int(np.flatnonzero(~np.isfinite(values))[0])]
             raise ParseError(f"not a finite number: {bad!r}", line=line_no, field="vector")

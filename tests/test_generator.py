@@ -147,6 +147,19 @@ class TestBlockReplay:
         inst = generate(GenConfig(n=10, offdiag_max_count=0, offdiag_rel_mag=0.0))
         assert inst.D.nnz == 10
 
+    def test_unreachable_row_rejected_instead_of_hanging(self):
+        # 40 distinct columns of 49 by draws with replacement: about 2.4e10 draws per full row
+        with pytest.raises(ContractError, match="offdiag_max_count=40 at n=50 needs about 10\\^10.4 draws"):
+            GenConfig(n=50, offdiag_max_count=40)
+        with pytest.raises(ContractError, match="offdiag_max_count"):
+            GenConfig(n=10**9, offdiag_max_count=10**9)
+
+    @pytest.mark.parametrize("n, max_count", [(50, 20), (7, 12), (10, 9), (10, 40)])
+    def test_reachable_rows_still_generate(self, n, max_count):
+        # about 93, 65, 1,068 and 1,068 expected draws of a full row
+        inst = generate(GenConfig(n=n, seed=3, offdiag_max_count=max_count))
+        assert inst.D.nnz > n
+
 
 class TestRecipe:
     def test_k_is_fraction_of_n(self):

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import os
+import sys
 import warnings
 from unittest import mock
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from priceopt import (
     ContractError,
@@ -641,13 +644,16 @@ class TestReaderFuzz:
             pass
 
 
-def _outcome(path: str):
-    """What read_instance makes of a file: the instance's data, or the error and its message."""
+def _outcome(path, read=read_instance):
+    """Everything a reader makes of a file: the instance's bits, or the error with its line and field."""
     try:
-        inst = read_instance(path)
+        inst = read(str(path))
     except PriceOptError as exc:
-        return type(exc).__name__, str(exc)
-    return inst.n, inst.k, inst.D.toarray().tobytes(), inst.a.tobytes(), inst.p0.tobytes()
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "field", None)
+    arrays = [inst.a, inst.c, inst.p0, inst.delta, inst.D.data, inst.D.indices, inst.D.indptr]
+    if inst.bounds is not None:
+        arrays += list(inst.bounds)
+    return inst.n, inst.k, [(x.dtype.str, x.tobytes()) for x in arrays]
 
 
 class TestStreamingReader:
@@ -663,8 +669,36 @@ class TestStreamingReader:
         path.write_text(text, encoding="utf-8", newline="")
         with open(path, encoding="utf-8") as fh:
             want = fh.read().splitlines()
-        with mock.patch.object(storage, "_LINE_BLOCK", block):
-            assert list(storage._lines(str(path))) == want
+        with mock.patch.object(storage, "_LINE_BLOCK", block), open(path, encoding="utf-8") as fh:
+            assert list(storage._Lines(fh)) == want
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        text=st.lists(st.sampled_from(["a", "b ", "\n", "\r\n", "\x0b", "\x85"])).map("".join),
+        block=st.integers(1, 5),
+        steps=st.lists(st.integers(0, 4), max_size=30),
+    )
+    def test_taken_runs_are_the_next_lines(self, tmp_path, text, block, steps):
+        # take(k) hands out up to k lines by "\n"; a run with other line breaks is given back
+        path = tmp_path / "lines.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            want = fh.read().splitlines()
+        got = []
+        with mock.patch.object(storage, "_LINE_BLOCK", block), open(path, encoding="utf-8") as fh:
+            lines = storage._Lines(fh)
+            for count in steps:
+                if count == 0:
+                    got.extend(itertools.islice(lines, 1))
+                    continue
+                run = lines.take(count)
+                if "\x0b" in run or "\x85" in run:
+                    lines.give_back(run)
+                else:
+                    assert len(run.splitlines()) <= count
+                    got.extend(run.splitlines())
+            got.extend(lines)
+        assert got == want
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=_instance_texts, block=st.integers(1, 4))
@@ -701,3 +735,348 @@ class TestStreamingReader:
         path.write_bytes(b"n x\n#" + b"-" * (3 * storage._LINE_BLOCK) + b"\n\xff\n")
         with pytest.raises(ParseError, match="not UTF-8 text: byte 0xff"):
             read_instance(str(path))
+
+
+def _instance_text(inst) -> str:
+    return _reference_bytes(inst).decode("ascii")
+
+
+_SMALL = _instance_text(generate(GenConfig(n=6, seed=2, bounds_mode=(1, 5, 8, 14), allow_mixed_signs=True)))
+
+
+def _with_entry(value: str, index: str = "1") -> str:
+    """``_SMALL`` with the entry (1, 1) spelled ``index index value``."""
+    head, _, block = _SMALL.partition("\nD ")
+    count, _, block = block.partition("\n")
+    lines = [ln for ln in block.splitlines() if not ln.startswith("1 1 ")]
+    lines.append(f"{index} {index} {value}")
+    return f"{head}\nD {int(count)}\n" + "\n".join(lines) + "\n"
+
+
+def _with_vector_token(token: str) -> str:
+    """``_SMALL`` with the first value of ``c`` spelled ``token``."""
+    return "\n".join(
+        f"c {token} " + ln.split(" ", 2)[2] if ln.startswith("c ") else ln for ln in _SMALL.split("\n")
+    )
+
+
+class TestBulkReaderMatchesReference:
+    """read_instance against the line-by-line reader it replaced (end of this module), bit for bit."""
+
+    def _check(self, tmp_path, data):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        got = _outcome(path)
+        assert got == _outcome(path, _reference_read_instance)
+        return got
+
+    @pytest.mark.parametrize("config", [
+        GenConfig(n=3000, seed=5, allow_mixed_signs=True, bounds_mode=(1, 5, 8, 14), delta_mode=("fraction", 0.1)),
+        GenConfig(n=9000, seed=6),
+    ])
+    def test_generated_files(self, tmp_path, config):
+        inst = generate(config)
+        got = self._check(tmp_path, _instance_text(inst))
+        assert got[0] == inst.n
+        # the D lines shuffled: the same instance
+        head, _, block = _instance_text(inst).partition(f"D {inst.D.nnz}\n")
+        rows = block.splitlines()
+        np.random.default_rng(1).shuffle(rows)
+        assert self._check(tmp_path, f"{head}D {inst.D.nnz}\n" + "\n".join(rows) + "\n") == got
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\r"),
+        lambda t: t.replace(" ", "\t"),
+        lambda t: t.replace(" ", "  "),
+        lambda t: t.replace("\n", " \n"),
+        lambda t: t.replace("\n", "\n ", 12),
+        lambda t: t.rstrip("\n"),
+        lambda t: t.replace("\n", "\x0b", 20),
+        lambda t: t.replace("\n", " ", 20),
+    ])
+    def test_line_endings_and_spacing(self, tmp_path, edit):
+        self._check(tmp_path, edit(_SMALL))
+
+    @pytest.mark.parametrize("token", [
+        "+1.5", "1_0.5", "١.٥", "１", "nan", "-inf", "1e23", "-0.0", "0.0", "5.", ".5", "-.5", "-",
+        "9007199254740993", "9007199254740993.0", "9007199254740995.0", "12345678901234567890.5",
+        "1234567890123456789.0", "0.000000000000000000001", "0.1000000000000000055511151231257827",
+        "2.2250738585072011e-308", "4.9406564584124654e-324", "1e-400", "1.7976931348623157e308", "1e400",
+        "0.30000000000000004", "4503599627370497.5", "1.5.5", "1-5", "0x10", "1,5", "1.0\x00",
+    ])
+    def test_token_spellings(self, tmp_path, token):
+        self._check(tmp_path, _with_entry(token))
+        self._check(tmp_path, _with_vector_token(token))
+
+    @pytest.mark.parametrize("index", ["+1", "01", "1.0", "1.5", "-1", "1e0", "0x1", "١", "9" * 19, "9" * 25, ""])
+    def test_index_spellings(self, tmp_path, index):
+        self._check(tmp_path, _with_entry("2.5", index))
+
+    @pytest.mark.parametrize("line", ["1 1", "1 1 2.5 7", "1 1 2.5 #", "", "   ", "1 1 0.0", "1 7 2.5", "0 0 2.5"])
+    def test_malformed_entry_lines(self, tmp_path, line):
+        head, _, block = _SMALL.partition("\nD ")
+        count, _, block = block.partition("\n")
+        lines = block.splitlines()
+        lines[len(lines) // 2] = line
+        self._check(tmp_path, f"{head}\nD {count}\n" + "\n".join(lines) + "\n")
+
+    def test_non_utf8_byte_after_the_entries(self, tmp_path):
+        got = self._check(tmp_path, _SMALL.encode("ascii") + b"# \xe9\n")
+        assert got[0] == "ParseError" and "not UTF-8" in got[1]
+
+    @pytest.mark.parametrize("block", [1, 5, 17, 64, 333])
+    def test_tokens_and_lines_across_blocks(self, tmp_path, block):
+        # small read blocks cut vector lines and whole D runs at every place,
+        # and the entry arrays grow from room for 3
+        text = _instance_text(generate(GenConfig(n=200, seed=9, allow_mixed_signs=True)))
+        with mock.patch.object(storage, "_LINE_BLOCK", block), mock.patch.object(storage, "_ENTRY_ROOM", 3):
+            self._check(tmp_path, text)
+            self._check(tmp_path, text.replace("\n", "\r\n").replace(" ", "  ", 5))
+
+    @staticmethod
+    def _entry_lines_edited(line_at: int, line: str | None, cut: int = 0) -> str:
+        # a generated file whose D list (its last field) has one line replaced and its last ``cut`` lines dropped
+        head, _, block = _instance_text(generate(GenConfig(n=200, seed=9))).partition("\nD ")
+        count, _, block = block.partition("\n")
+        lines = block.splitlines()
+        lines[line_at] = lines[line_at].replace(" ", "\t") if line is None else line
+        return f"{head}\nD {count}\n" + "\n".join(lines[: len(lines) - cut]) + "\n"
+
+    def test_refused_run_alone_is_read_line_by_line(self, tmp_path):
+        with (
+            mock.patch.object(storage, "_LINE_BLOCK", 64),
+            mock.patch.object(storage, "_entry_lines", wraps=storage._entry_lines) as per_line,
+        ):
+            self._check(tmp_path, self._entry_lines_edited(10, None))
+        # only the few lines of the 64-character run that holds the tab; the runs after it go back to the kernel
+        assert per_line.call_count == 1 and 1 <= per_line.call_args.args[1] <= 4
+
+    @pytest.mark.parametrize("cut", [0, 1, 30])
+    def test_file_ending_inside_the_list_is_named_before_a_bad_line(self, tmp_path, cut):
+        with mock.patch.object(storage, "_LINE_BLOCK", 64):
+            got = self._check(tmp_path, self._entry_lines_edited(3, "1 1", cut))
+        assert ("expected 'row col value'" if cut == 0 else "file ends inside the D entry list") in got[1]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_instance_texts)
+    @example(text="n 1\nk 1\na 1\nc 1\np0 2\ndelta 1\nD 1\n0 0 1_0\nl 0\nu 9\n")
+    def test_fuzzed_files(self, tmp_path, text):
+        self._check(tmp_path, text)
+
+
+_decimal_tokens = st.from_regex(r"\A-?[0-9]{0,24}(\.[0-9]{0,24})?\Z").filter(lambda t: any(c.isdigit() for c in t))
+
+
+class TestBulkNumbers:
+    """The bulk number kernel against ``float``, token by token."""
+
+    @staticmethod
+    def _floats(text):
+        return _bits(storage._parse_floats(text, 1, "a"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_repr_of_any_bit_pattern(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        text = " ".join(repr(v) for v in x.tolist())
+        # nan reads back as the canonical nan, as float() makes it
+        assert self._floats(text).tolist() == _bits([float(t) for t in text.split()]).tolist()
+        finite = np.isfinite(x)
+        assert np.array_equal(self._floats(text)[finite], _bits(x)[finite])
+
+    @settings(max_examples=500, deadline=None)
+    @given(tokens=st.lists(_decimal_tokens, min_size=1, max_size=40))
+    @example(tokens=["9007199254740993", "4503599627370497.5", "0.5", "-0.0", "1" * 19 + ".5", "1" * 20, "0." + "0" * 23 + "1"])
+    # just below a power of two, where float(w) rounds up to it: 2^54 - 1, 2^60 - 1, 2^63 - 1
+    @example(tokens=["18014398509481983", "1152921504606846.975", "9223372036854775807", "0.9223372036854775807"])
+    def test_decimal_strings(self, tokens):
+        text = " ".join(tokens)
+        assert self._floats(text).tolist() == _bits([float(t) for t in tokens]).tolist()
+
+    def test_halfway_cases_round_to_even(self):
+        # a double plus half its spacing, written out exactly: float() rounds to the even neighbour
+        import decimal
+
+        rng = np.random.default_rng(7)
+        x = rng.integers(2**52, 2**53, 2000) * 2.0 ** rng.integers(-12, 11, 2000)
+        tokens = [format(decimal.Decimal(v) + decimal.Decimal(np.spacing(v)) / 2, "f") for v in x.tolist()]
+        text = " ".join(tokens)
+        assert self._floats(text).tolist() == _bits([float(t) for t in tokens]).tolist()
+
+    def test_rejected_token_names_its_line_and_token(self):
+        with pytest.raises(ParseError, match="not a number: '1..5'") as info:
+            storage._parse_floats("1.5 2 1..5 x", 3, "a")
+        assert (info.value.line, info.value.field) == (3, "a")
+
+
+class TestReadVectorBulk:
+    def test_large_query_file_matches_float(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 20, 100_000)
+        path = tmp_path / "q.txt"
+        write_vector(x, str(path))
+        got = read_vector(str(path), x.size)
+        want = [float(t) for t in path.read_text().split()]
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(got), _bits(x))
+
+    def test_bad_token_names_its_line(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("# query\n1.5 2.5\n3.5 4..5 5.5\n")
+        with pytest.raises(ParseError, match="not a number: '4..5'") as info:
+            read_vector(str(path))
+        assert (info.value.line, info.value.field) == (3, "vector")
+
+
+# --------------------------------------------------------------------------
+# Reference reader: read_instance as it was before it parsed numbers in bulk
+# (np.loadtxt for the D block, float() per vector token), kept here as the
+# oracle of TestBulkReaderMatchesReference.
+
+
+_REF_BLOCK = 1 << 16
+_REF_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
+
+
+def _reference_parse_floats(tokens, line_no, field):
+    try:
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        return np.array([storage._parse_float(t, line_no, field) for t in tokens], dtype=np.float64)
+
+
+def _reference_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        head = []
+        for block in iter(lambda: fh.read(_REF_BLOCK), ""):
+            cut = block.rfind("\n") + 1
+            if cut == 0:
+                head.append(block)
+                continue
+            head.append(block[:cut])
+            yield from "".join(head).splitlines()
+            head = [block[cut:]]
+        yield from "".join(head).splitlines()
+
+
+def _reference_parse_entries(path, lines, nnz, first_line_no):
+    if nnz == 0:
+        return np.empty(0, dtype=_REF_ENTRY)
+    count = min(nnz, sys.maxsize - first_line_no)
+    block = itertools.islice(lines, count)
+    first = next(block, "")
+    try:
+        if first.strip():
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+                entries = np.loadtxt(itertools.chain((first,), block), dtype=_REF_ENTRY, comments=None, ndmin=1)
+            if entries.size == nnz:
+                return entries
+    except (ValueError, OverflowError, DeprecationWarning):
+        pass
+    for _ in block:
+        pass
+    start = first_line_no - 1
+    rows = list(itertools.islice(_reference_lines(path), start, start + count))
+    if len(rows) < nnz:
+        raise ParseError("file ends inside the D entry list", line=start + len(rows), field="D")
+    entries = np.empty(nnz, dtype=_REF_ENTRY)
+    limit = 2**63
+    for j, line in enumerate(rows):
+        line_no = first_line_no + j
+        toks = line.split()
+        if len(toks) != 3:
+            raise ParseError(f"expected 'row col value', got {line.strip()!r}", line=line_no, field="D")
+        r, c = (storage._parse_int(t, line_no, "D") for t in toks[:2])
+        if not (-limit <= r < limit and -limit <= c < limit):
+            raise ParseError(f"index does not fit in 64 bits: {line.strip()!r}", line=line_no, field="D")
+        entries[j] = (r, c, storage._parse_float(toks[2], line_no, "D"))
+    return entries
+
+
+def _reference_check_entries(entries, n, first_line_no):
+    rows, cols, vals = entries["row"], entries["col"], entries["val"]
+    outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+    zero = vals == 0.0
+    keys = rows * n + cols
+    order = None
+    repeat = np.zeros(keys.size, dtype=bool)
+    if not np.all(keys[1:] > keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    bad = np.flatnonzero(outside | zero | repeat)
+    if bad.size == 0:
+        return entries if order is None else entries[order]
+    e = int(bad[0])
+    at, line_no = f"({rows[e]}, {cols[e]})", first_line_no + e
+    if outside[e]:
+        raise ParseError(f"entry {at} outside 0..{n - 1}", line=line_no, field="D")
+    if zero[e]:
+        raise ParseError(f"explicit zero stored at {at}", line=line_no, field="D")
+    raise ParseError(f"duplicate entry at {at}", line=line_no, field="D")
+
+
+def _reference_parse_fields(path, lines):
+    fields = {}
+    d_line = 0
+    line_no = 0
+    for line in lines:
+        line_no += 1
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, _, rest = line.partition(" ")
+        if name in fields:
+            raise ParseError("field appears twice", line=line_no, field=name)
+        if name in ("n", "k"):
+            fields[name] = storage._parse_int(rest, line_no, name)
+        elif name in ("a", "c", "p0", "delta", "l", "u"):
+            fields[name] = _reference_parse_floats(rest.split(), line_no, name)
+        elif name == "D":
+            nnz = storage._parse_int(rest, line_no, "D")
+            if nnz < 0:
+                raise ParseError(f"negative entry count {nnz}", line=line_no, field="D")
+            d_line = line_no + 1
+            fields["D"] = _reference_parse_entries(path, lines, nnz, d_line)
+            line_no += nnz
+        else:
+            raise ParseError(f"unknown field {name!r}", line=line_no, field=name)
+    return fields, d_line
+
+
+def _reference_read_instance(path):
+    lines = _reference_lines(path)
+    try:
+        fields, d_line = _reference_parse_fields(path, lines)
+    except UnicodeDecodeError as exc:
+        raise storage._utf8_error(exc) from None
+    except ParseError:
+        try:
+            for _ in lines:
+                pass
+        except UnicodeDecodeError as exc:
+            raise storage._utf8_error(exc) from None
+        raise
+    finally:
+        lines.close()
+    for name in ("n", "k"):
+        if name not in fields:
+            raise ParseError("missing required field", field=name)
+    n = fields["n"]
+    for name in ("a", "c", "p0", "delta"):
+        if name not in fields:
+            raise ParseError("missing required field", field=name)
+        if fields[name].shape != (n,):
+            raise ParseError(f"expected {n} values, got {fields[name].size}", field=name)
+    if ("l" in fields) != ("u" in fields):
+        raise ParseError("bounds require both fields", field="l" if "u" in fields else "u")
+    if "D" not in fields:
+        raise ParseError("missing required field", field="D")
+    entries = _reference_check_entries(fields.pop("D"), n, d_line)
+    indptr = np.searchsorted(entries["row"], np.arange(n + 1))
+    D = sparse.csr_array((entries["val"], entries["col"], indptr), shape=(n, n), copy=True)
+    bounds = (fields["l"], fields["u"]) if "l" in fields else None
+    return Instance(
+        n=n, k=fields["k"], a=fields["a"], D=D, c=fields["c"], p0=fields["p0"], delta=fields["delta"], bounds=bounds,
+    )
