@@ -81,7 +81,6 @@ def _solver_params(args) -> SolverParams:
     return SolverParams(
         L_mode=args.l_mode,
         eps=args.eps,
-        absolute_eps=args.absolute_eps,
         max_iters=args.max_iters,
         refine=args.refine,
         seed=_seed(args),
@@ -90,8 +89,7 @@ def _solver_params(args) -> SolverParams:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l-mode", choices=("gershgorin", "power"), default="gershgorin")
-    p.add_argument("--eps", type=float, default=1e-9, help="stopping threshold (relative by default)")
-    p.add_argument("--absolute-eps", action="store_true", help="treat --eps as an absolute decrease")
+    p.add_argument("--eps", type=float, default=1e-9, help="relative stopping threshold")
     p.add_argument("--max-iters", type=int, default=50_000)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--seed", type=int)
@@ -115,7 +113,6 @@ def build_parser() -> _Parser:
     s = sub.add_parser("solve", help="multi-start solve of an instance file")
     s.add_argument("--instance", required=True)
     s.add_argument("--starts", type=int, default=5, choices=range(1, 6))
-    s.add_argument("--parallel-starts", type=int, default=1)
     s.add_argument("--bounds-report", action="store_true", help="attach suboptimality bounds to the best run")
     s.add_argument("--report", required=True)
     _add_solver_flags(s)
@@ -149,9 +146,6 @@ def build_parser() -> _Parser:
     st.add_argument("--scale", choices=("desk", "full"), default="desk")
     st.add_argument("--out-dir", required=True)
     st.add_argument("--seed", type=int)
-    st.add_argument(
-        "--eps", type=float, default=1e-9, help="relative stopping threshold for the suite solves"
-    )
     return parser
 
 
@@ -181,7 +175,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     params = _solver_params(args)
-    best, reports = multi_start(instance, params, n_starts=args.starts, parallel=args.parallel_starts)
+    best, reports = multi_start(instance, params, n_starts=args.starts)
     if args.bounds_report:
         if instance.bounds is not None:
             print("suboptimality bounds unavailable (valid for the unbounded model only)")
@@ -293,7 +287,7 @@ def _cmd_suite(args) -> int:
         bounds_tag = "none" if config.bounds_mode is None else "-".join(f"{b:g}" for b in config.bounds_mode)
         tag = f"n{config.n}_d{value:g}_b{bounds_tag}"
         storage.write_instance(instance, os.path.join(inst_dir, f"{tag}.txt"))
-        params = SolverParams(eps=args.eps, seed=config.seed)
+        params = SolverParams(seed=config.seed)
         best, reports = multi_start(instance, params)
         for r in reports:
             r.instance_id = tag

@@ -108,14 +108,12 @@ def minimize(*args, **kwargs):
 class SolverParams:
     """Tuning knobs for one solver run.
 
-    eps is a relative stopping factor by default: the run stops when the
-    per-iteration decrease falls below ``eps * max(1, |Q(p_1)|)``.  Set
-    ``absolute_eps`` to interpret it as an absolute threshold instead.
+    eps is a relative stopping factor: the run stops when the per-iteration
+    decrease falls below ``eps * max(1, |Q(p_1)|)``.
     """
 
     L_mode: str = "gershgorin"
     eps: float = 1e-9
-    absolute_eps: bool = False
     max_iters: int = 50_000
     refine: bool = True
     seed: int = 0
@@ -384,7 +382,7 @@ def gpa_solve(
         p = project_feasible(instance, p)
 
     q_val, grad = value_and_gradient(instance, p)
-    eps_abs = params.eps if params.absolute_eps else params.eps * max(1.0, abs(q_val))
+    eps_abs = params.eps * max(1.0, abs(q_val))
     trace = [q_val]
 
     # a product, not ** 2: a float power raises OverflowError past 1e154
@@ -401,7 +399,10 @@ def gpa_solve(
 
     while iterations < params.max_iters:
         iterations += 1
-        p_next = project_feasible(instance, p - grad / L)
+        # a tiny L overflows the step; value_and_gradient rejects the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_step = p - grad / L
+        p_next = project_feasible(instance, q_step)
         q_next, grad_next = value_and_gradient(instance, p_next)
         step_sq = float(np.sum((p_next - p) ** 2))
         if on_iterate is not None:
@@ -497,7 +498,9 @@ def build_starts(instance: Instance, params: SolverParams, L: float) -> list[np.
     for _ in range(3):
         starts.append(_random_feasible_start(instance, rng))
     g0 = gradient_q(instance, instance.p0)
-    starts.append(project_feasible(instance, instance.p0 - _LONG_STEP_FACTOR * g0 / L))
+    with np.errstate(over="ignore", invalid="ignore"):
+        long_step = instance.p0 - _LONG_STEP_FACTOR * g0 / L
+    starts.append(project_feasible(instance, long_step))
     return starts
 
 
@@ -505,38 +508,21 @@ def multi_start(
     instance: Instance,
     params: SolverParams,
     n_starts: int = 5,
-    parallel: int = 1,
 ) -> tuple[SolveReport, list[SolveReport]]:
-    """Run the solver from up to five canonical starts and keep the best.
+    """Run the solver from the first ``n_starts`` canonical starts, one after
+    another, and keep the best.
 
-    Starts run sequentially by default (single-thread comparability);
-    ``parallel`` > 1 opts into a thread pool over the independent runs, and
-    ``parallel`` < 1 is a ContractError.
     Returns ``(best, all)`` with best = lowest final objective value, ties
     resolved toward the lower start id.
     """
     if not 1 <= n_starts <= 5:
         raise ContractError("n_starts must be between 1 and 5")
-    if parallel < 1:
-        raise ContractError("parallel must be at least 1")
     L = spectral_bounds(instance, mode=params.L_mode).L
-    starts = build_starts(instance, params, L)[:n_starts]
-
-    def run(idx_start: tuple[int, np.ndarray]) -> SolveReport:
-        idx, start = idx_start
+    reports = []
+    for idx, start in enumerate(build_starts(instance, params, L)[:n_starts], start=1):
         report = gpa_solve(instance, start, params, L=L)
         report.start_id = idx
-        return report
-
-    jobs = list(enumerate(starts, start=1))
-    if parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            reports = list(pool.map(run, jobs))
-    else:
-        reports = [run(j) for j in jobs]
-
+        reports.append(report)
     best = min(reports, key=lambda r: (r.final_q_obj, r.start_id))
     return best, reports
 
@@ -557,8 +543,9 @@ def performance_bound(
                                            + L^2/(8 lambda_n) sum_i delta_i^2
 
     When kappa < k every unselected score must vanish at stationarity, so the
-    tail is required to be below tol and the bounds reduce to their
-    threshold-only form.  Bound (ii) is unavailable without lambda_n.
+    largest of them is required to be below tol (a per-score tolerance) and
+    the bounds reduce to their threshold-only form.  Bound (ii) is
+    unavailable without lambda_n.
 
     Only valid for the unbounded model: with price bounds, a coordinate
     pressed against its bound can carry an arbitrarily large gradient and the
@@ -571,17 +558,18 @@ def performance_bound(
     q = p - gradient_q(instance, p) / L
     scores = np.sort(_gains(instance, q))[::-1]
     kappa = report.kappa
-    tail = float(scores[kappa:].sum())
     if tol is None:
-        # a point certified at STATIONARITY_TOL can carry a residual tail of
-        # this order; anything larger means the point is not stationary
+        # a point certified at STATIONARITY_TOL can carry unselected scores
+        # of this order; a larger one means the point is not stationary
         tol = _tie_margin(instance, q, STATIONARITY_TOL)
     if kappa < instance.k:
-        if tail > tol:
+        if scores[kappa] > tol:
             raise ContractError(
-                f"point is not stationary: slack change budget but positive tail gain {tail:g}"
+                f"point is not stationary: slack change budget but positive gain {scores[kappa]:g}"
             )
         tail = 0.0
+    else:
+        tail = float(scores[kappa:].sum())
     sum_delta_sq = float(np.sum(instance.delta**2))
     bound_i = L * L * tail + 0.25 * L * L * sum_delta_sq
     if lambda_n is None:

@@ -323,6 +323,16 @@ class TestUsage:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--instance", "x.txt", "--report", "r.csv", "--parallel-starts", "2"],
+        ["solve", "--instance", "x.txt", "--report", "r.csv", "--absolute-eps"],
+        ["suite", "--out-dir", "out", "--eps", "1e-6"],
+    ])
+    def test_removed_options(self, argv):
+        # the starts run one after another, eps is always relative, and the
+        # suite solves at the default eps
+        assert run(argv) == 1
+
     def test_unknown_flag(self):
         assert run(["gen", "--n", "5", "--out", "x", "--frobnicate"]) == 1
 
@@ -411,6 +421,20 @@ class TestNumericExit:
             assert run([command, "--instance", str(path), out_flag, str(out)]) == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_overflowing_step_exits_4_without_warning(self, tmp_path, capsys, command):
+        # S = 2e-320: the step constant is subnormal and both the long-step
+        # start and the first projected step g / L overflow
+        path = tmp_path / "tiny.txt"
+        path.write_text("n 1\nk 1\na 5\nc 1\np0 3\ndelta 0.5\nD 1\n0 0 1e-320\n")
+        out = tmp_path / "out.csv"
+        out_flag = "--report" if command == "solve" else "--out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--instance", str(path), out_flag, str(out)]) == 4
+        assert capsys.readouterr().err == "error: objective/gradient evaluated to non-finite values\n"
+        assert not out.exists()
+
 
 class TestEpsValidation:
     @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -431,23 +455,6 @@ class TestByteIdenticalOutputs:
         assert run(["solve", "--instance", str(inst), "--seed", "3", "--report", str(r1)]) == 0
         assert run(["solve", "--instance", str(inst), "--seed", "3", "--report", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
-
-
-class TestParallelStartsFlag:
-    def test_matches_sequential_output(self, tmp_path):
-        inst = gen(tmp_path, n=25, seed=6)
-        r1, r2 = tmp_path / "seq.csv", tmp_path / "par.csv"
-        assert run(["solve", "--instance", str(inst), "--seed", "1", "--report", str(r1)]) == 0
-        assert run(["solve", "--instance", str(inst), "--seed", "1",
-                    "--parallel-starts", "4", "--report", str(r2)]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_below_one_is_data_error(self, tmp_path, value):
-        inst = gen(tmp_path, n=10)
-        out = tmp_path / "r.csv"
-        assert run(["solve", "--instance", str(inst), f"--parallel-starts={value}", "--report", str(out)]) == 2
-        assert not out.exists()
 
 
 class TestSeedEnvValidation:
@@ -497,7 +504,6 @@ _SEEDS = ["0", "-1", "7", "x", "18446744073709551616"]
 _SOLVER = {
     "--l-mode": ["power", "gershgorin", "exact"],
     "--eps": ["1e-3", "1e-9", "0", "-1", "nan", "inf", "x"],
-    "--absolute-eps": None,
     "--max-iters": ["5", "1", "0", "-1", "x"],
     "--refine": None,
     "--no-refine": None,
@@ -519,7 +525,6 @@ _CLI_OPTIONS = {
     "solve": {
         "--instance": _INSTANCES,
         "--starts": ["2", "5", "0", "6", "x"],
-        "--parallel-starts": ["2", "1", "0", "-1", "x"],
         "--bounds-report": None,
         "--report": _OUTS,
         **_SOLVER,
@@ -538,7 +543,7 @@ _CLI_OPTIONS = {
         "--big-m": ["100", "0.5", "0", "-5", "nan", "inf", "x", "1e308"],
         "--out": _OUTS,
     },
-    "suite": {"--scale": ["desk", "full", "bogus"], "--out-dir": _OUTS, "--eps": _SOLVER["--eps"]},
+    "suite": {"--scale": ["desk", "full", "bogus"], "--out-dir": _OUTS},
 }
 # required options, and --k-list, whose default sweeps six budgets
 _MOSTLY_SET = {"--n", "--out", "--instance", "--report", "--base-profit", "--a", "--b", "--out-dir",

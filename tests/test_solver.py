@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,7 @@ class TestGpaSolve:
         inst = random_instance(rng, 12, 12, k=3)
         # a stabilization window of 1 and a decrease threshold no step meets:
         # the run can only end in the stabilization branch (or at max_iters)
-        params = SolverParams(eps=1e-300, absolute_eps=True)
+        params = SolverParams(eps=1e-300)
         report = gpa_solve(inst, inst.p0, params)
         assert report.refined and report.converged and report.iterations < params.max_iters
         assert len(calls) == 1
@@ -398,13 +400,22 @@ class TestMultiStart:
         best2, _ = multi_start(inst, SolverParams(seed=9))
         assert np.array_equal(best1.final_p, best2.final_p)
 
-    def test_parallel_matches_sequential(self, rng):
+    def test_fewer_starts_are_a_prefix(self, rng):
         inst = random_instance(rng, 15, 15, k=4)
-        best_seq, seq = multi_start(inst, SolverParams(seed=3))
-        best_par, par = multi_start(inst, SolverParams(seed=3), parallel=4)
-        assert np.array_equal(best_seq.final_p, best_par.final_p)
-        for a, b in zip(seq, par):
-            assert a.final_q_obj == b.final_q_obj
+        params = SolverParams(seed=3)
+        _, five = multi_start(inst, params, n_starts=5)
+        for m in range(1, 5):
+            _, some = multi_start(inst, params, n_starts=m)
+            assert len(some) == m
+            for got, want in zip(some, five):
+                assert got.start_id == want.start_id
+                assert got.final_p.tobytes() == want.final_p.tobytes()
+                assert np.float64(got.final_q_obj).tobytes() == np.float64(want.final_q_obj).tobytes()
+
+    @pytest.mark.parametrize("n_starts", [0, 6])
+    def test_start_count_out_of_range(self, n_starts):
+        with pytest.raises(ContractError, match="n_starts"):
+            multi_start(two_product_instance(), SolverParams(), n_starts=n_starts)
 
     def test_starts_are_feasible(self, rng):
         from priceopt.solver import build_starts
@@ -743,6 +754,34 @@ class TestPerformanceBound:
         for inst, report, got in cases:
             want = performance_bound(inst, report, 0.5)
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @staticmethod
+    def _slack_budget_case(n, gain):
+        # S = 2I, p0 = 0, delta = 1 and L = 2: at p = (f_0 / 2, 0, ...) the
+        # query is q = (10, q_1, ...), coordinate 0 changed and each other
+        # coordinate unchanged with gain 2 q_i - 1 = gain, below its branch
+        L = 2.0
+        f = np.array([10.0 * L] + [(0.5 + gain / 2.0) * L] * (n - 1))
+        inst = Instance(n=n, k=n, a=f, D=np.eye(n), c=np.zeros(n), p0=np.zeros(n), delta=np.ones(n))
+        p = np.zeros(n)
+        p[0] = f[0] / 2.0
+        report = dataclasses.replace(gpa_solve(inst, inst.p0, SolverParams()), final_p=p, kappa=1, L=L)
+        return inst, report
+
+    def test_slack_budget_tests_each_unselected_gain(self):
+        # two unselected gains of 2.8e-6 sum past the margin 4.8e-6 = 4e-7 *
+        # (1 + 10 + 1), but each one is a tie that certification admits
+        inst, report = self._slack_budget_case(3, 2.8e-6)
+        assert certify_stationary(inst, report.final_p, report.L) == (True, 0.0)
+        bound_i, bound_ii = performance_bound(inst, report, 2.0)
+        assert bound_i == 0.25 * 4.0 * 3.0
+        assert bound_ii == 4.0 / 16.0 * 3.0
+
+    def test_slack_budget_rejects_one_gain_past_the_margin(self):
+        inst, report = self._slack_budget_case(2, 6e-6)
+        assert not certify_stationary(inst, report.final_p, report.L)[0]
+        with pytest.raises(ContractError, match="not stationary"):
+            performance_bound(inst, report, 2.0)
 
     def test_unavailable_without_lambda_n(self):
         inst = two_product_instance()
