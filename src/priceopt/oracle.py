@@ -44,10 +44,6 @@ def count_partitions(n: int, k: int) -> int:
     """
     if not 1 <= k <= n <= MAX_ORACLE_N:
         raise ContractError(f"count_partitions requires 1 <= k <= n <= {MAX_ORACLE_N}, got n={n}, k={k}")
-    return _count_partitions_unchecked(n, k)
-
-
-def _count_partitions_unchecked(n: int, k: int) -> int:
     return sum(math.comb(n, m) * 2**m for m in range(1, k + 1))
 
 
@@ -157,7 +153,7 @@ def global_optimum(instance: Instance) -> tuple[np.ndarray, float]:
     n, k = instance.n, instance.k
     if n > MAX_ORACLE_N:
         raise CapacityError(f"global_optimum supports n <= {MAX_ORACLE_N}, got n={n}")
-    n_parts = _count_partitions_unchecked(n, k)
+    n_parts = count_partitions(n, k)
     if n_parts > MAX_PARTITIONS:
         raise CapacityError(
             f"global_optimum would enumerate {n_parts} partitions (guard: {MAX_PARTITIONS})"

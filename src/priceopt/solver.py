@@ -36,11 +36,12 @@ once per instance and its ``with_k`` copies (``instance._gershgorin``,
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -486,22 +487,21 @@ def _random_feasible_start(instance: Instance, rng: np.random.Generator) -> np.n
     return start
 
 
-def build_starts(instance: Instance, params: SolverParams, L: float) -> list[np.ndarray]:
-    """The five canonical starting points.
+def build_starts(instance: Instance, params: SolverParams, L: float) -> Iterator[np.ndarray]:
+    """The five canonical starting points, each built when it is asked for.
 
     (1) the baseline, (2)-(4) seeded random feasible vectors, (5) one
     long-step projection of the baseline (step _LONG_STEP_FACTOR / L), which
     often escapes the baseline's own basin.
     """
+    yield instance.p0.copy()
     rng = np.random.default_rng(params.seed)
-    starts = [instance.p0.copy()]
     for _ in range(3):
-        starts.append(_random_feasible_start(instance, rng))
+        yield _random_feasible_start(instance, rng)
     g0 = gradient_q(instance, instance.p0)
     with np.errstate(over="ignore", invalid="ignore"):
         long_step = instance.p0 - _LONG_STEP_FACTOR * g0 / L
-    starts.append(project_feasible(instance, long_step))
-    return starts
+    yield project_feasible(instance, long_step)
 
 
 def multi_start(
@@ -519,7 +519,7 @@ def multi_start(
         raise ContractError("n_starts must be between 1 and 5")
     L = spectral_bounds(instance, mode=params.L_mode).L
     reports = []
-    for idx, start in enumerate(build_starts(instance, params, L)[:n_starts], start=1):
+    for idx, start in enumerate(itertools.islice(build_starts(instance, params, L), n_starts), start=1):
         report = gpa_solve(instance, start, params, L=L)
         report.start_id = idx
         reports.append(report)

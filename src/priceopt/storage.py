@@ -49,19 +49,22 @@ time: the whole entry lines of a block, or a block's length of a vector
 line.  A separator mask splits a run into tokens, unaligned 8-byte loads
 gather each token's digits eight per word, a SWAR step checks and folds
 them, and Eisel-Lemire rounds them to the nearest double (see the kernel
-below).  The strict grammar is at most 18 ``digits`` for indices and
+below).  The strict grammar is 1 to 18 ``digits`` for indices and
 ``[-]digits[.digits]`` for reals, at most 24 digits that spell a number
 below 10^19 (19 significant digits) once the point is dropped; any other
-token (exponent notation, more digits, ``+``, ``_``, inf, nan, non-ASCII
-digits) goes to ``int`` or ``float`` on its own, so every value is the one
-``float`` reads.  An entry run laid out any other way (a byte outside ASCII,
-a tab or other control character, two separators in a row, a line of other
-than three tokens, or a token that ``int`` or ``float`` refuses) is read one
-line at a time, and a vector line spaced any other way token by token; both
-name the offending line and token.  Ranges, zeros and duplicates are checked
-with array operations; entries in the writer's (row, col) order are D's CSR
-arrays as they stand, others are sorted.  A byte that is not UTF-8 is
-reported first, wherever it lies in the file.
+real (exponent notation, more digits, ``+``, ``_``, inf, nan, non-ASCII
+digits) goes to ``float`` on its own, so every value is the one ``float``
+reads.  Every token the writer writes is thus read in the bulk pass.  An
+entry run laid out any other way (a byte outside ASCII, a tab or other
+control character, two separators in a row, a line of other than three
+tokens, an index with a sign or more than 18 digits, or a value that
+``float`` refuses) is read one line at a time, and a vector line spaced any
+other way token by token; both name the offending line and token.  Ranges,
+zeros and duplicates are checked with array operations; entries in the
+writer's (row, col) order are D's CSR arrays as they stand, others are
+sorted.  A leading UTF-8 byte-order mark is skipped, as ``read_vector`` and
+``parse_lp`` skip it.  A byte that is not UTF-8 is reported first, wherever
+it lies in the file.
 """
 
 from __future__ import annotations
@@ -681,10 +684,12 @@ def _parse_floats(text: str, line_no: int | None, field: str) -> np.ndarray:
 def _entry_block(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The rows, columns and values of a run of ``row col value`` lines, or None.
 
-    None sends the run to the per-line path: a byte outside ASCII, a tab or
-    other control character, separators other than one space between the
-    three tokens and a "\n" after them, or a token that the kernel leaves and
-    ``int`` (indices) or ``float`` (values) refuses.
+    Indices are read as the writer writes them, 1 to 18 ASCII digits, and
+    values by the kernel or, outside its grammar, by ``float``.  None sends
+    the run to the per-line path: a byte outside ASCII, a tab or other
+    control character, separators other than one space between the three
+    tokens and a "\n" after them, an index spelled any other way (a sign,
+    more than 18 digits), or a value that ``float`` refuses.
     """
     if not text.isascii():
         return None
@@ -692,15 +697,12 @@ def _entry_block(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     starts, ends, separators = _tokens(buf)
     if ends.size % 3 or np.any(separators.reshape(-1, 3) != _ENTRY_SEPARATORS) or np.any(starts == ends):
         return None
-    index_starts, index_ends = starts.reshape(-1, 3)[:, :2].ravel(), ends.reshape(-1, 3)[:, :2].ravel()
-    count = index_ends - index_starts
+    index_ends = ends.reshape(-1, 3)[:, :2].ravel()
+    count = index_ends - starts.reshape(-1, 3)[:, :2].ravel()
     indices, ok = _digit_words(_words(buf), index_ends, count)
-    indices, ok = indices.astype(np.int64), ok & (count <= 18)  # below 10^18, inside int64
-    for j in np.flatnonzero(~ok).tolist():
-        token = text[index_starts[j] - _PAD : index_ends[j] - _PAD]
-        if not (_INTEGER.fullmatch(token) and -_INDEX_LIMIT <= int(token) < _INDEX_LIMIT):
-            return None
-        indices[j] = int(token)
+    if not np.all(ok & (count <= 18)):  # 1-18 digits: below 10^18, inside int64
+        return None
+    indices = indices.astype(np.int64)
     # every index was read, so every "." lies in a value
     point = _points(ends[2::3], np.flatnonzero(buf == ord(".")))
     values, ok = _read_reals(buf, starts[2::3], ends[2::3], point)
@@ -715,31 +717,22 @@ def _entry_block(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
 class _Lines:
     """The lines of a text file as ``splitlines`` gives them, read ``_LINE_BLOCK`` characters at a time.
 
-    Blocks are split after their last "\n" (a line that spans blocks is
-    joined first), so no line break is cut in two and neither the whole text
-    nor a list of all its lines is held.  ``take`` hands out the next lines
-    as one text instead, for the entry kernel, and ``give_back`` returns such
-    a text unread.  Raises UnicodeDecodeError where the file stops being UTF-8.
+    A block that does not end in "\n" is finished with ``readline``, so no
+    line is cut in two and neither the whole text nor a list of all its lines
+    is held.  ``take`` hands out the next lines as one text instead, for the
+    entry kernel, and ``give_back`` returns such a text unread.  Raises
+    UnicodeDecodeError where the file stops being UTF-8.
     """
 
     def __init__(self, fh):
         self._fh = fh
         self._lines: list[str] = []  # split off and not handed out yet, the next one last
         self._text = ""  # whole lines read and not split yet
-        self._head = ""  # the start of a line that continues in the next block
 
     def _read(self) -> str:
-        """The next whole lines of the file: up to the last "\n" of a block, or its rest at the end."""
-        parts = [self._head]
-        while block := self._fh.read(_LINE_BLOCK):
-            cut = block.rfind("\n") + 1
-            if cut:
-                parts.append(block[:cut])
-                self._head = block[cut:]
-                return "".join(parts)
-            parts.append(block)
-        self._head = ""
-        return "".join(parts)
+        """The next whole lines of the file: a block and the rest of its last line; "" at the end."""
+        block = self._fh.read(_LINE_BLOCK)
+        return block if block.endswith("\n") else block + self._fh.readline()
 
     def __iter__(self) -> _Lines:
         return self
@@ -763,7 +756,7 @@ class _Lines:
             del self._lines[-count:]
             return "\n".join(lines) + "\n"
         text, self._text = self._text or self._read(), ""
-        if text.count("\n") > count:
+        if text.count("\n") + (not text.endswith("\n")) > count:  # the file's last line may have no "\n"
             self._text = text.split("\n", count)[count]
             return text[: len(text) - len(self._text)]
         return text
@@ -859,9 +852,9 @@ def _check_entries(rows, cols, vals, n: int, first_line_no: int) -> tuple[np.nda
 
 
 def _read_text(path: str) -> str:
-    """The whole file as text (universal newlines); ParseError unless it is UTF-8."""
+    """The whole file as text (universal newlines, no leading byte-order mark); ParseError unless it is UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise _utf8_error(exc) from None
@@ -899,7 +892,7 @@ def _parse_fields(lines: _Lines) -> tuple[dict, int]:
 
 def read_instance(path: str) -> Instance:
     """Parse an instance file; raises ParseError with line/field context."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             fields, d_line = _parse_fields(_Lines(fh))
         except UnicodeDecodeError as exc:

@@ -101,6 +101,19 @@ class TestSolve:
                     "--report", str(report)]) == 0
         assert len(report.read_text().splitlines()) == 3
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        inst = gen(tmp_path)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        assert run(["solve", "--instance", str(inst), "--report", str(plain)]) == 0
+        inst.write_bytes(b"\xef\xbb\xbf" + inst.read_bytes())
+        assert run(["solve", "--instance", str(inst), "--report", str(marked)]) == 0
+        wall = plain.read_text().splitlines()[0].split(",").index("wall_time_s")
+
+        def rows(path):
+            return [row.split(",")[:wall] + row.split(",")[wall + 1:] for row in path.read_text().splitlines()]
+
+        assert rows(marked) == rows(plain)
+
     def test_missing_instance_is_data_error(self, tmp_path):
         assert run(["solve", "--instance", str(tmp_path / "nope.txt"),
                     "--report", str(tmp_path / "r.csv")]) == 2
@@ -181,6 +194,18 @@ class TestProjectCmd:
         text = out.read_text()
         assert "in_H 1" in text
         assert "p 2.0 0.0" in text
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        inst_path = tmp_path / "inst.txt"
+        write_instance(two_product_instance(), str(inst_path))
+        qfile = tmp_path / "q.txt"
+        write_vector(np.array([2.0, 0.5]), str(qfile))
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        assert run(["project", "--instance", str(inst_path), "--q", str(qfile), "--out", str(plain)]) == 0
+        for path in (inst_path, qfile):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(["project", "--instance", str(inst_path), "--q", str(qfile), "--out", str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
 
     def test_wrong_length_query(self, tmp_path):
         inst_path = tmp_path / "inst.txt"

@@ -157,6 +157,17 @@ class TestParser:
         with pytest.raises(ParseError, match="not UTF-8"):
             validate_lp_file(str(path))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "m.lp"
+        export_mip_lp(two_product_instance(), str(path))
+        want = _snapshot(validate_lp_file(str(path)))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert _snapshot(validate_lp_file(str(path))) == want
+        assert _snapshot(parse_lp(str(path))) == want
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with pytest.raises(LpFormatError, match=r"illegal character '\\ufeff' \(line 1\)"):
+            validate_lp_file(str(path))
+
     def test_rejects_garbage(self):
         with pytest.raises(LpFormatError):
             parse_lp_text("this is not an lp file @@ %%")

@@ -412,6 +412,22 @@ class TestMultiStart:
                 assert got.final_p.tobytes() == want.final_p.tobytes()
                 assert np.float64(got.final_q_obj).tobytes() == np.float64(want.final_q_obj).tobytes()
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_builds_only_the_starts_that_run(self, rng, m):
+        # starts 2-4 draw a random start each; only start 5 takes the long gradient step
+        from unittest import mock
+
+        from priceopt import solver
+
+        inst = random_instance(rng, 15, 15, k=4)
+        with (
+            mock.patch.object(solver, "_random_feasible_start", wraps=solver._random_feasible_start) as draws,
+            mock.patch.object(solver, "gradient_q", wraps=solver.gradient_q) as gradients,
+        ):
+            multi_start(inst, SolverParams(seed=3), n_starts=m)
+        assert draws.call_count == min(m - 1, 3)
+        assert gradients.call_count == (m == 5)
+
     @pytest.mark.parametrize("n_starts", [0, 6])
     def test_start_count_out_of_range(self, n_starts):
         with pytest.raises(ContractError, match="n_starts"):

@@ -737,6 +737,55 @@ class TestStreamingReader:
             read_instance(str(path))
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is skipped; a U+FEFF anywhere else stays an error."""
+
+    def test_instance_file(self, tmp_path):
+        inst = generate(GenConfig(n=300, seed=21, bounds_mode=(1, 5, 8, 14)))
+        path = tmp_path / "inst.txt"
+        write_instance(inst, str(path))
+        path.write_bytes(_BOM + path.read_bytes())
+        assert read_instance(str(path)).same_data(inst)
+        path.write_bytes(_BOM + path.read_bytes())
+        with pytest.raises(ParseError, match=r"unknown field '\\ufeff#'"):
+            read_instance(str(path))
+
+    def test_query_file(self, tmp_path):
+        x = np.array([1.5, -2.0, 3e-7, 12.25])
+        path = tmp_path / "q.txt"
+        write_vector(x, str(path))
+        path.write_bytes(_BOM + path.read_bytes())
+        assert np.array_equal(_bits(read_vector(str(path), x.size)), _bits(x))
+        path.write_bytes(_BOM + path.read_bytes())
+        with pytest.raises(ParseError, match=r"not a number: '\\ufeff1\.5'"):
+            read_vector(str(path))
+
+
+class TestEntryKernelIndices:
+    """The entry kernel reads indices as the writer writes them; other spellings go to the per-line path."""
+
+    def test_plain_digits_are_read(self):
+        rows, cols, vals = storage._entry_block("0 7 1.5\n" + "9" * 18 + " 012 -2.5\n")
+        assert rows.tolist() == [0, 10**18 - 1] and cols.tolist() == [7, 12] and vals.tolist() == [1.5, -2.5]
+
+    @pytest.mark.parametrize("index", ["+1", "-1", "1" * 19])
+    def test_other_spellings_are_refused(self, index):
+        assert storage._entry_block(f"0 0 1.5\n{index} 2 2.5\n") is None
+
+    @pytest.mark.parametrize("spell", ["+{}", "00{}"])
+    def test_signed_and_zero_padded_indices_read_the_same(self, tmp_path, spell):
+        inst = generate(GenConfig(n=300, seed=21, bounds_mode=(1, 5, 8, 14)))
+        path = tmp_path / "inst.txt"
+        write_instance(inst, str(path))
+        head, _, block = path.read_text().partition(f"D {inst.D.nnz}\n")
+        lines = [" ".join((spell.format(r), spell.format(c), v)) for r, c, v in map(str.split, block.splitlines())]
+        path.write_text(f"{head}D {inst.D.nnz}\n" + "\n".join(lines) + "\n")
+        assert read_instance(str(path)).same_data(inst)
+
+
 def _instance_text(inst) -> str:
     return _reference_bytes(inst).decode("ascii")
 
