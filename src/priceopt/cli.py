@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import generator, lpformat, oracle, storage
+from . import generator, lpformat, numtext, oracle, storage
 from .errors import CapacityError, NumericError, PriceOptError, ValidationError
 from .instance import Instance, profit_z, spectral_bounds, with_k
 from .projection import certify_in_H, project_feasible
@@ -203,7 +203,7 @@ def _cmd_oracle(args) -> int:
     text = (
         f"q_value {storage.format_float(q_star)}\n"
         f"profit {storage.format_float(z_star)}\n"
-        f"p {storage.format_floats(p_star)}\n"
+        f"p {numtext.format_floats(p_star)}\n"
     )
     storage.atomic_write_text(args.out, text)
     print(f"global optimum: profit {z_star:.6g}")
@@ -223,7 +223,7 @@ def _cmd_project(args) -> int:
         f"in_H {int(ok)}\n"
         f"dist_sq {storage.format_float(dist_sq)}\n"
         f"changed {int(np.count_nonzero(p != instance.p0))}\n"
-        f"p {storage.format_floats(p)}\n"
+        f"p {numtext.format_floats(p)}\n"
     )
     storage.atomic_write_text(args.out, text)
     print(f"projected query: {int(np.count_nonzero(p != instance.p0))} changes, dist_sq {dist_sq:.6g}")

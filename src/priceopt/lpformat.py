@@ -20,12 +20,12 @@ of the model that is not finite (``S = D + D^T`` or ``f`` can overflow for a
 finite ``D``) is a NumericError before anything is written.
 
 The exporter writes each number as ``format(v, ".12g")`` does, and builds
-the text as the instance writer in ``storage`` does: each section is laid
-out in blocks of at most ``_FORMAT_CHUNK`` rows (terms, or products), as
-side-by-side ``(cells, keep)`` blocks of ASCII bytes with masks that
-``storage._text`` compresses to text; each block is written as soon as it
-is built.  Names take their indices from ``storage._index_cells``, and
-magnitudes take the instance writer's layout, ``storage._decimal_cells``,
+the text with ``numtext``, as the instance writer does: each section is laid
+out in blocks of at most ``numtext.FORMAT_CHUNK`` rows (terms, or products),
+as side-by-side ``(cells, keep)`` blocks of ASCII bytes with masks that
+``numtext.text`` compresses to text; each block is written as soon as it
+is built.  Names take their indices from ``numtext.index_cells``, and
+magnitudes take the instance writer's layout, ``numtext.decimal_cells``,
 with the exact decimal kernel's digits rounded to 12 places; rows that
 print in exponent notation take ``format`` one by one.  Masks drop what the
 text leaves out: a term with a zero coefficient, a magnitude that prints as
@@ -69,7 +69,8 @@ from scipy import sparse
 
 from .errors import NumericError, ParseError, ValidationError
 from .instance import Instance
-from .storage import _FORMAT_CHUNK, _atomic_open, _column, _decimal_cells, _index_cells, _read_text, _text
+from .numtext import FORMAT_CHUNK, column, decimal_cells, index_cells, text
+from .storage import atomic_open, read_text
 
 __all__ = [
     "export_mip_lp",
@@ -106,13 +107,13 @@ def _masked(blocks: list, rows: np.ndarray) -> list:
 def _term_cells(coef: np.ndarray, drop_plus) -> list:
     """"+ mag " / "- mag " of each coefficient: no magnitude where it prints as 1,
     and no "+ " where ``drop_plus`` (a scalar or one flag per row)."""
-    mag, one = _decimal_cells(np.abs(coef), _DIGITS)
+    mag, one = decimal_cells(np.abs(coef), _DIGITS)
     negative = coef < 0
     return [
-        _column("- ", coef.size, negative),
-        _column("+ ", coef.size, ~(negative | drop_plus)),
+        column("- ", coef.size, negative),
+        column("+ ", coef.size, ~(negative | drop_plus)),
         *_masked(mag, ~one),
-        _column(" ", coef.size, ~one),
+        column(" ", coef.size, ~one),
     ]
 
 
@@ -124,13 +125,13 @@ def _expression(coef: np.ndarray, monomials):
     blocks of the monomials of the terms at 0-based positions ``at``.
     """
     nonzero = np.flatnonzero(coef)
-    for lo in range(0, nonzero.size, _FORMAT_CHUNK):
-        at = nonzero[lo : lo + _FORMAT_CHUNK]
+    for lo in range(0, nonzero.size, FORMAT_CHUNK):
+        at = nonzero[lo : lo + FORMAT_CHUNK]
         rank = np.arange(lo, lo + at.size)
         first, wrap = rank == 0, rank % _TERMS_PER_LINE == 0
-        yield _text([
-            _column("\n      ", at.size, wrap & ~first),
-            _column(" ", at.size, ~wrap),
+        yield text([
+            column("\n      ", at.size, wrap & ~first),
+            column(" ", at.size, ~wrap),
             *_term_cells(coef[at], first),
             *monomials(at),
         ])
@@ -140,11 +141,11 @@ def _bracket_terms(rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
     def monomials(at):
         square = rows[at] == cols[at]
         return [
-            _column("p_", at.size),
-            _index_cells(rows[at] + 1),
-            _column(" ^ 2", at.size, square),
-            _column(" * p_", at.size, ~square),
-            *_masked([_index_cells(cols[at] + 1)], ~square),
+            column("p_", at.size),
+            index_cells(rows[at] + 1),
+            column(" ^ 2", at.size, square),
+            column(" * p_", at.size, ~square),
+            *_masked([index_cells(cols[at] + 1)], ~square),
         ]
 
     return _expression(coef, monomials)
@@ -153,24 +154,24 @@ def _bracket_terms(rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
 def _row_terms(coef: np.ndarray, name: str, ids: tuple) -> list:
     """" sign mag name_i" of each row's term, or nothing for a zero coefficient."""
     n = coef.size
-    return _masked([_column(" ", n), *_term_cells(coef, False), _column(name, n), ids], coef != 0)
+    return _masked([column(" ", n), *_term_cells(coef, False), column(name, n), ids], coef != 0)
 
 
 def _rows(p0, delta, lo, hi):
     """Text blocks of the lb_i, ub_i and pick_i rows, product by product."""
     n = p0.size
-    for start in range(0, n, _FORMAT_CHUNK):
-        sl = slice(start, min(n, start + _FORMAT_CHUNK))
+    for start in range(0, n, FORMAT_CHUNK):
+        sl = slice(start, min(n, start + FORMAT_CHUNK))
         m = sl.stop - start
-        ids = _index_cells(np.arange(start + 1, sl.stop + 1))
+        ids = index_cells(np.arange(start + 1, sl.stop + 1))
         keep = _row_terms(-p0[sl], "zP_", ids)
-        yield _text([
-            _column(" lb_", m), ids, _column(": p_", m), ids, *keep,
+        yield text([
+            column(" lb_", m), ids, column(": p_", m), ids, *keep,
             *_row_terms(-lo[sl], "zL_", ids), *_row_terms(-(p0[sl] + delta[sl]), "zR_", ids),
-            _column(" >= 0\n ub_", m), ids, _column(": p_", m), ids, *keep,
+            column(" >= 0\n ub_", m), ids, column(": p_", m), ids, *keep,
             *_row_terms(-(p0[sl] - delta[sl]), "zL_", ids), *_row_terms(-hi[sl], "zR_", ids),
-            _column(" <= 0\n pick_", m), ids, _column(": zP_", m), ids,
-            _column(" + zL_", m), ids, _column(" + zR_", m), ids, _column(" = 1\n", m),
+            column(" <= 0\n pick_", m), ids, column(": zP_", m), ids,
+            column(" + zL_", m), ids, column(" + zR_", m), ids, column(" = 1\n", m),
         ])
 
 
@@ -180,23 +181,23 @@ def _lists(n: int, k: int):
     triples = _NAMES_PER_LINE // 3  # products per line of Binary
     parts = [
         lambda i, ids: [  # card, after " card: "
-            _column("\n      ", i.size, (i % pairs == 0) & (i > 0)),
-            _column(" ", i.size, i % pairs != 0),
-            _column("+ ", i.size, i > 0),
-            _column("zL_", i.size), ids, _column(" + zR_", i.size), ids,
+            column("\n      ", i.size, (i % pairs == 0) & (i > 0)),
+            column(" ", i.size, i % pairs != 0),
+            column("+ ", i.size, i > 0),
+            column("zL_", i.size), ids, column(" + zR_", i.size), ids,
         ],
-        lambda i, ids: [_column(" p_", i.size), ids, _column(" free\n", i.size)],
+        lambda i, ids: [column(" p_", i.size), ids, column(" free\n", i.size)],
         lambda i, ids: [
-            _column(" zP_", i.size), ids, _column(" zL_", i.size), ids, _column(" zR_", i.size), ids,
-            _column("\n", i.size, (i % triples == triples - 1) | (i == n - 1)),
+            column(" zP_", i.size), ids, column(" zL_", i.size), ids, column(" zR_", i.size), ids,
+            column("\n", i.size, (i % triples == triples - 1) | (i == n - 1)),
         ],
     ]
     heads = [" card: ", f" <= {k}\nBounds\n", "Binary\n"]
     for head, part in zip(heads, parts):
         yield head
-        for start in range(0, n, _FORMAT_CHUNK):
-            i = np.arange(start, min(n, start + _FORMAT_CHUNK))
-            yield _text(part(i, _index_cells(i + 1)))
+        for start in range(0, n, FORMAT_CHUNK):
+            i = np.arange(start, min(n, start + FORMAT_CHUNK))
+            yield text(part(i, index_cells(i + 1)))
     yield "End\n"
 
 
@@ -257,10 +258,10 @@ def export_mip_lp(instance: Instance, path: str, big_m: Optional[float] = None) 
     ])
     lo = instance.lower if bounded else np.full(n, -big_m)
     hi = instance.upper if bounded else np.full(n, big_m)
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(header)
         if np.any(f):
-            fh.writelines(_expression(f, lambda at: [_column("p_", at.size), _index_cells(at + 1)]))
+            fh.writelines(_expression(f, lambda at: [column("p_", at.size), index_cells(at + 1)]))
         else:
             fh.write("0 p_1")
         if np.any(quad):
@@ -675,7 +676,7 @@ def _error(text: str, body: str, items: list, message: str, index, at=None) -> L
 
 
 def parse_lp(path: str) -> LpModel:
-    return parse_lp_text(_read_text(path))
+    return parse_lp_text(read_text(path))
 
 
 def validate_lp_file(path: str) -> LpModel:

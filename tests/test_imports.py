@@ -1,4 +1,6 @@
-"""Start-up cost: importing priceopt loads only what its commands run.
+"""Start-up cost and module boundaries of priceopt.
+
+Importing priceopt loads only what its commands run.
 
 ``scipy.optimize`` (about 0.25 s) is never needed, and ``scipy.sparse.linalg``
 (about 0.08 s) only by the Lanczos estimates of ``spectral_bounds``
@@ -8,6 +10,7 @@ priceopt's own CG, so ``unconstrained_minimizer`` and the large-n
 interpreter, since this process may have loaded either.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -67,3 +70,34 @@ def test_gershgorin_step_constant_loads_no_linalg(tmp_path):
 def test_minimize_shim_forwards_to_scipy():
     result = solver.minimize(lambda x: float(np.sum((x - 1.0) ** 2)), np.zeros(2), method="BFGS")
     assert np.allclose(result.x, 1.0, atol=1e-5)
+
+
+def test_no_module_imports_a_private_name_of_storage_or_numtext():
+    found = []
+    for path in sorted((SRC / "priceopt").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("storage", "numtext"):
+                found += [(path.name, node.module, a.name) for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ("storage", "numtext") and node.attr.startswith("_"):
+                    found.append((path.name, node.value.id, node.attr))
+    assert found == []
+
+
+def test_numtext_imports_only_the_standard_library_and_numpy():
+    tree = ast.parse((SRC / "priceopt" / "numtext.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not any(isinstance(node, ast.ImportFrom) and node.level > 0 for node in imports)
+    modules = [a.name for node in imports if isinstance(node, ast.Import) for a in node.names]
+    modules += [node.module for node in imports if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] not in (*sys.stdlib_module_names, "numpy")] == []
+
+
+def test_file_layer_runs_on_instance_alone():
+    # storage and lpformat import the solver for annotations only
+    for name in ("storage", "lpformat"):
+        tree = ast.parse((SRC / "priceopt" / f"{name}.py").read_text(encoding="utf-8"))
+        relative = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
+        modules = {node.module or a.name for node in relative for a in node.names}
+        assert modules <= {"errors", "instance", "numtext", "storage"}, name

@@ -27,7 +27,9 @@ from priceopt import (
 )
 from priceopt import lpformat
 from priceopt.lpformat import LpConstraint, LpFormatError, LpModel, default_big_m, parse_lp_text
-from priceopt.storage import _FORMAT_CHUNK, _column, _decimal_cells, _rounded, _text
+from priceopt.numtext import (
+    FORMAT_CHUNK as _FORMAT_CHUNK, _rounded, column as _column, decimal_cells as _decimal_cells, text as _text,
+)
 from conftest import huge_baseline_instance, two_product_instance
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import stat
 import sys
 import warnings
 from unittest import mock
@@ -20,16 +21,19 @@ from priceopt import (
     PriceOptError,
     SolverParams,
     adjusted_gap,
+    export_mip_lp,
     generate,
     gpa_solve,
     read_instance,
     write_instance,
     write_report,
 )
-from priceopt import storage
-from priceopt.storage import (
-    _FORMAT_CHUNK, _column, _decimal_cells, _shortest, _text, format_floats, read_vector, write_vector,
+from priceopt import numtext, storage
+from priceopt.numtext import (
+    FORMAT_CHUNK as _FORMAT_CHUNK, _shortest, column as _column, decimal_cells as _decimal_cells, format_floats,
+    text as _text,
 )
+from priceopt.storage import read_vector, write_vector
 from conftest import two_product_instance
 
 
@@ -575,6 +579,26 @@ class TestAtomicity:
         assert not target.exists()
         assert not any(p.name.startswith(".tmp-") for p in tmp_path.iterdir())
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    @pytest.mark.parametrize("write", [
+        lambda path: storage.atomic_write_text(path, "data"),
+        lambda path: write_instance(two_product_instance(), path),
+        lambda path: export_mip_lp(two_product_instance(), path),
+    ])
+    def test_modes_are_those_open_leaves(self, tmp_path, umask, write):
+        # a new file gets 0o666 less the umask, and a file written over keeps its mode
+        new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
+        kept.write_text("old")
+        kept.chmod(0o640)
+        old = os.umask(umask)
+        try:
+            write(str(new))
+            write(str(kept))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+
 
 class TestValueInvariants:
     def test_negative_delta_in_file_rejected(self, tmp_path):
@@ -707,14 +731,14 @@ class TestStreamingReader:
         path = tmp_path / "fuzz.txt"
         path.write_text(text, encoding="utf-8")
         want = _outcome(str(path))
-        with mock.patch.object(storage, "_LINE_BLOCK", block):
+        with mock.patch.object(storage, "_LINE_BLOCK", block), mock.patch.object(numtext, "_RUN", block):
             assert _outcome(str(path)) == want
 
     def test_generated_instance_with_small_blocks(self, tmp_path):
         inst = generate(GenConfig(n=300, seed=21, bounds_mode=(1, 5, 8, 14)))
         path = tmp_path / "inst.txt"
         write_instance(inst, str(path))
-        with mock.patch.object(storage, "_LINE_BLOCK", 7):
+        with mock.patch.object(storage, "_LINE_BLOCK", 7), mock.patch.object(numtext, "_RUN", 7):
             assert read_instance(str(path)).same_data(inst)
 
     def test_entries_in_any_order(self, tmp_path):
@@ -768,12 +792,16 @@ class TestEntryKernelIndices:
     """The entry kernel reads indices as the writer writes them; other spellings go to the per-line path."""
 
     def test_plain_digits_are_read(self):
-        rows, cols, vals = storage._entry_block("0 7 1.5\n" + "9" * 18 + " 012 -2.5\n")
+        rows, cols, vals = numtext.read_entries("0 7 1.5\n" + "9" * 18 + " 012 -2.5\n")
         assert rows.tolist() == [0, 10**18 - 1] and cols.tolist() == [7, 12] and vals.tolist() == [1.5, -2.5]
 
     @pytest.mark.parametrize("index", ["+1", "-1", "1" * 19])
     def test_other_spellings_are_refused(self, index):
-        assert storage._entry_block(f"0 0 1.5\n{index} 2 2.5\n") is None
+        assert numtext.read_entries(f"0 0 1.5\n{index} 2 2.5\n") is None
+
+    def test_value_that_float_refuses_raises_its_error(self):
+        with pytest.raises(ValueError, match="could not convert string to float: '1..5'"):
+            numtext.read_entries("0 0 1.5\n1 2 1..5\n")
 
     @pytest.mark.parametrize("spell", ["+{}", "00{}"])
     def test_signed_and_zero_padded_indices_read_the_same(self, tmp_path, spell):
@@ -876,10 +904,14 @@ class TestBulkReaderMatchesReference:
 
     @pytest.mark.parametrize("block", [1, 5, 17, 64, 333])
     def test_tokens_and_lines_across_blocks(self, tmp_path, block):
-        # small read blocks cut vector lines and whole D runs at every place,
-        # and the entry arrays grow from room for 3
+        # small read blocks and kernel runs cut whole D runs and vector lines at
+        # every place, and the entry arrays grow from room for 3
         text = _instance_text(generate(GenConfig(n=200, seed=9, allow_mixed_signs=True)))
-        with mock.patch.object(storage, "_LINE_BLOCK", block), mock.patch.object(storage, "_ENTRY_ROOM", 3):
+        with (
+            mock.patch.object(storage, "_LINE_BLOCK", block),
+            mock.patch.object(numtext, "_RUN", block),
+            mock.patch.object(storage, "_ENTRY_ROOM", 3),
+        ):
             self._check(tmp_path, text)
             self._check(tmp_path, text.replace("\n", "\r\n").replace(" ", "  ", 5))
 
