@@ -20,7 +20,8 @@ Recipe per instance (draws happen in this order):
 6. if ``dominance_fix``, off-diagonal entries are damped so that every row
    of S = D + D^T is strictly diagonally dominant, which guarantees S is
    positive definite.  Turning the fix off reproduces the raw recipe, which
-   does not guarantee definiteness.
+   does not guarantee definiteness.  The fix draws nothing, so it is applied
+   as soon as the matrix is drawn, before the vectors of steps 2-5 exist.
 
 The off-diagonal draws of step 1 are defined by a row-by-row loop: row i
 draws its columns with ``integers(0, n - 1)`` (shifted past the diagonal),
@@ -47,7 +48,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ContractError
-from .instance import Instance
+from .instance import Instance, _plus_transpose
 
 __all__ = ["GenConfig", "generate", "generate_profitable", "benchmark_suite"]
 
@@ -139,19 +140,22 @@ def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _draw_offdiag_rows(rng: np.random.Generator, m: np.ndarray, caps: np.ndarray, mixed: bool):
     """Off-diagonal entries of every row, as the loop over ``_draw_offdiag_row`` draws them.
 
-    ``m`` is each row's entry count and ``caps`` its value cap.  Returns lists
-    of row, column and value arrays in row order, and leaves ``rng`` in the
-    loop's state (see the module docstring).  Row i takes ``m[i]`` column
-    draws from the buffered 32-bit stream, then ``m[i]`` value words and,
-    with mixed signs, ``m[i]`` flip words.
+    ``m`` is each row's entry count and ``caps`` its value cap.  Returns the
+    column and value arrays of all entries in row order (row i's ``m[i]``
+    entries follow row i - 1's), and leaves ``rng`` in the loop's state (see
+    the module docstring).  Row i takes ``m[i]`` column draws from the
+    buffered 32-bit stream, then ``m[i]`` value words and, with mixed signs,
+    ``m[i]`` flip words.
     """
     n = m.size
+    out_c = np.empty(int(m.sum()), dtype=np.int64)
+    out_v = np.empty(out_c.size)
+    done = 0  # entries written to out_c and out_v
     bitgen = rng.bit_generator
     span = n - 1  # columns other than the diagonal
     threshold = (2**32 - span) % span  # Lemire: reject a draw whose low half is below this
     halves_per_entry = 1 if span > 1 else 0  # integers(0, 1) draws nothing
     words_per_entry = 2 if mixed else 1
-    out_r, out_c, out_v = [], [], []
     start = 0
     while start < n:
         stop = min(n, start + _BLOCK_ROWS)
@@ -195,9 +199,9 @@ def _draw_offdiag_rows(rng: np.random.Generator, m: np.ndarray, caps: np.ndarray
         first_bad = int(min(bad.min(initial=stop), repeated.min(initial=stop)))
         j = first_bad - start
         kept = int(mb[:j].sum())
-        out_r.append(rows[:kept])
-        out_c.append(cols[:kept])
-        out_v.append(vals[:kept])
+        out_c[done : done + kept] = cols[:kept]
+        out_v[done : done + kept] = vals[:kept]
+        done += kept
 
         if first_bad < stop:  # rewind to the start of that row
             bitgen.state = snapshot
@@ -213,31 +217,33 @@ def _draw_offdiag_rows(rng: np.random.Generator, m: np.ndarray, caps: np.ndarray
             start = stop
             continue
         c, v = _draw_offdiag_row(rng, first_bad, n, int(m[first_bad]), caps[first_bad], mixed)
-        out_r.append(np.full(c.size, first_bad))
-        out_c.append(c)
-        out_v.append(v)
+        out_c[done : done + c.size] = c
+        out_v[done : done + c.size] = v
+        done += c.size
         start = first_bad + 1
-    return out_r, out_c, out_v
+    return out_c, out_v
 
 
 def _build_matrix(rng: np.random.Generator, cfg: GenConfig) -> sparse.csr_array:
+    """The price-effect matrix of step 1, in canonical CSR with int64 indices.
+
+    The rows come in order, so the CSR arrays are built directly: each row
+    its diagonal entry, then its off-diagonal entries as drawn, then every
+    row's columns sorted, which is what converting the entries from COO gives.
+    """
     n = cfg.n
     diag = rng.uniform(cfg.diag_range[0], cfg.diag_range[1], size=n)
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [diag]
+    m, cols, vals = np.zeros(n, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     if n > 1 and cfg.offdiag_max_count > 0:
-        counts = rng.integers(0, cfg.offdiag_max_count + 1, size=n)
-        r, c, v = _draw_offdiag_rows(
-            rng, np.minimum(counts, n - 1), cfg.offdiag_rel_mag * diag, cfg.allow_mixed_signs
-        )
-        rows += r
-        cols += c
-        vals += v
-    coo = sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return sparse.csr_array(coo)
+        m = np.minimum(rng.integers(0, cfg.offdiag_max_count + 1, size=n), n - 1)
+        cols, vals = _draw_offdiag_rows(rng, m, cfg.offdiag_rel_mag * diag, cfg.allow_mixed_signs)
+    row_starts = np.cumsum(m) - m  # in cols and vals; a row's diagonal goes in before them
+    indptr = np.concatenate(([0], np.cumsum(m + 1)))
+    indices = np.insert(cols, row_starts, np.arange(n))
+    data = np.insert(vals, row_starts, diag)
+    D = sparse.csr_array((data, indices, indptr), shape=(n, n))
+    D.sort_indices()
+    return D
 
 
 def _apply_dominance_fix(D: sparse.csr_array) -> sparse.csr_array:
@@ -246,17 +252,22 @@ def _apply_dominance_fix(D: sparse.csr_array) -> sparse.csr_array:
     Row i of S must satisfy sum_{j != i} |s_ij| < 2 d_ii (1 - margin).  Each
     off-diagonal s_ij is scaled by 1 / max(1, rho_i, rho_j), where rho is the
     row's violation ratio against a slightly tightened target, which fixes
-    both of the rows an entry touches in a single pass.
+    both of the rows an entry touches in a single pass.  S is
+    ``Instance.S``'s construction, freed before the rescale.
     """
     n = D.shape[0]
     diag = D.diagonal()
-    S = D + sparse.csr_array(D.T)
+    S = _plus_transpose(D)
     s_rows = np.repeat(np.arange(n), np.diff(S.indptr))
-    off = s_rows != S.indices
-    if not np.any(off):
+    on_diag = s_rows == S.indices
+    if np.all(on_diag):
         return D
-    row_sums = np.zeros(n)
-    np.add.at(row_sums, s_rows[off], np.abs(S.data[off]))  # in S's CSR order
+    # |s_ij| summed one after another in S's CSR order; the diagonal adds
+    # +0.0, which changes no sum
+    weights = np.abs(S.data, out=S.data)
+    weights[on_diag] = 0.0
+    row_sums = np.bincount(s_rows, weights, minlength=n)
+    del S, s_rows, on_diag, weights
     target = 2.0 * diag * (1.0 - _DOMINANCE_MARGIN) * (1.0 - 1e-6)
     rho = row_sums / target
     rows, cols = np.repeat(np.arange(n), np.diff(D.indptr)), D.indices
@@ -271,6 +282,8 @@ def generate(config: GenConfig) -> Instance:
     n = config.n
 
     D = _build_matrix(rng, config)
+    if config.dominance_fix:  # draws nothing, so it runs before the vectors exist
+        D = _apply_dominance_fix(D)
 
     bounds = None
     if config.bounds_mode is not None:
@@ -296,10 +309,7 @@ def generate(config: GenConfig) -> Instance:
         lo, hi = bounds
         bounds = (np.minimum(lo, p0 - delta), np.maximum(hi, p0 + delta))
 
-    if config.dominance_fix:
-        D = _apply_dominance_fix(D)
-
-    a = f_target - sparse.csr_array(D.T) @ c
+    a = f_target - D.T @ c
     return Instance(n=n, k=config.k, a=a, D=D, c=c, p0=p0, delta=delta, bounds=bounds)
 
 

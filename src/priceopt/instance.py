@@ -76,6 +76,31 @@ def _as_vector(name: str, x, n: int) -> np.ndarray:
     return v
 
 
+def _plus_transpose(D: sparse.csr_array) -> sparse.csr_array:
+    """D + D^T in canonical CSR, as SciPy's sum gives it, in arrays of
+    exactly nnz(S) entries: int32 indices whenever n and nnz(S) fit.
+
+    The sum runs on int32 copies of D's index arrays when n and
+    nnz(D) + nnz(D^T), the room SciPy makes for it, fit, so that no int64
+    index array of that room is made and then cast.  SciPy keeps views of
+    that room; the result copies out the nnz(S) entries and lets it go.
+    """
+    n, fits = D.shape[0], np.iinfo(np.int32).max
+    if max(n, 2 * D.nnz) <= fits:
+        D = sparse.csr_array(
+            (D.data, D.indices.astype(np.int32, copy=False), D.indptr.astype(np.int32, copy=False)),
+            shape=D.shape,
+        )
+    S = D + D.T
+    del D
+    index = np.int32 if max(n, S.nnz) <= fits else S.indices.dtype
+    data, indices, indptr = S.data, S.indices, S.indptr
+    del S  # each copy below then frees the room it copies from
+    data = data.copy()
+    indices = indices.astype(index)
+    return sparse.csr_array((data, indices, indptr.astype(index, copy=False)), shape=(n, n))
+
+
 def _check_k(n: int, k) -> int:
     k = int(k)
     if not 1 <= k <= n:
@@ -184,10 +209,7 @@ class Instance:
         Its index arrays are int32 whenever n and nnz(S) fit: the products
         are the same, bit for bit, and read less memory.
         """
-        S = sparse.csr_array(self.D + self.D.T)
-        if max(self.n, S.nnz) <= np.iinfo(np.int32).max:
-            S.indices = S.indices.astype(np.int32)
-            S.indptr = S.indptr.astype(np.int32)
+        S = _plus_transpose(self.D)
         for buf in (S.data, S.indices, S.indptr):
             buf.setflags(write=False)
         return S

@@ -188,6 +188,7 @@ def _gains(instance: Instance, q: np.ndarray) -> np.ndarray:
             np.abs(e_up, out=e_up)
             np.abs(e_dn, out=e_dn)
         a = np.minimum(e_up, e_dn, out=e_up)
+        del e_dn  # before gain is made: the projection's peak holds three n-vectors, not four
         a *= outside
         a *= a
         gain = instance.p0 - q

@@ -293,11 +293,11 @@ def refine_on_partition(
     # C is empty when nothing changes or bounds pin every changed price at
     # its threshold; the loop then stops at once, converged
     C = np.flatnonzero(lo < hi)
+    lo, hi, f = lo[C], hi[C], instance.f[C]  # the n-sized boxes go before S's rows are gathered
+    x = p[C]
     S_rows = instance.S[C]
     S_CC = S_rows[:, C]
     d_inv = 1.0 / S_CC.diagonal()
-    lo, hi, f = lo[C], hi[C], instance.f[C]
-    x = p[C]
     iterations = 0
     while True:
         p[C] = x
@@ -402,8 +402,7 @@ def gpa_solve(
         iterations += 1
         # a tiny L overflows the step; value_and_gradient rejects the result
         with np.errstate(over="ignore", invalid="ignore"):
-            q_step = p - grad / L
-        p_next = project_feasible(instance, q_step)
+            p_next = project_feasible(instance, p - grad / L)
         q_next, grad_next = value_and_gradient(instance, p_next)
         step_sq = float(np.sum((p_next - p) ** 2))
         if on_iterate is not None:
@@ -416,6 +415,7 @@ def gpa_solve(
         status_next = _classify(instance, p_next)
         streak = streak + 1 if np.array_equal(status_next, status) else 1
         p, q_val, grad, status = p_next, q_next, grad_next, status_next
+        del p_next, grad_next  # so that a refined point frees the point it replaces
 
         stabilized = params.refine and step_sq <= delta_min_sq_half and streak >= stab_window
         if not (stabilized or decrease <= eps_abs):
@@ -498,10 +498,13 @@ def build_starts(instance: Instance, params: SolverParams, L: float) -> Iterator
     rng = np.random.default_rng(params.seed)
     for _ in range(3):
         yield _random_feasible_start(instance, rng)
-    g0 = gradient_q(instance, instance.p0)
+    # one expression: while the fifth start runs, the generator holds that
+    # start alone, not the gradient at p0 and the step before its projection
     with np.errstate(over="ignore", invalid="ignore"):
-        long_step = instance.p0 - _LONG_STEP_FACTOR * g0 / L
-    yield project_feasible(instance, long_step)
+        start = project_feasible(
+            instance, instance.p0 - _LONG_STEP_FACTOR * gradient_q(instance, instance.p0) / L
+        )
+    yield start
 
 
 def multi_start(

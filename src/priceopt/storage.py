@@ -125,8 +125,13 @@ def _new_file_mode(path: str) -> int:
 
 @contextlib.contextmanager
 def atomic_open(path: str):
-    """A text handle whose content replaces ``path`` only if the block completes."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """A text handle whose content replaces ``path`` only if the block completes.
+
+    A symlink is written through, as ``open(path, "w")`` writes it: the file
+    it names is replaced, from a temporary file beside that file.
+    """
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-priceopt-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -148,16 +153,17 @@ def atomic_write_text(path: str, text: str) -> None:
 def write_instance(instance: Instance, path: str) -> None:
     """Serialize an instance to the text format above (atomic)."""
     D = instance.D  # canonical CSR: entries in (row, col) order
-    header = [_MAGIC, f"n {instance.n}", f"k {instance.k}"]
-    for name in ("a", "c", "p0", "delta"):
-        header.append(f"{name} {numtext.format_floats(getattr(instance, name))}")
+    vectors = [(name, getattr(instance, name)) for name in ("a", "c", "p0", "delta")]
     if instance.bounds is not None:
-        header.append(f"l {numtext.format_floats(instance.lower)}")
-        header.append(f"u {numtext.format_floats(instance.upper)}")
-    header.append(f"D {D.nnz}")
+        vectors += [("l", instance.lower), ("u", instance.upper)]
     rows = np.repeat(np.arange(instance.n), np.diff(D.indptr))
     with atomic_open(path) as fh:
-        fh.write("\n".join(header) + "\n")
+        fh.write(f"{_MAGIC}\nn {instance.n}\nk {instance.k}\n")
+        for name, values in vectors:  # joined, the lines would be copied twice (7 MB at n = 100,000)
+            fh.write(f"{name} ")
+            fh.write(numtext.format_floats(values))
+            fh.write("\n")
+        fh.write(f"D {D.nnz}\n")
         for lo in range(0, D.nnz, numtext.FORMAT_CHUNK):
             hi = min(D.nnz, lo + numtext.FORMAT_CHUNK)
             space = numtext.column(" ", hi - lo)

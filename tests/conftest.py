@@ -71,6 +71,25 @@ def reference_member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, 
     return dist
 
 
+def instance_bytes(instance: Instance) -> int:
+    """Bytes of the instance's arrays: D's three, a, c, p0, delta and any bounds."""
+    arrays = [instance.D.data, instance.D.indices, instance.D.indptr]
+    arrays += [instance.a, instance.c, instance.p0, instance.delta, *(instance.bounds or ())]
+    return sum(a.nbytes for a in arrays)
+
+
+def traced_peak(run):
+    """``run()``'s result and the ``tracemalloc`` peak, in bytes, while it ran."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)

@@ -5,6 +5,8 @@ from scipy import sparse
 from priceopt import ContractError, GenConfig, generate, generate_profitable, benchmark_suite, validate
 from priceopt.generator import _DOMINANCE_MARGIN, _apply_dominance_fix, _build_matrix
 
+from conftest import instance_bytes, traced_peak
+
 
 def _reference_row(rng, i, n, m, cap, mixed):
     """The recipe's definition of one off-diagonal row: redraw until valid."""
@@ -59,6 +61,58 @@ def _reference_dominance_fix(D):
     scale = 1.0 / np.maximum(1.0, np.maximum(rho[coo.row], rho[coo.col]))
     data = np.where(keep, coo.data * scale, coo.data)
     return sparse.csr_array(sparse.coo_array((data, (coo.row, coo.col)), shape=(n, n)))
+
+
+def _reference_apply_dominance_fix(D):
+    """The CSR dominance fix before S came from ``instance._plus_transpose``:
+    int64 indices, and the row sums by ``np.add.at`` over the off-diagonal
+    entries only."""
+    n = D.shape[0]
+    diag = D.diagonal()
+    S = D + sparse.csr_array(D.T)
+    s_rows = np.repeat(np.arange(n), np.diff(S.indptr))
+    off = s_rows != S.indices
+    if not np.any(off):
+        return D
+    row_sums = np.zeros(n)
+    np.add.at(row_sums, s_rows[off], np.abs(S.data[off]))  # in S's CSR order
+    target = 2.0 * diag * (1.0 - _DOMINANCE_MARGIN) * (1.0 - 1e-6)
+    rho = row_sums / target
+    rows, cols = np.repeat(np.arange(n), np.diff(D.indptr)), D.indices
+    scale = 1.0 / np.maximum(1.0, np.maximum(rho[rows], rho[cols]))
+    data = np.where(rows != cols, D.data * scale, D.data)
+    return sparse.csr_array((data, cols, D.indptr), shape=(n, n))
+
+
+def _cancelling_draw(n, seed):
+    """A mixed-sign draw in which every other off-diagonal d_ij gets a partner
+    d_ji = -d_ij, so that s_ij = d_ij + d_ji cancels to zero."""
+    cfg = GenConfig(n=n, seed=seed, allow_mixed_signs=True)
+    D = _build_matrix(np.random.default_rng(seed), cfg).tocoo()
+    off = D.row != D.col
+    stored = set(zip(D.row.tolist(), D.col.tolist()))
+    mirrored = [
+        (j, i, -v)
+        for i, j, v in zip(D.row[off][::2].tolist(), D.col[off][::2].tolist(), D.data[off][::2].tolist())
+        if (j, i) not in stored
+    ]
+    rows, cols, vals = (np.array(x) for x in zip(*mirrored))
+    return sparse.csr_array(sparse.coo_array(
+        (np.concatenate([D.data, vals]), (np.concatenate([D.row, rows]), np.concatenate([D.col, cols]))),
+        shape=(n, n),
+    ))
+
+
+def _pairwise_differs(D):
+    """Whether some row of S = D + D^T sums its off-diagonal |s_ij| differently
+    pairwise (``np.sum``, more than 8 terms) and one after another."""
+    S = sparse.csr_array(D + D.T)
+    for i in range(D.shape[0]):
+        lo, hi = S.indptr[i], S.indptr[i + 1]
+        w = np.abs(S.data[lo:hi][S.indices[lo:hi] != i])
+        if w.size > 8 and np.sum(w) != np.add.accumulate(w)[-1]:
+            return True
+    return False
 
 
 class TestDeterminism:
@@ -258,6 +312,28 @@ class TestDominanceFix:
         for name in ("data", "indices", "indptr"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
+    @pytest.mark.parametrize("draw", ["cancelling", "long rows", "default 0", "default 101"])
+    def test_row_sums_match_the_add_at_fix(self, draw):
+        # bincount over all of S's entries, the diagonal's weight zeroed, adds
+        # what np.add.at added over the off-diagonal ones, in the same order
+        if draw == "cancelling":
+            D = _cancelling_draw(300, seed=5)
+            union = sparse.csr_array(abs(D) + abs(D.T))
+            assert sparse.csr_array(D + D.T).nnz < union.nnz  # some s_ij are zero, and not stored
+        else:
+            config = {
+                "long rows": GenConfig(n=3_000, seed=90001, offdiag_max_count=40, allow_mixed_signs=True),
+                "default 0": GenConfig(n=20_000, seed=0),
+                "default 101": GenConfig(n=20_000, seed=101),
+            }[draw]
+            D = _build_matrix(np.random.default_rng(config.seed), config)
+            if draw == "long rows":
+                assert _pairwise_differs(D)
+        got, want = _apply_dominance_fix(D), _reference_apply_dominance_fix(D)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
 
 class TestProfitableVariant:
     def test_assumptions_hold(self):
@@ -296,3 +372,12 @@ class TestPaperSuite:
     def test_bad_scale(self):
         with pytest.raises(ContractError):
             benchmark_suite("huge")
+
+
+class TestMemory:
+    def test_generate_peak(self):
+        # the traced peak, over the bytes of the instance it returns, read
+        # 4.37 when S came with int64 indices, the matrix from COO lists and
+        # the dominance fix held the vectors; 2.39 since
+        inst, peak = traced_peak(lambda: generate(GenConfig(n=20_000, seed=0)))
+        assert peak <= 3.2 * instance_bytes(inst)

@@ -36,7 +36,7 @@ from priceopt.solver import (
     _partition_box,
     _random_feasible_start,
 )
-from conftest import random_instance, reference_member_distance, two_product_instance
+from conftest import instance_bytes, random_instance, reference_member_distance, traced_peak, two_product_instance
 
 
 class TestSolverParams:
@@ -1037,3 +1037,14 @@ class TestQualityFloor:
             best, _ = multi_start(inst, SolverParams())
             hits += best.final_q_obj <= q_star + 1e-9 * max(1.0, abs(q_star))
         assert hits >= floor
+
+
+class TestMemory:
+    def test_multi_start_peak(self):
+        # S is built inside (the Gershgorin bound reads it).  The traced peak,
+        # over the bytes of the instance, read 2.74 when S kept the room of
+        # D + D^T and the runs kept their steps, the long step and the
+        # replaced points alive; 2.19 since
+        inst = generate(GenConfig(n=20_000, seed=0))
+        _, peak = traced_peak(lambda: multi_start(inst, SolverParams()))
+        assert peak <= 2.5 * instance_bytes(inst)

@@ -599,6 +599,31 @@ class TestAtomicity:
         assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
         assert stat.S_IMODE(kept.stat().st_mode) == 0o640
 
+    @pytest.mark.parametrize("target_dir", [".", "elsewhere"])
+    def test_symlink_is_written_through(self, tmp_path, monkeypatch, target_dir):
+        # as open(path, "w") does: the link stays, the file it names gets the
+        # text, and the temporary file sits beside that file
+        (tmp_path / target_dir).mkdir(exist_ok=True)
+        target = tmp_path / target_dir / "target.txt"
+        target.write_text("old")
+        target.chmod(0o640)
+        link = tmp_path / "link.txt"
+        link.symlink_to(os.path.relpath(target, tmp_path))
+        temp_dirs = []
+        mkstemp = storage.tempfile.mkstemp
+
+        def recorded(**kwargs):
+            temp_dirs.append(kwargs["dir"])
+            return mkstemp(**kwargs)
+
+        monkeypatch.setattr(storage.tempfile, "mkstemp", recorded)
+        storage.atomic_write_text(str(link), "new")
+        assert link.is_symlink() and os.readlink(link) == os.path.relpath(target, tmp_path)
+        assert target.read_text() == "new"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert temp_dirs == [os.path.realpath(target.parent)]
+        assert not list(tmp_path.rglob(".tmp-*"))
+
 
 class TestValueInvariants:
     def test_negative_delta_in_file_rejected(self, tmp_path):
