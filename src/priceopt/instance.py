@@ -126,7 +126,10 @@ class Instance:
              p0 + delta and p0 - delta are finite and differ from p0 in
              floating point
     bounds   optional pair (l, u) of per-product price bounds with
-             l <= p0 - delta and u >= p0 + delta
+             l <= p0 - delta and u >= p0 + delta; None is the base model
+
+    ``bounds`` is the flag of the model.  ``lower`` and ``upper`` are always
+    read-only arrays of length n: l and u, or -inf and +inf (zero-byte views).
     """
 
     n: int
@@ -246,33 +249,29 @@ class Instance:
         v.setflags(write=False)
         return v
 
-    @property
-    def lower(self) -> Optional[np.ndarray]:
-        return None if self.bounds is None else self.bounds[0]
+    @cached_property
+    def lower(self) -> np.ndarray:
+        return np.broadcast_to(-np.inf, (self.n,)) if self.bounds is None else self.bounds[0]
 
-    @property
-    def upper(self) -> Optional[np.ndarray]:
-        return None if self.bounds is None else self.bounds[1]
+    @cached_property
+    def upper(self) -> np.ndarray:
+        return np.broadcast_to(np.inf, (self.n,)) if self.bounds is None else self.bounds[1]
 
     def s_matvec(self, p: np.ndarray) -> np.ndarray:
         """S @ p, one product with the cached sparse S."""
         return self.S @ p
 
     def same_data(self, other: "Instance") -> bool:
-        """Exact structural equality, including sparse storage order."""
+        """Exact structural equality, including sparse storage order (bounds
+        are finite, so ``lower``/``upper`` tell a bounded instance apart)."""
         if self.n != other.n or self.k != other.k:
             return False
         vecs = all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("a", "c", "p0", "delta")
+            for name in ("a", "c", "p0", "delta", "lower", "upper")
         )
         if not vecs:
             return False
-        if (self.bounds is None) != (other.bounds is None):
-            return False
-        if self.bounds is not None:
-            if not (np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)):
-                return False
         A, B = self.D, other.D
         return (
             np.array_equal(A.indptr, B.indptr)

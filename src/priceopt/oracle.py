@@ -52,8 +52,7 @@ def _intervals(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     ``[p0 + delta, u]``, row 1 the lowered ``[l, p0 - delta]``; an instance
     without bounds has infinite far ends."""
     p0, delta = instance.p0, instance.delta
-    lower, upper = instance.bounds or (np.full(instance.n, -np.inf), np.full(instance.n, np.inf))
-    return np.stack([p0 + delta, lower]), np.stack([upper, p0 - delta])
+    return np.stack([p0 + delta, instance.lower]), np.stack([instance.upper, p0 - delta])
 
 
 def _pattern_values(lo: float, hi: float, raised: bool) -> list[tuple[float, int]]:

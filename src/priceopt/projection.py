@@ -41,12 +41,16 @@ The 1-D projection is computed once, in ``_project`` (the clamps of q into
 the raised and the lowered interval, ``_clamps``, and the half-threshold
 choice between them and p0); ``score`` and ``project_1d`` use it, and
 ``project_feasible`` and the certificate use its clamps on the coordinates
-they need.  Membership in H(q) is decided once, too:
-``_membership_residual`` is the closed-form distance from p to H(q), which
-``certify_in_H`` and ``solver.certify_stationary`` (at q = p - grad Q(p) / L)
-both use.  It reads the gains from ``_gains``; beyond them, their k-th
-largest and the masks that sort the coordinates against it, its work is
-proportional to the coordinates that can decide the residual, not to n.
+they need.  Without bounds, l = -inf and u = +inf (``Instance.lower`` and
+``upper``), so both models clamp and test feasibility one way; only
+``_gains`` keeps a shorter, measured path for the unbounded model.
+
+Membership in H(q) is decided once, too: ``_membership_residual`` is the
+closed-form distance from p to H(q), which ``certify_in_H`` and
+``solver.certify_stationary`` (at q = p - grad Q(p) / L) both use.  It reads
+the gains from ``_gains``; beyond them, their k-th largest and the masks that
+sort the coordinates against it, its work is proportional to the coordinates
+that can decide the residual, not to n.
 """
 
 from __future__ import annotations
@@ -72,15 +76,13 @@ __all__ = [
 DEFAULT_CERT_TOL = 1e-8
 
 
-def _clamps(up, dn, bounds, q):
-    """The clamps of q into [up, u] and [l, dn] (unbounded without bounds)."""
-    if bounds is None:
-        return np.maximum(q, up), np.minimum(q, dn)
-    l, u = bounds
-    return np.clip(q, up, u), np.clip(q, l, dn)
+def _clamps(up, dn, l, u, q):
+    """The clamps of q into [up, u] and [l, dn]: ``np.clip``'s order (the
+    lower end first), which decides the sign of a zero at a zero edge."""
+    return np.minimum(np.maximum(q, up), u), np.minimum(np.maximum(q, l), dn)
 
 
-def _project(p0, delta, bounds, q):
+def _project(p0, delta, l, u, q):
     """1-D projection of q onto P_i, elementwise on scalars or arrays.
 
     Returns ``(proj, c_up, c_dn)``: the clamps of q into [p0 + delta, u]
@@ -88,7 +90,7 @@ def _project(p0, delta, bounds, q):
     half-threshold window |q - p0| <= delta / 2 and the clamp on q's side of
     p0 outside it.
     """
-    c_up, c_dn = _clamps(p0 + delta, p0 - delta, bounds, q)
+    c_up, c_dn = _clamps(p0 + delta, p0 - delta, l, u, q)
     window = (q >= p0 - 0.5 * delta) & (q <= p0 + 0.5 * delta)
     proj = np.where(window, p0, np.where(q > p0, c_up, c_dn))
     return proj, c_up, c_dn
@@ -117,12 +119,11 @@ def project_1d(
     """
     if delta_i <= 0.0:
         raise ContractError(f"delta must be positive, got {delta_i}")
-    if bounds_i is not None:
-        l_i, u_i = bounds_i
-        if l_i > p0_i - delta_i or u_i < p0_i + delta_i:
-            raise ContractError("bounds must satisfy l <= p0 - delta and u >= p0 + delta")
+    l_i, u_i = (-np.inf, np.inf) if bounds_i is None else bounds_i
+    if l_i > p0_i - delta_i or u_i < p0_i + delta_i:
+        raise ContractError("bounds must satisfy l <= p0 - delta and u >= p0 + delta")
 
-    proj, c_up, c_dn = _project(p0_i, delta_i, bounds_i, q_i)
+    proj, c_up, c_dn = _project(p0_i, delta_i, l_i, u_i, q_i)
     if q_i == p0_i + 0.5 * delta_i:
         return float(proj), float(c_up)
     if q_i == p0_i - 0.5 * delta_i:
@@ -182,7 +183,7 @@ def _gains(instance: Instance, q: np.ndarray) -> np.ndarray:
         e_dn = q - dn
         np.maximum(e_dn, 0.0, out=e_dn)
         if instance.bounds is not None:
-            l, u = instance.bounds
+            l, u = instance.lower, instance.upper
             np.minimum(e_up, u - q, out=e_up)
             np.minimum(e_dn, q - l, out=e_dn)
             np.abs(e_up, out=e_up)
@@ -227,7 +228,7 @@ def score(instance: Instance, q: np.ndarray) -> ProjectionScores:
     """
     q = _check_length(instance, q)
     p0, half = instance.p0, 0.5 * instance.delta
-    proj = _project(p0, instance.delta, instance.bounds, q)[0]
+    proj = _project(p0, instance.delta, instance.lower, instance.upper, q)[0]
     dist_sq = _distance_sq(proj, q)
     delta_score = _gains(instance, q)
     tie_flags = (q == p0 + half) | (q == p0 - half)
@@ -282,13 +283,10 @@ def project_feasible(instance: Instance, q: np.ndarray) -> np.ndarray:
     q = _check_length(instance, q)
     chosen = _select_top_k(_gains(instance, q), instance.k)
     up, dn, _, _ = instance._edges
-    bounds = instance.bounds
-    if bounds is not None:
-        bounds = (bounds[0][chosen], bounds[1][chosen])
     # a chosen coordinate scores above zero, so it lies outside its window
     # and moves to the clamp on its side of p0
     q_c = q[chosen]
-    c_up, c_dn = _clamps(up[chosen], dn[chosen], bounds, q_c)
+    c_up, c_dn = _clamps(up[chosen], dn[chosen], instance.lower[chosen], instance.upper[chosen], q_c)
     p = instance.p0.copy()
     p[chosen] = np.where(q_c > instance.p0[chosen], c_up, c_dn)
     return p
@@ -304,9 +302,7 @@ def is_feasible(instance: Instance, p: np.ndarray) -> bool:
         return False
     # moved coordinates lie on a branch (Partition.from_prices' rule), in bounds
     off = _classify(instance, p) == 0
-    if instance.bounds is not None:
-        l, u = instance.bounds
-        off |= (p < l) | (p > u)
+    off |= (p < instance.lower) | (p > instance.upper)
     return not np.any(moved & off)
 
 
@@ -318,11 +314,8 @@ def _member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, tol: floa
     values of a tie count.
     """
     up, dn, _, _ = instance._edges
-    bounds = instance.bounds
-    if bounds is not None:
-        bounds = (bounds[0][idx], bounds[1][idx])
     q, p, p0 = q[idx], p[idx], instance.p0[idx]
-    c_up, c_dn = _clamps(up[idx], dn[idx], bounds, q)
+    c_up, c_dn = _clamps(up[idx], dn[idx], instance.lower[idx], instance.upper[idx], q)
     candidates = (c_up, c_dn, p0)
     d_cand = [np.abs(c - q) for c in candidates]
     d_best = np.minimum(np.minimum(d_cand[0], d_cand[1]), d_cand[2])

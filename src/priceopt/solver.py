@@ -246,9 +246,8 @@ def _partition_box(instance: Instance, partition: Partition) -> tuple[np.ndarray
     p0 = instance.p0
     up, dn, _, _ = instance._edges
     raised, lowered = partition.status == 1, partition.status == 2
-    l, u = (-np.inf, np.inf) if instance.bounds is None else instance.bounds
-    lo = np.where(raised, up, np.where(lowered, l, p0))
-    hi = np.where(raised, u, np.where(lowered, dn, p0))
+    lo = np.where(raised, up, np.where(lowered, instance.lower, p0))
+    hi = np.where(raised, instance.upper, np.where(lowered, dn, p0))
     return lo, hi
 
 
@@ -482,8 +481,7 @@ def _random_feasible_start(instance: Instance, rng: np.random.Generator) -> np.n
     with np.errstate(over="ignore"):
         moves = instance.delta[support] * (1.0 + rng.random(k))
         start[support] = instance.p0[support] + sides * moves
-    if instance.bounds is not None:
-        start[support] = np.clip(start[support], instance.lower[support], instance.upper[support])
+    start[support] = np.clip(start[support], instance.lower[support], instance.upper[support])
     return start
 
 

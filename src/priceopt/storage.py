@@ -57,7 +57,6 @@ import os
 import re
 import stat
 import sys
-import tempfile
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -113,31 +112,39 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _new_file_mode(path: str) -> int:
-    """The mode ``open(path, "w")`` leaves: an existing file's own, else 0o666 less the umask."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0o022)  # the umask can only be read by setting it
-        os.umask(umask)
-        return 0o666 & ~umask
+def _create_beside(path: str) -> tuple[int, str]:
+    """A new temporary file beside ``path``, open for writing.  Its mode is
+    0o666 less the umask, applied by the OS, as ``open(path, "w")`` leaves a
+    new file: reading the umask would mean setting it, racing other threads."""
+    while True:
+        tmp = os.path.join(os.path.dirname(path), f".tmp-priceopt-{os.urandom(6).hex()}")
+        with contextlib.suppress(FileExistsError):
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
 
 
 @contextlib.contextmanager
 def atomic_open(path: str):
     """A text handle whose content replaces ``path`` only if the block completes.
 
-    A symlink is written through, as ``open(path, "w")`` writes it: the file
-    it names is replaced, from a temporary file beside that file.
+    A file written over keeps its mode.  A symlink is written through, as
+    ``open(path, "w")`` writes it: the file it names is replaced, from a
+    temporary file beside that file.  An error in making or placing the file
+    names ``path``, not the temporary file.
     """
     path = os.path.realpath(path)
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-priceopt-")
+    try:
+        fd, tmp = _create_beside(path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.chmod(tmp, _new_file_mode(path))  # mkstemp made it 0o600
-        os.replace(tmp, path)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -361,6 +368,8 @@ def _parse_fields(lines: _Lines) -> tuple[dict, int]:
             raise ParseError("field appears twice", line=line_no, field=name)
         if name in ("n", "k"):
             fields[name] = _parse_int(rest, line_no, name)
+            if name == "n" and fields["n"] < 1:
+                raise ParseError(f"n must be positive, got {fields['n']}", line=line_no, field="n")
         elif name in _VECTORS:
             fields[name] = _parse_floats(rest, line_no, name)
         elif name == "D":

@@ -61,7 +61,7 @@ def reference_member_distance(instance: Instance, q: np.ndarray, p: np.ndarray, 
     """
     from priceopt.projection import _project
 
-    _, c_up, c_dn = _project(instance.p0, instance.delta, instance.bounds, q)
+    _, c_up, c_dn = _project(instance.p0, instance.delta, instance.lower, instance.upper, q)
     candidates = (c_up, c_dn, instance.p0)
     d_cand = [np.abs(c - q) for c in candidates]
     d_best = np.minimum(np.minimum(d_cand[0], d_cand[1]), d_cand[2])

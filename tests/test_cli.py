@@ -73,6 +73,19 @@ class TestGen:
         assert capsys.readouterr().err == "error: gen: out of memory\n"
         assert not out.exists()
 
+    def test_missing_out_directory_names_the_target(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.txt"
+        assert run(["gen", "--n", "5", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.rglob(".tmp-priceopt-*")) == []
+
+    def test_out_directory_names_the_target(self, tmp_path, capsys):
+        out = tmp_path / "target_dir"
+        out.mkdir()
+        assert run(["gen", "--n", "5", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert out.is_dir() and list(tmp_path.rglob(".tmp-priceopt-*")) == []
+
     def test_non_numeric_delta_is_data_error(self, tmp_path):
         code = run(["gen", "--n", "20", "--delta", "const:abc", "--out", str(tmp_path / "x.txt")])
         assert code == 2

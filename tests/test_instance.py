@@ -233,6 +233,29 @@ class TestWithK:
             with_k(generate(GenConfig(n=3, seed=0)), k)
 
 
+class TestOneBox:
+    def test_unbounded_box_is_infinite_and_read_only(self):
+        inst = two_product_instance()
+        for view in (inst, with_k(inst, 2)):
+            assert view.bounds is None
+            for box, end in ((view.lower, -np.inf), (view.upper, np.inf)):
+                assert box.shape == (2,) and np.all(box == end)
+                assert not box.flags.writeable
+                with pytest.raises(ValueError):
+                    box[0] = 0.0
+
+    def test_bounded_box_is_the_bounds(self):
+        inst = random_instance(np.random.default_rng(3), bounded=True)
+        assert inst.lower is inst.bounds[0] and inst.upper is inst.bounds[1]
+        assert not inst.lower.flags.writeable and not inst.upper.flags.writeable
+
+    def test_same_data_tells_the_models_apart(self):
+        inst = random_instance(np.random.default_rng(4), bounded=True)
+        bare = Instance(n=inst.n, k=inst.k, a=inst.a, D=inst.D, c=inst.c, p0=inst.p0, delta=inst.delta)
+        assert not inst.same_data(bare) and not bare.same_data(inst)
+        assert bare.same_data(with_k(bare, bare.k)) and inst.same_data(with_k(inst, inst.k))
+
+
 class TestObjective:
     def test_zero_vector(self):
         assert objective_q(two_product_instance(), np.zeros(2)) == 0.0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from priceopt import (
@@ -796,3 +796,173 @@ class TestBoundedTies:
         # bounds may touch the thresholds exactly
         assert project_1d(0.0, 1.0, (-1.0, 1.0), 2.5) == (1.0, None)
         assert project_1d(0.0, 1.0, (-1.0, 1.0), -9.0) == (-1.0, None)
+
+
+# -- one box per price: the unbounded model is the bounded one with l = -inf
+#    and u = +inf; the references below are the separate unbounded paths that
+#    projection and solver kept before, held to the same bits
+
+
+def _branchy_clamps(up, dn, bounds, q):
+    """``projection._clamps`` with its own unbounded path, kept as the reference."""
+    if bounds is None:
+        return np.maximum(q, up), np.minimum(q, dn)
+    l, u = bounds
+    return np.clip(q, up, u), np.clip(q, l, dn)
+
+
+def _branchy_bounds(instance, idx):
+    return None if instance.bounds is None else (instance.bounds[0][idx], instance.bounds[1][idx])
+
+
+def _branchy_proj(instance, q):
+    """``score``'s 1-D projection through ``_branchy_clamps``."""
+    p0, delta = instance.p0, instance.delta
+    c_up, c_dn = _branchy_clamps(p0 + delta, p0 - delta, instance.bounds, q)
+    window = (q >= p0 - 0.5 * delta) & (q <= p0 + 0.5 * delta)
+    return np.where(window, p0, np.where(q > p0, c_up, c_dn))
+
+
+def _branchy_project_feasible(instance, q):
+    from priceopt.projection import _gains, _select_top_k
+
+    chosen = _select_top_k(_gains(instance, q), instance.k)
+    up, dn, _, _ = instance._edges
+    q_c = q[chosen]
+    c_up, c_dn = _branchy_clamps(up[chosen], dn[chosen], _branchy_bounds(instance, chosen), q_c)
+    p = instance.p0.copy()
+    p[chosen] = np.where(q_c > instance.p0[chosen], c_up, c_dn)
+    return p
+
+
+def _branchy_is_feasible(instance, p):
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (instance.n,) or not np.all(np.isfinite(p)):
+        return False
+    moved = p != instance.p0
+    if np.count_nonzero(moved) > instance.k:
+        return False
+    off = _classify(instance, p) == 0
+    if instance.bounds is not None:
+        l, u = instance.bounds
+        off |= (p < l) | (p > u)
+    return not np.any(moved & off)
+
+
+def _branchy_member_distance(instance, q, p, tol, idx):
+    up, dn, _, _ = instance._edges
+    q, p, p0 = q[idx], p[idx], instance.p0[idx]
+    c_up, c_dn = _branchy_clamps(up[idx], dn[idx], _branchy_bounds(instance, idx), q)
+    candidates = (c_up, c_dn, p0)
+    d_cand = [np.abs(c - q) for c in candidates]
+    d_best = np.minimum(np.minimum(d_cand[0], d_cand[1]), d_cand[2])
+    dist = np.full(idx.size, np.inf)
+    for c, d in zip(candidates, d_cand):
+        dist = np.where(d <= d_best + tol, np.minimum(dist, np.abs(p - c)), dist)
+    return dist
+
+
+def _branchy_partition_box(instance, partition):
+    p0 = instance.p0
+    up, dn, _, _ = instance._edges
+    raised, lowered = partition.status == 1, partition.status == 2
+    l, u = (-np.inf, np.inf) if instance.bounds is None else instance.bounds
+    lo = np.where(raised, up, np.where(lowered, l, p0))
+    hi = np.where(raised, u, np.where(lowered, dn, p0))
+    return lo, hi
+
+
+def _branchy_random_feasible_start(instance, rng):
+    n, k = instance.n, instance.k
+    support = rng.choice(n, size=k, replace=False)
+    sides = rng.integers(0, 2, size=k) * 2 - 1
+    start = instance.p0.copy()
+    with np.errstate(over="ignore"):
+        moves = instance.delta[support] * (1.0 + rng.random(k))
+        start[support] = instance.p0[support] + sides * moves
+    if instance.bounds is not None:
+        start[support] = np.clip(start[support], instance.lower[support], instance.upper[support])
+    return start
+
+
+# p0 = -delta puts the raised edge p0 + delta at +0.0, p0 = delta the lowered
+# edge, and p0 = -+delta/2 an end of the half-threshold window; -0.0 is a
+# baseline of its own
+_SHIFTS = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.7]
+_FAR = [1e155, -1e155, 1e200, -1e200, 1e300, -1e300]
+
+
+@st.composite
+def _boxed_cases(draw):
+    """A small instance, bounded or not, with zero edges and bounds of
+    either sign, and a query at its edges, at +-0.0 and beyond 1e154."""
+    n = draw(st.integers(1, 6))
+    delta = np.array([draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) for _ in range(n)])
+    p0 = np.array([draw(st.sampled_from(_SHIFTS)) for _ in range(n)]) * delta
+    up, dn = p0 + delta, p0 - delta
+    bounds = None
+    if draw(st.booleans()):
+        lo = [draw(st.sampled_from([d, d - 1.0, d - 100.0] + [-0.0, 0.0] * (d >= 0.0))) for d in dn.tolist()]
+        hi = [draw(st.sampled_from([u, u + 1.0, u + 100.0] + [-0.0, 0.0] * (u <= 0.0))) for u in up.tolist()]
+        bounds = (np.array(lo), np.array(hi))
+    inst = Instance(n=n, k=draw(st.integers(1, n)), a=np.ones(n), D=np.eye(n), c=np.ones(n),
+                    p0=p0, delta=delta, bounds=bounds)
+    edges = [p0, up, dn, p0 - 0.5 * delta, p0 + 0.5 * delta, inst.lower, inst.upper,
+             p0 + 0.7 * delta, p0 - 1.3 * delta]
+    q = np.array([
+        draw(st.one_of(
+            st.sampled_from([0.0, -0.0, *_FAR] + [float(e[i]) for e in edges if np.isfinite(e[i])]),
+            st.floats(-1e300, 1e300),
+        ))
+        for i in range(n)
+    ])
+    return inst, q, draw(st.integers(0, 2**32 - 1))
+
+
+def _signed_zero_case():
+    """Lowered edge +0.0 with l = -0.0 and raised edge +0.0 with u = -0.0,
+    queried at +0.0: the clamps must take the zero's sign as np.clip does."""
+    inst = Instance(n=2, k=1, a=np.ones(2), D=np.eye(2), c=np.ones(2), p0=np.array([0.25, -0.25]),
+                    delta=np.full(2, 0.25), bounds=(np.array([-0.0, -0.5]), np.array([0.5, -0.0])))
+    return inst, np.zeros(2), 0
+
+
+class TestOneBoxMatchesBranchyPaths:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_boxed_cases())
+    @example(case=_signed_zero_case())
+    def test_bit_identical(self, case):
+        from unittest import mock
+
+        from priceopt import projection
+        from priceopt.solver import Partition, _partition_box
+
+        inst, q, seed = case
+        sc = score(inst, q)
+        want_proj = _branchy_proj(inst, q)
+        assert _same_bytes(sc.proj, want_proj)
+        assert _same_bytes(sc.dist_sq, projection._distance_sq(want_proj, q))
+
+        p = project_feasible(inst, q)
+        assert _same_bytes(p, _branchy_project_feasible(inst, q))
+
+        start = _random_feasible_start(inst, np.random.default_rng(seed))
+        assert _same_bytes(start, _branchy_random_feasible_start(inst, np.random.default_rng(seed)))
+
+        for point in (q, p, start, inst.p0):
+            assert is_feasible(inst, point) == _branchy_is_feasible(inst, point)
+            assert all(
+                _same_bytes(got, want)
+                for got, want in zip(
+                    _partition_box(inst, Partition.from_status(_classify(inst, point))),
+                    _branchy_partition_box(inst, Partition.from_status(_classify(inst, point))),
+                )
+            )
+            idx = np.arange(inst.n)
+            for tol in (1e-8, 1e-3):
+                got = projection._member_distance(inst, q, point, tol, idx)
+                assert _same_bytes(got, _branchy_member_distance(inst, q, point, tol, idx))
+                verdict = certify_in_H(inst, q, point, tol)
+                with mock.patch.object(projection, "_member_distance", _branchy_member_distance):
+                    assert verdict == certify_in_H(inst, q, point, tol)
+

@@ -599,6 +599,28 @@ class TestAtomicity:
         assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
         assert stat.S_IMODE(kept.stat().st_mode) == 0o640
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_umask_is_never_set(self, tmp_path, monkeypatch, umask):
+        # the OS takes the umask off the new file: reading it would mean
+        # setting it, which other threads creating files would see
+        old = os.umask(umask)
+        try:
+            def refuse(mask):
+                raise AssertionError("os.umask called")
+
+            monkeypatch.setattr(os, "umask", refuse)
+            new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
+            kept.write_text("old")
+            kept.chmod(0o640)
+            storage.atomic_write_text(str(new), "data")
+            storage.atomic_write_text(str(kept), "data")
+            monkeypatch.undo()
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_text() == "data"
+
     @pytest.mark.parametrize("target_dir", [".", "elsewhere"])
     def test_symlink_is_written_through(self, tmp_path, monkeypatch, target_dir):
         # as open(path, "w") does: the link stays, the file it names gets the
@@ -610,13 +632,14 @@ class TestAtomicity:
         link = tmp_path / "link.txt"
         link.symlink_to(os.path.relpath(target, tmp_path))
         temp_dirs = []
-        mkstemp = storage.tempfile.mkstemp
+        create = storage._create_beside
 
-        def recorded(**kwargs):
-            temp_dirs.append(kwargs["dir"])
-            return mkstemp(**kwargs)
+        def recorded(path):
+            fd, tmp = create(path)
+            temp_dirs.append(os.path.dirname(tmp))
+            return fd, tmp
 
-        monkeypatch.setattr(storage.tempfile, "mkstemp", recorded)
+        monkeypatch.setattr(storage, "_create_beside", recorded)
         storage.atomic_write_text(str(link), "new")
         assert link.is_symlink() and os.readlink(link) == os.path.relpath(target, tmp_path)
         assert target.read_text() == "new"
@@ -626,6 +649,16 @@ class TestAtomicity:
 
 
 class TestValueInvariants:
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_one_rejected_on_its_line(self, tmp_path, n):
+        # before the vectors' lengths are compared with it
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# priceopt instance v1\nn {n}\nk 1\na 1.0 2.0\nc 1.0 1.0\n"
+                        "p0 2.0 2.0\ndelta 1.0 1.0\nD 1\n0 0 1.0\n")
+        with pytest.raises(ParseError, match=rf"^n must be positive, got {n} \(field 'n', line 2\)$") as info:
+            read_instance(str(path))
+        assert (info.value.field, info.value.line) == ("n", 2)
+
     def test_negative_delta_in_file_rejected(self, tmp_path):
         from priceopt import ValidationError
 
