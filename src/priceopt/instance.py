@@ -266,18 +266,10 @@ class Instance:
         are finite, so ``lower``/``upper`` tell a bounded instance apart)."""
         if self.n != other.n or self.k != other.k:
             return False
-        vecs = all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("a", "c", "p0", "delta", "lower", "upper")
-        )
-        if not vecs:
-            return False
         A, B = self.D, other.D
-        return (
-            np.array_equal(A.indptr, B.indptr)
-            and np.array_equal(A.indices, B.indices)
-            and np.array_equal(A.data, B.data)
-        )
+        pairs = [(getattr(self, name), getattr(other, name)) for name in ("a", "c", "p0", "delta", "lower", "upper")]
+        pairs += [(A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)]
+        return all(np.array_equal(x, y) for x, y in pairs)
 
 
 def with_k(instance: Instance, k: int) -> Instance:

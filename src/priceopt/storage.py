@@ -112,14 +112,14 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _create_beside(path: str) -> tuple[int, str]:
-    """A new temporary file beside ``path``, open for writing.  Its mode is
-    0o666 less the umask, applied by the OS, as ``open(path, "w")`` leaves a
-    new file: reading the umask would mean setting it, racing other threads."""
+def _create_beside(path: str, mode: int) -> tuple[int, str]:
+    """A new temporary file beside ``path``, open for writing, made with
+    ``mode`` less the umask: the OS takes the umask off, as ``open(path, "w")``
+    does, since reading it would mean setting it, racing other threads."""
     while True:
         tmp = os.path.join(os.path.dirname(path), f".tmp-priceopt-{os.urandom(6).hex()}")
         with contextlib.suppress(FileExistsError):
-            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), tmp
 
 
 @contextlib.contextmanager
@@ -132,15 +132,19 @@ def atomic_open(path: str):
     names ``path``, not the temporary file.
     """
     path = os.path.realpath(path)
+    try:  # no more open than path will be: 0o666 less the umask if new, else its mode
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     try:
-        fd, tmp = _create_beside(path)
+        fd, tmp = _create_beside(path, 0o666 if mode is None else mode)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)  # give back what the umask took
             yield fh
-        with contextlib.suppress(FileNotFoundError):
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         try:
             os.replace(tmp, path)
         except OSError as exc:

@@ -585,41 +585,45 @@ class TestAtomicity:
         lambda path: write_instance(two_product_instance(), path),
         lambda path: export_mip_lp(two_product_instance(), path),
     ])
-    def test_modes_are_those_open_leaves(self, tmp_path, umask, write):
-        # a new file gets 0o666 less the umask, and a file written over keeps its mode
+    def test_modes_are_those_open_leaves(self, tmp_path, monkeypatch, umask, write):
+        # a new file gets 0o666 less the umask, and a file written over keeps
+        # its mode; the umask is never set (to read it), as other threads
+        # creating files would see it
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
         new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
         kept.write_text("old")
         kept.chmod(0o640)
         old = os.umask(umask)
+        monkeypatch.setattr(os, "umask", refuse)
         try:
             write(str(new))
             write(str(kept))
         finally:
+            monkeypatch.undo()
             os.umask(old)
         assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
         assert stat.S_IMODE(kept.stat().st_mode) == 0o640
 
-    @pytest.mark.parametrize("umask", [0o022, 0o077])
-    def test_umask_is_never_set(self, tmp_path, monkeypatch, umask):
-        # the OS takes the umask off the new file: reading it would mean
-        # setting it, which other threads creating files would see
-        old = os.umask(umask)
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    def test_temporary_file_is_never_more_open_than_the_target(self, tmp_path, mode):
+        # made with the target's mode, not 0o666 less the umask, so no one
+        # the target shuts out can read the new text while it is written
+        target = tmp_path / "target.txt"
+        target.write_text("old")
+        target.chmod(mode)
+        old = os.umask(0)
         try:
-            def refuse(mask):
-                raise AssertionError("os.umask called")
-
-            monkeypatch.setattr(os, "umask", refuse)
-            new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
-            kept.write_text("old")
-            kept.chmod(0o640)
-            storage.atomic_write_text(str(new), "data")
-            storage.atomic_write_text(str(kept), "data")
-            monkeypatch.undo()
+            with storage.atomic_open(str(target)) as fh:
+                fh.write("new")
+                fh.flush()
+                (tmp,) = tmp_path.glob(".tmp-priceopt-*")
+                assert stat.S_IMODE(tmp.stat().st_mode) == mode
         finally:
             os.umask(old)
-        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
-        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
-        assert kept.read_text() == "data"
+        assert target.read_text() == "new"
+        assert stat.S_IMODE(target.stat().st_mode) == mode
 
     @pytest.mark.parametrize("target_dir", [".", "elsewhere"])
     def test_symlink_is_written_through(self, tmp_path, monkeypatch, target_dir):
@@ -634,8 +638,8 @@ class TestAtomicity:
         temp_dirs = []
         create = storage._create_beside
 
-        def recorded(path):
-            fd, tmp = create(path)
+        def recorded(path, mode):
+            fd, tmp = create(path, mode)
             temp_dirs.append(os.path.dirname(tmp))
             return fd, tmp
 
