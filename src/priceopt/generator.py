@@ -93,6 +93,10 @@ class GenConfig:
             l_lo, l_hi, u_lo, u_hi = self.bounds_mode
             if not (l_lo <= l_hi and u_lo <= u_hi):
                 raise ContractError("bounds_mode ranges must be ordered")
+            if l_hi > u_lo:  # else some u_i < l_i, and p0 ~ U[l, u] has no range
+                raise ContractError(
+                    f"bounds_mode ranges must not overlap: l in [{l_lo:g}, {l_hi:g}] and u in [{u_lo:g}, {u_hi:g}]"
+                )
         if self.offdiag_max_count < 0 or self.offdiag_rel_mag < 0:
             raise ContractError("off-diagonal settings must be nonnegative")
         if self.offdiag_max_count > 0 and not (self.offdiag_rel_mag > 0 and self.diag_range[0] > 0):

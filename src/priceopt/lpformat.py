@@ -33,23 +33,24 @@ text leaves out: a term with a zero coefficient, a magnitude that prints as
 ``tests/test_lpformat.py`` keeps the earlier string-by-string exporter as
 the byte-for-byte reference.
 
-``parse_lp`` reads the LP subset the exporter writes, and a little more:
-``Maximize``/``Minimize`` with an optional ``name:``, terms, constants and
-``[ 2 x ^ 2 - 3 x * y ] / 2``; ``Subject To`` rows ``[name:] terms <sense>
-number``; ``Bounds`` (``x free``, ``x <= b``, ``x >= b``, ``x = b``, ``a <= x
-<= b``, inf allowed); ``Binary`` and ``General`` lists; ``End``.  Keywords
-ignore case; ``\\`` starts a comment.  One ``findall`` splits the text into
-items of four groups (signs, number, name, rest): nearly all are one signed
-term, and the term that ends a row or bound carries its comparison and number
-in the rest.  One loop over the items reads the objective and every row; the
-Bounds, Binary and General lists have short loops of their own.  An error
-names the line of its token, computed from the item's offset only then, or the
-last line if the input ends early.  ``tests/test_lpformat.py`` keeps the
-earlier token-by-token parser as the reference this one must match.  The
-parse runs with the cyclic garbage collector paused (the caller's setting
-comes back afterwards): it allocates hundreds of thousands of tuples and
-strings, which would set off many collections, yet it builds no reference
-cycles for them to find.
+``parse_lp`` reads the LP text the exporter writes, and nothing else:
+``Maximize``; the objective ``name: terms``, whose last term may be one
+bracket ``[ 2 x ^ 2 - 3 x * y ] / 2``; ``Subject To`` and rows ``name:
+terms <=|>=|= number``; ``Bounds`` lines ``name free``; ``Binary`` name
+lists; ``End``.  A term is ``[+|-] [number] name``.  Keywords are spelled as
+the exporter spells them and name no variable; ``\\`` starts a comment.
+Every other form (``Minimize``, a constant, ``General``, any other bound,
+``inf``, ``<`` or ``=<``, two signs in a row, ``st``) is an LpFormatError
+that names its line.  One ``findall`` splits the text into items of four
+groups (sign, number, name, rest): nearly all are one signed term, and the
+term that ends a row carries its comparison and number in the rest.  An
+error names the line of its token, computed from the item's offset only
+then, or the last line if the input ends early.  ``tests/test_lpformat.py``
+keeps the earlier token-by-token parser, narrowed alike, as the reference
+this one must match.  The parse runs with the cyclic garbage collector
+paused (the caller's setting comes back afterwards): it allocates hundreds
+of thousands of tuples and strings, which would set off many collections,
+yet it builds no reference cycles for them to find.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def export_mip_lp(instance: Instance, path: str, big_m: Optional[float] = None) 
 
 @dataclass
 class LpConstraint:
-    name: Optional[str]
+    name: str
     coefs: dict[str, float]
     sense: str  # "<=", ">=", "="
     rhs: float
@@ -287,15 +288,12 @@ class LpConstraint:
 
 @dataclass
 class LpModel:
-    sense: str  # "max" or "min"
-    objective_name: Optional[str]
+    objective_name: str
     linear: dict[str, float]
     quadratic: dict[tuple[str, str], float]  # bracket coefficients (pre "/ 2")
-    constant: float
     constraints: list[LpConstraint]
-    bounds: dict[str, tuple[Optional[float], Optional[float]]] = field(default_factory=dict)
+    free: set[str] = field(default_factory=set)
     binaries: set[str] = field(default_factory=set)
-    generals: set[str] = field(default_factory=set)
 
     def variables(self) -> set[str]:
         names = set(self.linear)
@@ -303,71 +301,69 @@ class LpModel:
             names.update((a, b))
         for con in self.constraints:
             names.update(con.coefs)
-        names.update(self.bounds)
+        names.update(self.free)
         names.update(self.binaries)
-        names.update(self.generals)
         return names
 
 
 # An item is a run of whole tokens, in four groups (s, n, v, r).  Nearly all
-# are a term "[signs] [number] name [tail]": s, n and v hold the signs, the
-# number and a name that is not a section keyword, and r the tail: "^ number",
-# "* name", a label's ':', the comparison and number that end a row or bound
-# ("<= 0"), or "".  Every other item has r alone: a keyword ("subject"/"such"
-# only before "to"/"that"), a comparison with the number after it if any,
-# signs alone or before a number or '[', a number, '[', ']' with its
-# "/ number", "^ number", "* name", one operator, and last a character that
-# starts no token.  A number never ends where an exponent follows ("1e5 x").
-# Optional parts are written "(?:...|)", not "(?:...)?": the regex engine takes
-# an alternative faster than it runs a repeat.
+# are a term "[sign] [number] name [tail]": s, n and v hold the sign, the
+# number and a name that is not a keyword, and r the tail: "^ number",
+# "* name", a label's ':', the comparison and number that end a row
+# ("<= 0"), or "".  Every other item has r alone: a keyword, a comparison
+# with the number after it if any, a sign alone or before a number or '[',
+# a number, '[', ']' with its "/ number", one operator, and last a character
+# that starts no token.  A number never ends where an exponent follows
+# ("1e5 x").  Optional parts are written "(?:...|)", not "(?:...)?": the regex
+# engine takes an alternative faster than it runs a repeat.
 _NC = r"(?![A-Za-z0-9_.])"  # the name token ends here
 _NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+|(?![eE][+-]?\d))"
-_CMP = r"(?:<=|>=|=<|=>|[<>=])"
-_RHS = rf"{_CMP}[\s+-]*(?:{_NUM}|(?ai:inf(?:inity|)){_NC})"
-_KEYWORD = (  # the first-letter test up front makes most names fail it at once
-    r"(?=[bBeEgGmMsS])(?:(?ai:m(?:ax|in)(?:imi[sz]e|)|s(?:t|\.t\.)|b(?:ounds?|in(?:ary|aries|))|gen(?:erals?|)|end)"
-    rf"|(?ai:su(?:bject|ch)){_NC}(?=\s*(?ai:t(?:o|hat)){_NC})){_NC}"
-)
+_CMP = r"(?:<=|>=|=)"
+_KEYWORD = rf"(?=[BEMS])(?:Maximize|Subject|Bounds|Binary|End){_NC}"  # most names fail the first letter
 _ITEM = re.compile(
-    rf"\s*(?:(?:(?P<s>[+-](?:[\s+-]*[+-]|))\s*|)(?:(?P<n>{_NUM})\s*|)(?P<v>(?!{_KEYWORD}){_NAME})\s*|)"
-    rf"(?P<r>(?(v)(?:\^\s*{_NUM}|\*\s*{_NAME}|:|{_RHS}|)|(?:{_KEYWORD}|{_RHS}|{_CMP}|[+-][\s+-]*(?:{_NUM}|\[|)"
-    rf"|{_NUM}|\[|\](?:\s*/(?:\s*{_NUM}|)|)|\^\s*{_NUM}|\*\s*{_NAME}|[\^*/:]|\S)))"
+    rf"\s*(?:(?:(?P<s>[+-])\s*|)(?:(?P<n>{_NUM})\s*|)(?P<v>(?!{_KEYWORD}){_NAME})\s*|)"
+    rf"(?P<r>(?(v)(?:\^\s*{_NUM}|\*\s*(?!{_KEYWORD}){_NAME}|:|{_CMP}\s*{_NUM}|)|(?:{_KEYWORD}"
+    rf"|{_CMP}(?:\s*{_NUM}|)|[+-]\s*(?:{_NUM}|\[|)|{_NUM}|\[|\](?:\s*/(?:\s*{_NUM}|)|)|[\^*/:]|\S)))"
 )
 _TAIL = ("^", "*", ":")  # how a term's tail starts, unless it is a comparison
-_CMP_START = ("<", ">", "=")
 _EOF = ("",) * 4  # appended after the last item
-_SIGNS = re.compile(r"(?:[+-]\s*)*")
+_SIGN = re.compile(r"[+-]?\s*")
 _TOKEN = re.compile(rf"{_CMP}|{_NUM}|{_NAME}|\S")  # the token an error message quotes
 # "\" starts a comment that runs to the end of the line; these are the line
 # breaks of str.splitlines, which also number the lines in error messages.
 _COMMENT = re.compile("\\\\[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
-_SECTIONS = {
-    **dict.fromkeys(("maximize", "maximise", "max", "minimize", "minimise", "min"), "objective"),
-    **dict.fromkeys(("subject", "such", "st", "s.t."), "constraints"),
-    **dict.fromkeys(("bounds", "bound"), "bounds"),
-    **dict.fromkeys(("binary", "binaries", "bin"), "binary"),
-    **dict.fromkeys(("general", "generals", "gen"), "general"),
-    "end": "end",
+# The error of an item that ends the terms of the objective or of a row too
+# early, by its kind (_kind), as _Fail arguments; any other kind is _NOT_A_TERM.
+_NOT_A_TERM = ("expected a term, found {found}", 0, "r")
+_NO_SECTION = "expected a 'Subject To' section after the objective"
+_NO_VARIABLE = ("expected a variable, found {found}", 1)  # after a number
+_OBJECTIVE_END = {"const": _NO_VARIABLE, **dict.fromkeys(("kw", "end", "cmp", "rhs"), (_NO_SECTION, 0, "r"))}
+_ROW_END = {
+    "const": _NO_VARIABLE,
+    **dict.fromkeys(("kw", "end"), ("constraint must contain a comparison", 0)),
+    "cmp": ("expected a number in constraint right-hand side", 1),
+    "rhs": ("constraint has no variables", 0, "r"),
+    "open": ("quadratic bracket not allowed here", 0, "r"),
 }
-_SENSES = {"<=": "<=", "=<": "<=", "<": "<=", ">=": ">=", "=>": ">=", ">": ">=", "=": "="}
 
 
 class _Fail(Exception):
     """A parse error: (message, ahead, at).  ``ahead`` counts items from the
     one read last (0), or is None for an error without a line; ``at`` is the
-    token in that item: None for its first, "v"/"r" for the start of that
-    group, "last" for the last token of r, "operand" for the one after the
-    comparison that starts r, or "signs" for the first after its signs."""
+    token in that item: None for its first, "r" for the first of r after its
+    sign (or the next item's first, if r is a sign alone), or "last" for the
+    last token of r."""
 
 
 def _kind(r: str) -> str:
-    """What the item with this r and no name is; "" is the end of the input."""
+    """What the item with this r and no name is ("" is the end of the input);
+    a term's tail is an "op" and its comparison and number an "rhs"."""
     c = r[:1]
-    if c in _CMP_START:
-        return "cmp" if r in _SENSES else "rhs"
+    if c in ("<", ">", "="):
+        return "cmp" if r in ("<=", ">=", "=") else "bad" if len(r) == 1 else "rhs"
     if c in ("+", "-"):
         last = r.rstrip()[-1]
         return "open" if last == "[" else "signs" if last in "+-" else "const"
@@ -378,24 +374,11 @@ def _kind(r: str) -> str:
     return {"": "end", "[": "open", "]": "close", "^": "op", "*": "op", "/": "op", ":": "op"}.get(c, "bad")
 
 
-def _number(text: str) -> float:
-    """The value of "[signs] number" or "[signs] inf"; float() reads inf and infinity."""
-    k = _SIGNS.match(text).end()
-    value = float(text[k:])
-    return -value if text.count("-", 0, k) % 2 else value
-
-
-def _comparison(r: str) -> tuple[str, str]:
-    """(sense, rest) of an item that starts with a comparison."""
-    op = r[:2] if r[:2] in _SENSES else r[0]
-    return _SENSES[op], r[len(op) :].lstrip()
-
-
 @functools.lru_cache(maxsize=256)
 def _rhs(r: str) -> tuple[str, float]:
     """(sense, value) of a comparison and its number; most rows end alike ("<= 0")."""
-    sense, rest = _comparison(r)
-    return sense, _number(rest)
+    sense = r[:2] if r[1] == "=" else "="
+    return sense, float(r[len(sense) :])
 
 
 def parse_lp_text(text: str) -> LpModel:
@@ -408,7 +391,7 @@ def parse_lp_text(text: str) -> LpModel:
         items.append(_EOF)
         it = iter(items)
         try:
-            return _parse_items(items, it)
+            return _parse_items(it)
         except _Fail as fail:
             message, ahead, *at = fail.args
             read = len(items) - operator.length_hint(it) - 1  # the index of the item read last
@@ -418,110 +401,82 @@ def parse_lp_text(text: str) -> LpModel:
             gc.enable()
 
 
-def _parse_items(items: list, it) -> LpModel:
-    """The model of the items, read from their iterator ``it``.
-
-    One loop reads the objective and every row, one term at a time; the
-    Bounds, Binary and General sections have loops of their own.
-    """
+def _parse_items(it) -> LpModel:
+    """The model of the items read from the iterator ``it``: the objective,
+    then each row and the Bounds and Binary sections, up to End."""
+    if next(it)[3] != "Maximize":
+        raise _Fail("file must start with Maximize", 0)
+    model = LpModel(_label(next(it)), {}, {}, [])
+    s, n, v, r = _terms(it, model.linear)
+    if r[-1:] == "[":  # the bracket, which ends the objective
+        _bracket(it, -1.0 if r[0] == "-" else 1.0, model.quadratic)
+        r = next(it)[3]
+        if r != "Subject":
+            raise _Fail(_NO_SECTION, 0)
+    elif r != "Subject":
+        raise _Fail(*_OBJECTIVE_END.get(_kind(r), _NOT_A_TERM))
     s, n, v, r = next(it)
-    word = r.lower()
-    if v or _SECTIONS.get(word) != "objective":
-        raise _Fail("file must start with Maximize or Minimize", 0)
-    model = LpModel(word[:3], None, {}, {}, 0.0, [])
+    if v != "To" or s or n:
+        raise _Fail("expected 'To' after 'Subject'", 0)
+    if r:
+        raise _Fail("expected a row label, found {found}", 0, "r")
     append = model.constraints.append
-    objective = True  # the expression read is the objective, up to Subject To
-    name, coefs, const, fresh = None, model.linear, 0.0, True  # fresh: nothing of it read yet
-    rows = it
+    item = next(it)
     while True:
-        for s, n, v, r in rows:
-            if v:  # a term, and the comparison that ends its row if any
-                if r and r[0] in "^*:":  # a tail (_TAIL), not a comparison
-                    if r == ":" and fresh and not (s or n):
-                        name, fresh = v, False
-                        continue
-                    raise _Fail("expected a term, found {found}", 0, "r")
-                coef = float(n) if n else 1.0
-                if s and (s == "-" or s != "+" and s.count("-") % 2):
-                    coef = 0.0 - coef  # not -coef: "- 0 x" adds 0.0, not -0.0
-                if v in coefs:
-                    coefs[v] += coef
-                else:
-                    coefs[v] = coef
-                fresh = False
-                if not r:
-                    continue
-                kind = "rhs"
-            else:
-                kind = _kind(r)
-            if objective and kind in ("kw", "end", "cmp", "rhs"):
-                break
-            if kind == "rhs":  # the end of a row
-                if not coefs:
-                    raise _Fail("constraint has no variables", 0, "r")
-                sense, rhs = _rhs(r)
-                append(LpConstraint(name, coefs, sense, rhs - const))
-                name, coefs, const, fresh = None, {}, 0.0, True
-            elif kind == "const":
-                const += _number(r)
-                fresh = False
-            elif kind == "open" and objective:
-                _bracket(it, -1.0 if r.count("-") % 2 else 1.0, model.quadratic)
-                fresh = False
-            elif kind == "kw" and fresh:
-                break  # a section
-            elif kind == "end" and fresh:
-                raise _Fail("missing End marker", None)
-            elif kind in ("kw", "end"):
-                raise _Fail("constraint must contain a comparison", 0)
-            elif kind == "cmp":
-                raise _Fail("expected a number in constraint right-hand side", 1, "signs")
-            elif kind == "open":
-                raise _Fail("quadratic bracket not allowed here", 0, "signs")
-            else:
-                raise _Fail("expected a term, found {found}", 0, "signs")
-        word = r.lower()
-        section = _SECTIONS.get(word)
-        if objective:
-            if section != "constraints":
-                raise _Fail("expected a 'Subject To' section after the objective", 0, "r")
-            model.objective_name, model.constant = name, const
-            objective, name, coefs, const, fresh = False, None, {}, 0.0, True
-            rows = it
-            if word in ("subject", "such"):  # the next item is its "to" or "that"
-                r = next(it)[3]
-                if r[:1] in _TAIL:
-                    raise _Fail("expected a term, found {found}", 0, "r")
-                if r:  # a comparison, which starts the first row
-                    rows = itertools.chain((("", "", "", r),), it)
-            continue
-        if section == "bounds":
-            pending = _bounds(items, it, model.bounds)
-        elif section in ("binary", "general"):
-            pending = _names(it, model.binaries if section == "binary" else model.generals)
-        elif section == "end":
+        s, n, v, r = item
+        if v:  # a row: its label, terms and comparison
+            coefs = {}
+            name = _label(item)
+            s, n, v, r = _terms(it, coefs)
+            if not v or r[0] in _TAIL:
+                raise _Fail(*_ROW_END.get(_kind(r), _NOT_A_TERM))
+            append(LpConstraint(name, coefs, *_rhs(r)))
+            item = next(it)
+        elif r == "Bounds":
+            item = _bounds(it, model.free)
+        elif r == "Binary":
+            item = _names(it, model.binaries)
+        elif r == "End":
             if next(it) is not _EOF:
                 raise _Fail("trailing content {found} after End", 0)
             return model
+        elif r:
+            raise _Fail("expected a row label or a section, found {found}", 0)
         else:
-            raise _Fail(f"unexpected section {r!r}", 0)
-        rows = itertools.chain((pending,), it)  # the item that ended the section comes first
+            raise _Fail("missing End marker", None)
+
+
+def _label(item: tuple) -> str:
+    """The name of a "name:" item."""
+    s, n, v, r = item
+    if r != ":" or s or n or not v:
+        raise _Fail("expected a label 'name:', found {found}", 0)
+    return v
+
+
+def _terms(it, coefs: dict) -> tuple:
+    """Adds the terms read to ``coefs``, up to the first item with a tail
+    or no name, and returns that item."""
+    for item in it:
+        s, n, v, r = item
+        if not v:
+            return item
+        coef = float(n) if n else 1.0
+        if s == "-":
+            coef = 0.0 - coef  # not -coef: "- 0 x" adds 0.0, not -0.0
+        if v in coefs:
+            coefs[v] += coef
+        else:
+            coefs[v] = coef
+        if r:
+            return item
 
 
 def _bracket(it, outer: float, quad: dict) -> None:
     """The terms of [ ... ] / 2, up to and including its ']' and '/ 2'."""
     for s, n, v, r in it:
-        if v:  # nearly always the whole "[signs] [number] x ^ 2" or "... x * y"
-            coef = float(n) if n else 1.0
-            if s and (s == "-" or s != "+" and s.count("-") % 2):
-                coef = -coef
-            if r[:1] in (":", "<", ">", "="):
-                raise _Fail("quadratic term must be 'x ^ 2' or 'x * y'", 0, "r")
-        else:  # else the first variable is a keyword, an item of its own
-            kind = _kind(r)
-            if kind == "end":
-                raise _Fail("unterminated quadratic bracket", 0)
-            if kind == "close":
+        if not v:
+            if r[:1] == "]":
                 slash = r[1:].lstrip()
                 if not slash:
                     raise _Fail("quadratic bracket must be followed by '/ 2'", 1)
@@ -531,23 +486,23 @@ def _bracket(it, outer: float, quad: dict) -> None:
                 if float(number) != 2.0:
                     raise _Fail("quadratic bracket must be divided by exactly 2", 0, "last")
                 return
-            coef = 1.0
-            if kind in ("signs", "const"):
-                coef = _number(r) if kind == "const" else -1.0 if r.count("-") % 2 else 1.0
-                _, _, v, r = next(it)
-                if v or _kind(r) != "kw":
-                    raise _Fail("expected a variable inside the quadratic bracket", 0)
-            elif kind != "kw":
-                raise _Fail("expected a variable inside the quadratic bracket", 0, "signs")
-            v, r = r, ""
-        if not r:  # the operator is the next item
-            _, _, w, r = next(it)
-            if w or r[:1] not in ("^", "*"):
+            if not r:
+                raise _Fail("unterminated quadratic bracket", 0)
+            if _kind(r) == "const":
+                raise _Fail(*_NO_VARIABLE)
+            raise _Fail("expected a variable inside the quadratic bracket", 0, "r")
+        coef = float(n) if n else 1.0
+        if s == "-":
+            coef = -coef
+        if r[:1] not in ("^", "*"):
+            if r:
+                raise _Fail("quadratic term must be 'x ^ 2' or 'x * y'", 0, "r")
+            _, _, w, r = next(it)  # an operator with no operand glued to it, or none
+            if w or r not in ("^", "*"):
                 raise _Fail("quadratic term must be 'x ^ 2' or 'x * y'", 0)
-        if r in ("^", "*"):
             raise _Fail("only squares are allowed after '^'" if r == "^" else "expected a variable after '*'", 1)
         if r[0] == "^":
-            if float(r[1:].strip()) != 2.0:
+            if float(r[1:]) != 2.0:
                 raise _Fail("only squares are allowed after '^'", 0, "last")
             other = v
         else:
@@ -556,90 +511,33 @@ def _bracket(it, outer: float, quad: dict) -> None:
         quad[key] = quad.get(key, 0.0) + outer * coef
 
 
-def _names(it, target: set) -> tuple:
-    """A Binary or General list; returns the item that ends it."""
+def _bounds(it, free: set) -> tuple:
+    """The "name free" lines of Bounds; returns the item that ends them."""
+    for item in it:
+        s, n, v, r = item
+        if not v and _kind(r) in ("kw", "end"):
+            return item
+        if not v or s or n:
+            raise _Fail("expected a variable in bound, found {found}", 0)
+        if r:
+            raise _Fail(f"malformed bound for {v!r}", 0, "r")
+        s, n, word, r = next(it)
+        if word != "free" or s or n:
+            raise _Fail(f"malformed bound for {v!r}", 0)
+        if r:
+            raise _Fail("expected a variable in bound, found {found}", 0, "r")
+        free.add(v)
+
+
+def _names(it, names: set) -> tuple:
+    """A Binary list; returns the item that ends it."""
     for item in it:
         s, n, v, r = item
         if not v or s or n:
             return item
-        target.add(v)
-        if r[:1] in _CMP_START:
-            return "", "", "", r  # the comparison after the name ends the list
         if r:
-            raise _Fail("expected a term, found {found}", 0, "r")
-
-
-def _bounds(items: list, it, bounds: dict) -> tuple:
-    """x free | x <= b | x >= b | x = b | a <= x [<= b] entries, up to a
-    keyword or the end; returns the item that ends them."""
-    for item in it:
-        s, n, v, r = item
-        if v and not (s or n):  # x free | x <sense> b
-            if r[:1] in _TAIL:
-                raise _Fail(f"malformed bound for {v!r}", 0, "r")
-            if r:
-                sense, value = _rhs(r)
-                lo, hi = bounds.get(v, (0.0, None))
-                bounds[v] = (lo, value) if sense == "<=" else (value, hi) if sense == ">=" else (value, value)
-                continue
-            s, n, word, r = next(it)
-            if word.lower() != "free" or s or n:
-                if r in _SENSES:
-                    raise _Fail("expected a number in bound", 1, "signs")
-                raise _Fail(f"malformed bound for {v!r}", 0)
-            bounds[v] = (None, None)
-            if r:
-                raise _Fail("expected a number in bound", 0, "r")
-            continue
-
-        # a <= x [<= b], where a is a number or a signed inf
-        if v:
-            if n:
-                raise _Fail("expected '<=' after a bound value", 0, "v")
-            if v.lower() not in ("inf", "infinity"):
-                raise _Fail("expected a number in bound", 0, "v")
-            if r[:1] in _TAIL:
-                raise _Fail("expected '<=' after a bound value", 0, "r")
-            value, w = _number(s + v), ""
-            if not r:  # else r is the comparison after the value
-                _, _, w, r = next(it)
-        else:
-            kind = _kind(r)
-            if kind in ("kw", "end"):
-                return item
-            if kind != "const":
-                raise _Fail("expected a number in bound", 0, "signs")
-            value = _number(r)
-            _, _, w, r = next(it)
-        if w or _kind(r) not in ("cmp", "rhs") or _comparison(r)[0] != "<=":
-            raise _Fail("expected '<=' after a bound value", 0, None if w else "r")
-        if r not in _SENSES:  # what follows '<=' is the variable, named inf or infinity
-            name = _comparison(r)[1]
-            if not name[0].isalpha():
-                raise _Fail("expected a variable in bound", 0, "operand")
-            r = ""
-        else:
-            s, n, name, r = next(it)
-            if not name and _kind(r) == "kw":
-                name, r = r, ""
-            elif not name or s or n:
-                raise _Fail("expected a variable in bound", 0)
-            elif r[:1] in _TAIL:
-                raise _Fail("expected a number in bound", 0, "r")
-        hi = bounds.get(name, (0.0, None))[1]
-        ahead = 0  # a range's upper bound is r, or else the next item if that is no term
-        if not r:
-            _, _, w, r = items[len(items) - operator.length_hint(it)]
-            ahead, r = 1, "" if w else r
-        if _kind(r) in ("cmp", "rhs"):
-            if _comparison(r)[0] != "<=":
-                raise _Fail("expected '<=' in a range bound", ahead, "r")
-            if r in _SENSES:
-                raise _Fail("expected a number in bound", ahead + 1, "signs")
-            hi = _rhs(r)[1]
-            if ahead:
-                next(it)
-        bounds[name] = (None if value == -float("inf") else value, hi)
+            raise _Fail("expected a variable, found {found}", 0, "r")
+        names.add(v)
 
 
 def _error(text: str, body: str, items: list, message: str, index, at=None) -> LpFormatError:
@@ -655,21 +553,15 @@ def _error(text: str, body: str, items: list, message: str, index, at=None) -> L
         return LpFormatError(message)
     for m in itertools.islice(_ITEM.finditer(body), index, None):
         pos = m.end() - len(m.group().lstrip())  # the item's first token
-        if at in ("r", "v"):
-            pos = m.start(at)
+        if at == "r":
+            pos = _SIGN.match(body, m.start("r")).end()
+            if pos == m.end():  # a sign alone: the error is at the next item
+                at = None
+                continue
         elif at == "last":
             pos = m.end("r")
             while not (body[pos - 1].isspace() or body[pos - 1] in "^*]/"):
                 pos -= 1
-        elif at == "operand":  # after the comparison that starts r
-            pos = m.start("r")
-            pos += 2 if body[pos : pos + 2] in _SENSES else 1
-            pos += len(body[pos : m.end()]) - len(body[pos : m.end()].lstrip())
-        elif at == "signs":
-            pos = _SIGNS.match(body, pos).end()
-            if pos == m.end():  # only signs: the error is at the next item
-                at = None
-                continue
         found = repr(_TOKEN.match(body, pos).group())
         return LpFormatError(message.replace("{found}", found), line=len(_LINE_BREAK.findall(body, 0, pos)) + 1)
     return LpFormatError(message.replace("{found}", "end of input"), line=max(1, len(text.splitlines())))
@@ -682,30 +574,23 @@ def parse_lp(path: str) -> LpModel:
 def validate_lp_file(path: str) -> LpModel:
     """Parse and sanity-check an LP file; returns the model on success."""
     model = parse_lp(path)
-    # Names and senses need no check: the parser stores only values of _SENSES,
-    # and every variable it records matches _NAME (group v, a "* name" tail, a
-    # _KEYWORD word, or "inf" after a range's "<=").
-    # Coefficients such as 1e400 parse as inf; bounds alone may be infinite,
-    # but not on the side that leaves no value (lower +inf, upper -inf).
+    # Names and senses need no check: the parser stores only "<=", ">=" and
+    # "=", and every variable it records matches _NAME (group v or a "* name"
+    # tail).  Coefficients and right-hand sides such as 1e400 parse as inf.
     objective = model.objective_name
     if not (all(map(math.isfinite, model.linear.values())) and all(map(math.isfinite, model.quadratic.values()))):
         raise LpFormatError(f"objective {objective!r} has a non-finite coefficient")
-    if not math.isfinite(model.constant):
-        raise LpFormatError(f"objective {objective!r} has a non-finite constant")
     for con in model.constraints:
         if not math.isfinite(con.rhs):
             raise LpFormatError(f"constraint {con.name!r} has a non-finite right-hand side")
         if not all(map(math.isfinite, con.coefs.values())):
             raise LpFormatError(f"constraint {con.name!r} has a non-finite coefficient")
-    for name, (lo, hi) in model.bounds.items():
-        if lo == math.inf or hi == -math.inf:
-            raise LpFormatError(f"variable {name!r} has an empty domain: bounds ({lo}, {hi})")
     return model
 
 
 def eval_lp_objective(model: LpModel, assignment: dict[str, float]) -> float:
     """Objective value at a variable assignment (bracket convention: / 2)."""
-    val = model.constant
+    val = 0.0
     for name, coef in model.linear.items():
         val += coef * assignment.get(name, 0.0)
     quad = 0.0

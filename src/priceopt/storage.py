@@ -356,10 +356,10 @@ def read_text(path: str) -> str:
         raise _utf8_error(exc) from None
 
 
-def _parse_fields(lines: _Lines) -> tuple[dict, int]:
-    """The fields of an instance file, and the line number of its first D entry."""
+def _parse_fields(lines: _Lines) -> tuple[dict, dict]:
+    """The fields of an instance file, and the line number of each one's name."""
     fields: dict = {}
-    d_line = 0  # line number of the first D entry
+    where: dict = {}
 
     line_no = 0
     for line in lines:
@@ -370,6 +370,7 @@ def _parse_fields(lines: _Lines) -> tuple[dict, int]:
         name, _, rest = line.partition(" ")
         if name in fields:
             raise ParseError("field appears twice", line=line_no, field=name)
+        where[name] = line_no
         if name in ("n", "k"):
             fields[name] = _parse_int(rest, line_no, name)
             if name == "n" and fields["n"] < 1:
@@ -380,19 +381,18 @@ def _parse_fields(lines: _Lines) -> tuple[dict, int]:
             nnz = _parse_int(rest, line_no, "D")
             if nnz < 0:
                 raise ParseError(f"negative entry count {nnz}", line=line_no, field="D")
-            d_line = line_no + 1
-            fields["D"] = _parse_entries(lines, nnz, d_line)
+            fields["D"] = _parse_entries(lines, nnz, line_no + 1)
             line_no += nnz
         else:
             raise ParseError(f"unknown field {name!r}", line=line_no, field=name)
-    return fields, d_line
+    return fields, where
 
 
 def read_instance(path: str) -> Instance:
     """Parse an instance file; raises ParseError with line/field context."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            fields, d_line = _parse_fields(_Lines(fh))
+            fields, where = _parse_fields(_Lines(fh))
         except UnicodeDecodeError as exc:
             raise _utf8_error(exc) from None
         except ParseError:
@@ -407,7 +407,9 @@ def read_instance(path: str) -> Instance:
     for name in ("n", "k"):
         if name not in fields:
             raise ParseError("missing required field", field=name)
-    n = fields["n"]
+    n, k = fields["n"], fields["k"]
+    if not 1 <= k <= n:
+        raise ParseError(f"k must satisfy 1 <= k <= n={n}, got {k}", line=where["k"], field="k")
     for name in ("a", "c", "p0", "delta"):
         if name not in fields:
             raise ParseError("missing required field", field=name)
@@ -419,7 +421,7 @@ def read_instance(path: str) -> Instance:
         raise ParseError("missing required field", field="D")
 
     # in (row, col) order the entries are D's CSR arrays
-    rows, cols, vals = _check_entries(*fields.pop("D"), n, d_line)
+    rows, cols, vals = _check_entries(*fields.pop("D"), n, where["D"] + 1)
     indptr = np.searchsorted(rows, np.arange(n + 1))
     del rows
     D = sparse.csr_array((vals, cols, indptr), shape=(n, n))
@@ -428,7 +430,7 @@ def read_instance(path: str) -> Instance:
     bounds = (fields["l"], fields["u"]) if "l" in fields else None
     return Instance(
         n=n,
-        k=fields["k"],
+        k=k,
         a=fields["a"],
         D=D,
         c=fields["c"],

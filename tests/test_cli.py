@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priceopt import GenConfig, Instance
+from priceopt import GenConfig, Instance, storage
 from priceopt.cli import run
 from priceopt.storage import read_instance, write_instance, write_vector
 from conftest import huge_baseline_instance, two_product_instance
@@ -91,11 +91,26 @@ class TestGen:
         assert code == 2
         assert not (tmp_path / "x.txt").exists()
 
-    @pytest.mark.parametrize("bounds", ["1,2,3,x", "1,inf,5,10"])
+    @pytest.mark.parametrize("bounds", ["1,2,3,x", "1,inf,5,10", "5,1,10,15"])
     def test_bad_bounds_is_data_error(self, tmp_path, bounds):
         code = run(["gen", "--n", "20", "--bounds", bounds, "--out", str(tmp_path / "x.txt")])
         assert code == 2
         assert not (tmp_path / "x.txt").exists()
+
+    def test_overlapping_bound_ranges_are_data_error(self, tmp_path, capsys):
+        # some u_i would fall below l_i, which left p0 ~ U[l, u] no range
+        out = tmp_path / "x.txt"
+        assert run(["gen", "--n", "1000", "--bounds", "1,5,3,10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bounds_mode ranges must not overlap: l in [1, 5] and u in [3, 10]\n"
+        )
+        assert not out.exists()
+
+    def test_negative_baseline_with_fraction_delta_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        assert run(["gen", "--n", "20", "--bounds=-5,-4,-3,-1", "--delta", "frac:0.1", "--out", str(out)]) == 2
+        assert "delta_mode produced non-positive thresholds" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -135,6 +150,13 @@ class TestSolve:
         inst = tmp_path / "bad.txt"
         inst.write_bytes(b"n 1\nk 1\na \xff\n")
         assert run(["solve", "--instance", str(inst), "--report", str(tmp_path / "r.csv")]) == 2
+
+    def test_non_utf8_byte_after_a_parse_error_is_data_error(self, tmp_path, capsys):
+        # the bad "n" line is read first; the byte lies more than one read block after it
+        inst = tmp_path / "bad.txt"
+        inst.write_bytes(b"n x\n" + b"# comment\n" * (storage._LINE_BLOCK // 5) + b"\xff\n")
+        assert run(["solve", "--instance", str(inst), "--report", str(tmp_path / "r.csv")]) == 2
+        assert "file is not UTF-8 text: byte 0xff" in capsys.readouterr().err
 
     def test_blank_entry_block_is_data_error_without_warning(self, tmp_path):
         path = tmp_path / "blank.txt"
@@ -349,7 +371,7 @@ class TestSweepCmd:
         assert len(out.read_text().splitlines()) == 7
         assert calls == ["LA"]
 
-    @pytest.mark.parametrize("k_list", ["0.5,abc", "nan", "0.5,inf", "-0.5", "0", "0.5,5"])
+    @pytest.mark.parametrize("k_list", ["0.5,abc", "nan", "0.5,inf", "-0.5", "0", "0.5,5", ","])
     def test_bad_k_list_is_data_error(self, tmp_path, k_list):
         inst = gen(tmp_path, n=10)
         out = tmp_path / "sweep.csv"

@@ -270,6 +270,12 @@ class TestRecipe:
         with pytest.raises(ContractError):
             GenConfig(n=5, seed=-1)
 
+    def test_overlapping_bound_ranges_rejected(self):
+        # l_hi > u_lo lets some u_i fall below l_i; ranges that touch are fine
+        with pytest.raises(ContractError, match=r"must not overlap: l in \[1, 5\] and u in \[3, 10\]$"):
+            GenConfig(n=5, bounds_mode=(1.0, 5.0, 3.0, 10.0))
+        GenConfig(n=5, bounds_mode=(1.0, 5.0, 5.0, 10.0))
+
 
 class TestDominanceFix:
     def _row_margins(self, inst):

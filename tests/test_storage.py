@@ -663,6 +663,15 @@ class TestValueInvariants:
             read_instance(str(path))
         assert (info.value.field, info.value.line) == ("n", 2)
 
+    @pytest.mark.parametrize("k", ["0", "3"])
+    def test_k_outside_1_to_n_rejected_on_its_line(self, tmp_path, k):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# priceopt instance v1\nn 2\n\nk {k}\na 1.0 2.0\nc 1.0 1.0\n"
+                        "p0 2.0 2.0\ndelta 1.0 1.0\nD 1\n0 0 1.0\n")
+        with pytest.raises(ParseError, match=rf"^k must satisfy 1 <= k <= n=2, got {k} \(field 'k', line 4\)$") as info:
+            read_instance(str(path))
+        assert (info.value.field, info.value.line) == ("k", 4)
+
     def test_negative_delta_in_file_rejected(self, tmp_path):
         from priceopt import ValidationError
 
@@ -1162,7 +1171,7 @@ def _reference_check_entries(entries, n, first_line_no):
 
 def _reference_parse_fields(path, lines):
     fields = {}
-    d_line = 0
+    where = {}  # the line of each field's name
     line_no = 0
     for line in lines:
         line_no += 1
@@ -1172,26 +1181,28 @@ def _reference_parse_fields(path, lines):
         name, _, rest = line.partition(" ")
         if name in fields:
             raise ParseError("field appears twice", line=line_no, field=name)
+        where[name] = line_no
         if name in ("n", "k"):
             fields[name] = storage._parse_int(rest, line_no, name)
+            if name == "n" and fields["n"] < 1:
+                raise ParseError(f"n must be positive, got {fields['n']}", line=line_no, field="n")
         elif name in ("a", "c", "p0", "delta", "l", "u"):
             fields[name] = _reference_parse_floats(rest.split(), line_no, name)
         elif name == "D":
             nnz = storage._parse_int(rest, line_no, "D")
             if nnz < 0:
                 raise ParseError(f"negative entry count {nnz}", line=line_no, field="D")
-            d_line = line_no + 1
-            fields["D"] = _reference_parse_entries(path, lines, nnz, d_line)
+            fields["D"] = _reference_parse_entries(path, lines, nnz, line_no + 1)
             line_no += nnz
         else:
             raise ParseError(f"unknown field {name!r}", line=line_no, field=name)
-    return fields, d_line
+    return fields, where
 
 
 def _reference_read_instance(path):
     lines = _reference_lines(path)
     try:
-        fields, d_line = _reference_parse_fields(path, lines)
+        fields, where = _reference_parse_fields(path, lines)
     except UnicodeDecodeError as exc:
         raise storage._utf8_error(exc) from None
     except ParseError:
@@ -1207,6 +1218,8 @@ def _reference_read_instance(path):
         if name not in fields:
             raise ParseError("missing required field", field=name)
     n = fields["n"]
+    if not 1 <= fields["k"] <= n:
+        raise ParseError(f"k must satisfy 1 <= k <= n={n}, got {fields['k']}", line=where["k"], field="k")
     for name in ("a", "c", "p0", "delta"):
         if name not in fields:
             raise ParseError("missing required field", field=name)
@@ -1216,7 +1229,7 @@ def _reference_read_instance(path):
         raise ParseError("bounds require both fields", field="l" if "u" in fields else "u")
     if "D" not in fields:
         raise ParseError("missing required field", field="D")
-    entries = _reference_check_entries(fields.pop("D"), n, d_line)
+    entries = _reference_check_entries(fields.pop("D"), n, where["D"] + 1)
     indptr = np.searchsorted(entries["row"], np.arange(n + 1))
     D = sparse.csr_array((entries["val"], entries["col"], indptr), shape=(n, n), copy=True)
     bounds = (fields["l"], fields["u"]) if "l" in fields else None
