@@ -41,9 +41,13 @@ lists; ``End``.  A term is ``[+|-] [number] name``.  Keywords are spelled as
 the exporter spells them and name no variable; ``\\`` starts a comment.
 Every other form (``Minimize``, a constant, ``General``, any other bound,
 ``inf``, ``<`` or ``=<``, two signs in a row, ``st``) is an LpFormatError
-that names its line.  One ``findall`` splits the text into items of four
+that names its line.  ``findall`` splits the text into items of four
 groups (sign, number, name, rest): nearly all are one signed term, and the
-term that ends a row carries its comparison and number in the rest.  An
+term that ends a row carries its comparison and number in the rest.  It
+runs on chunks of about 64K characters, so that only one chunk's items are
+alive at a time: a chunk ends right after a comparison and an unsigned
+number followed by whitespace (``<= 0``), which always ends an item, so the
+chunks' items are those of one ``findall`` over the whole text.  An
 error names the line of its token, computed from the item's offset only
 then, or the last line if the input ends early.  ``tests/test_lpformat.py``
 keeps the earlier token-by-token parser, narrowed alike, as the reference
@@ -153,24 +157,29 @@ def _bracket_terms(rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
 
 
 def _row_terms(coef: np.ndarray, name: str, ids: tuple) -> list:
-    """" sign mag name_i" of each row's term, or nothing for a zero coefficient."""
-    n = coef.size
-    return _masked([column(" ", n), *_term_cells(coef, False), column(name, n), ids], coef != 0)
+    """" sign mag name_i" of each row's term, or nothing for a zero coefficient;
+    a single coefficient is every row's, laid out once."""
+    m, size = ids[0].shape[0], coef.size
+    blocks = [column(" ", size), *_term_cells(coef, False), column(name, size)]
+    blocks = [tuple(np.broadcast_to(a, (m, a.shape[1])) for a in block) for block in blocks]
+    return _masked([*blocks, ids], np.broadcast_to(coef != 0, m))
 
 
 def _rows(p0, delta, lo, hi):
-    """Text blocks of the lb_i, ub_i and pick_i rows, product by product."""
+    """Text blocks of the lb_i, ub_i and pick_i rows, product by product;
+    ``lo`` and ``hi`` hold a value per product or one for all (a big-M)."""
     n = p0.size
     for start in range(0, n, FORMAT_CHUNK):
         sl = slice(start, min(n, start + FORMAT_CHUNK))
         m = sl.stop - start
         ids = index_cells(np.arange(start + 1, sl.stop + 1))
         keep = _row_terms(-p0[sl], "zP_", ids)
+        lo_sl, hi_sl = (x if x.size == 1 else x[sl] for x in (lo, hi))
         yield text([
             column(" lb_", m), ids, column(": p_", m), ids, *keep,
-            *_row_terms(-lo[sl], "zL_", ids), *_row_terms(-(p0[sl] + delta[sl]), "zR_", ids),
+            *_row_terms(-lo_sl, "zL_", ids), *_row_terms(-(p0[sl] + delta[sl]), "zR_", ids),
             column(" >= 0\n ub_", m), ids, column(": p_", m), ids, *keep,
-            *_row_terms(-(p0[sl] - delta[sl]), "zL_", ids), *_row_terms(-hi[sl], "zR_", ids),
+            *_row_terms(-(p0[sl] - delta[sl]), "zL_", ids), *_row_terms(-hi_sl, "zR_", ids),
             column(" <= 0\n pick_", m), ids, column(": zP_", m), ids,
             column(" + zL_", m), ids, column(" + zR_", m), ids, column(" = 1\n", m),
         ])
@@ -257,8 +266,8 @@ def export_mip_lp(instance: Instance, path: str, big_m: Optional[float] = None) 
         "Maximize",
         " obj: ",
     ])
-    lo = instance.lower if bounded else np.full(n, -big_m)
-    hi = instance.upper if bounded else np.full(n, big_m)
+    lo = instance.lower if bounded else np.array([-big_m])
+    hi = instance.upper if bounded else np.array([big_m])
     with atomic_open(path) as fh:
         fh.write(header)
         if np.any(f):
@@ -334,6 +343,15 @@ _TOKEN = re.compile(rf"{_CMP}|{_NUM}|{_NAME}|\S")  # the token an error message 
 # breaks of str.splitlines, which also number the lines in error messages.
 _COMMENT = re.compile("\\\\[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# The body is tokenized a chunk of about _CHUNK characters at a time, so
+# that only one chunk's items are alive.  A chunk ends right after a
+# comparison and an unsigned number followed by whitespace (every row of the
+# exporter ends so): the comparison and its number end an item in either
+# branch of _ITEM, so the whole body's items have a boundary there, and
+# _ITEM looks behind nothing, so ``findall(body, pos, end)`` yields the same
+# items as the whole body's ``findall`` does between those offsets.
+_CHUNK = 1 << 16
+_CUT = re.compile(rf"{_CMP}\s*\d+(?:\.\d*)?(?=\s)")
 
 # The error of an item that ends the terms of the objective or of a row too
 # early, by its kind (_kind), as _Fail arguments; any other kind is _NOT_A_TERM.
@@ -387,18 +405,43 @@ def parse_lp_text(text: str) -> LpModel:
     gc.disable()  # the parse builds no cycles, only many young objects
     try:
         body = _COMMENT.sub(" ", text)  # not "": "\r" + comment + "\n" stays two line breaks
-        items = _ITEM.findall(body)
-        items.append(_EOF)
-        it = iter(items)
+        read = [0, iter(())]  # items up to the end of the current chunk, and its iterator
         try:
-            return _parse_items(it)
+            return _parse_items(itertools.chain.from_iterable(_chunks(body, read)))
         except _Fail as fail:
             message, ahead, *at = fail.args
-            read = len(items) - operator.length_hint(it) - 1  # the index of the item read last
-            raise _error(text, body, items, message, None if ahead is None else read + ahead, *at) from None
+            index = read[0] - operator.length_hint(read[1]) - 1  # of the item read last
+            raise _error(text, body, message, None if ahead is None else index + ahead, *at) from None
     finally:
         if enabled:
             gc.enable()
+
+
+def _chunks(body: str, read: list):
+    """Iterators over the items of ``body``, a chunk at a time, then _EOF.
+
+    Each keeps ``read`` as [items of this chunk and the earlier ones, this
+    iterator], so that a failed parse can tell which item it read last.
+    """
+    pos = 0
+    while True:
+        cut = _CUT.search(body, pos + _CHUNK)
+        end = cut.end() if cut else len(body)
+        items = _ITEM.findall(body, pos, end)
+        if not cut:
+            items.append(_EOF)
+        it = iter(items)
+        read[:] = read[0] + len(items), it
+        # Only the iterator holds the list, so the items go as soon as the
+        # parse has read them and the next chunk's items refill their memory.
+        # Freed after the next chunk is made, they would leave holes that the
+        # model's dicts fill out of order, and validate_lp_file's walk over
+        # the rows would take about 1.6 times as long.
+        del items
+        yield it
+        if not cut:
+            return
+        pos = end
 
 
 def _parse_items(it) -> LpModel:
@@ -540,12 +583,13 @@ def _names(it, names: set) -> tuple:
         names.add(v)
 
 
-def _error(text: str, body: str, items: list, message: str, index, at=None) -> LpFormatError:
+def _error(text: str, body: str, message: str, index, at=None) -> LpFormatError:
     """The LpFormatError of a _Fail, naming the line of its token.
 
     A character that starts no token is the error wherever it is, as in a
     parse that reads all tokens first.
     """
+    items = _ITEM.findall(body)
     bad = next((j for j, item in enumerate(items) if _kind(item[3]) == "bad"), None)
     if bad is not None:
         message, index, at = f"illegal character {items[bad][3]!r}", bad, None

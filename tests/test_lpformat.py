@@ -1,6 +1,7 @@
 import functools
 import gc
 import hashlib
+import itertools
 import re
 import tempfile
 from pathlib import Path
@@ -30,7 +31,7 @@ from priceopt.lpformat import LpConstraint, LpFormatError, LpModel, default_big_
 from priceopt.numtext import (
     FORMAT_CHUNK as _FORMAT_CHUNK, _rounded, column as _column, decimal_cells as _decimal_cells, text as _text,
 )
-from conftest import huge_baseline_instance, two_product_instance
+from conftest import huge_baseline_instance, traced_peak, two_product_instance
 
 
 def feasible_assignment(rng, inst, big_m):
@@ -484,6 +485,169 @@ class TestEndOfInputLine:
             with pytest.raises(LpFormatError) as info:
                 parse(text)
             assert info.value.line == line
+
+
+# --------------------------------------------------------------------------
+# The body tokenized in chunks, against one findall of the whole body.
+
+
+def _assert_chunks_match(text: str) -> None:
+    """For chunk sizes 1 to 64, the chunks' items are the whole body's and _EOF."""
+    body = lpformat._COMMENT.sub(" ", text)
+    whole = [*lpformat._ITEM.findall(body), lpformat._EOF]
+    with pytest.MonkeyPatch.context() as mp:
+        for size in range(1, 65):
+            mp.setattr(lpformat, "_CHUNK", size)
+            read = [0, iter(())]
+            assert list(itertools.chain.from_iterable(lpformat._chunks(body, read))) == whole, size
+            assert read[0] == len(whole), size
+
+
+# Pieces of rows, glued or apart: comparisons (also ones the parser refuses),
+# numbers that may or may not end where a cut can fall, names, labels, a
+# comment holding a row's end, and the other symbols and sections.
+_ROW_FRAGMENTS = [
+    "<=", ">=", "=", "=<", "<", ">", "0", "1", "12", "5.", ".5", "1e5", "1e", "2.5e-3", "-", "+",
+    "x", "p_1", "- 2 zL_1", "c:", ":", "\\ <= 5", "\\", "[", "]", "/ 2", "^", "*", "End", "Subject To",
+]
+_row_texts = st.lists(
+    st.tuples(
+        st.sampled_from(_ROW_FRAGMENTS),
+        st.sampled_from([" ", " ", "\n", "", "\r\n", "\r", "\x0b", "\x85", "\xa0"]),
+    ),
+    max_size=40,
+).map(lambda parts: "".join(token + sep for token, sep in parts))
+
+
+class TestChunkedItems:
+    """parse_lp_text tokenizes its body in chunks cut after a row's comparison
+    and number; the items must be those of one findall over the whole body."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_lp_texts)
+    def test_lp_texts(self, text):
+        _assert_chunks_match(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_row_texts)
+    def test_row_texts(self, text):
+        _assert_chunks_match(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Maximize\n obj: -\n 2.5\n x\nSubject To\n c: 3\n y\n <=\n 4\n d: y >= 0\nEnd\n",
+            "Subject To\n c: x <= 1e5\n d: x <= 1e5 e: x >= 0\n",
+            "Subject To\n c: x <= 5.\n d: x <= 5.\n",
+            "Subject To\n c: x <= .5\n d: x <= .5\n",
+            "Subject To\r\n c: x <= 1\r\n d: x >= 0\r\nEnd\r\n",
+            "Subject To\r c: x <= 1\r d: x >= 0\x0b e: x = 1\x0bEnd",
+            "Subject To\n c: x \\ <= 5\n <= 2 \\ = 1\n d: x >= 0\n",
+            "Subject To\n c: x <= 0\n",
+            "Subject To\n c: x <= 0",
+            "c: x <= 0 ",
+        ],
+        ids=["split-term", "exponent", "trailing-point", "leading-point", "crlf", "cr-vt", "comment", "cut-last",
+             "no-space-last", "cut-only"],
+    )
+    def test_fixed(self, text):
+        _assert_chunks_match(text)
+
+
+@pytest.fixture(scope="class")
+def row_chunks():
+    """Chunks of one character: every chunk then ends at the first cut after its start."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpformat, "_CHUNK", 1)
+        yield
+
+
+@pytest.mark.usefixtures("row_chunks")
+class TestMatchesReferenceInRowChunks:
+    """TestMatchesReference's small cases with the body cut after nearly every row."""
+
+    test_hand_written = TestMatchesReference.test_hand_written
+    test_exported_models = TestMatchesReference.test_exported_models
+
+
+@pytest.mark.usefixtures("row_chunks")
+class TestFuzzInRowChunks:
+    """TestParserFuzz and TestParserMutations with the body cut wherever a cut may fall."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(_lp_texts, _row_texts))
+    def test_texts(self, text):
+        assert _outcome(parse_lp_text, text) == _outcome(_reference_parse, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=_bounds_bodies)
+    def test_bounds_section(self, body):
+        TestParserFuzz.test_bounds_section_matches_reference.hypothesis.inner_test(self, body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        which=st.integers(0, 1),
+        op=st.sampled_from(["insert", "delete", "replace"]),
+        at=st.integers(0, 10**6),
+        token=st.sampled_from(_LP_TOKENS),
+    )
+    def test_mutations(self, which, op, at, token):
+        TestParserMutations.test_matches_reference.hypothesis.inner_test(self, which, op, at, token)
+
+
+@pytest.mark.usefixtures("row_chunks")
+class TestEndOfInputLineInRowChunks:
+    """TestEndOfInputLine with the body cut wherever a cut may fall."""
+
+    test_names_last_line = TestEndOfInputLine.test_names_last_line
+
+
+@functools.lru_cache(maxsize=None)
+def _lp_roundtrip_lines() -> tuple[str, ...]:
+    """The lines of the seed-101, n = 20,000 export of perfbench's lp-roundtrip."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return tuple(_export_text(generate(GenConfig(n=20_000, seed=101)), Path(tmp)).splitlines(keepends=True))
+
+
+class TestLateChunkErrors:
+    """Errors far past the first chunk carry the message, token and line that
+    the parse reading one findall of the whole body gave."""
+
+    @pytest.mark.parametrize(
+        "line, old, new, error",
+        [
+            (50000, "zL_12909", "@", "illegal character '@' (line 50000)"),
+            (50000, "<= 0", "<=", "expected a number in constraint right-hand side (line 50001)"),
+            (80000, "free", "fre", "malformed bound for 'p_3725' (line 80000)"),
+            # the first item of the second chunk: the objective is longer than
+            # a chunk, so the first cut ends the row lb_1
+            (11276, " ub_1:", " ub_1", "expected a label 'name:', found 'ub_1' (line 11276)"),
+            (102944, "End\n", "End\nx\n", "trailing content 'x' after End (line 102945)"),
+        ],
+        ids=["illegal", "no-rhs", "bound", "chunk-start", "trailing"],
+    )
+    def test_same_error(self, line, old, new, error):
+        lines = list(_lp_roundtrip_lines())
+        assert old in lines[line - 1]
+        lines[line - 1] = lines[line - 1].replace(old, new, 1)
+        with pytest.raises(LpFormatError) as info:
+            parse_lp_text("".join(lines))
+        assert str(info.value) == error
+        assert info.value.line == int(error[error.rindex(" ") + 1 : -1])
+
+    def test_chunk_start_follows_the_first_cut(self):
+        body = lpformat._COMMENT.sub(" ", "".join(_lp_roundtrip_lines()))
+        assert body[lpformat._CUT.search(body, lpformat._CHUNK).end() :].startswith("\n ub_1:")
+
+
+class TestMemory:
+    def test_parse_peak_within_12_times_the_text(self, tmp_path):
+        # Only one chunk's items are alive at a time; the items of one
+        # findall over the whole body took the peak to 17 times the text.
+        text = _export_text(generate(GenConfig(n=2_000, seed=0)), tmp_path)
+        model, peak = traced_peak(lambda: parse_lp_text(text))
+        assert len(model.constraints) == 3 * 2_000 + 1
+        assert peak <= 12 * len(text)
 
 
 class TestExportPinned:
